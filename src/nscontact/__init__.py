@@ -10,6 +10,7 @@ from .errors import (
     LcpFailure,
     MissingHistory,
     NoSolutionFound,
+    NonFiniteValue,
     NonSymmetric,
     NotApplicable,
     NotAvailable,
@@ -59,9 +60,6 @@ from .energy import (
     audit_step,
     contact_work,
     discrete_works,
-    dissipation_check,
-    energy_gain,
-    identity_residual,
     theta_upper_bound,
     total_energy,
     update_filters,

@@ -30,10 +30,8 @@ _RUN_KEYS = {"h", "t_end", "audit", "tol", "solver"}
 _GRID_AXES = ("theta", "gamma", "beta", "alpha", "rho_infinity", "e")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    return f"{float(x):.17g}"
+def _flag(x) -> str:
+    return "true" if x else "false"
 
 
 @dataclass
@@ -203,11 +201,15 @@ def _run(cfg: RunConfig):
     return model, spec, records
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
+    """Write the header, then each row tuple through ``row_format`` as it is produced.
+
+    Floats use ``%.17g``, which gives the same text as ``format(x, ".17g")``.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(row_format % row)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
@@ -226,39 +228,39 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
               + ["E", "H", "W_ext_cum", "W_damp_cum", "contact_work", "residual",
                  "active_set", "penetration"])
-    rows = []
-    w_ext_cum = 0.0
-    w_damp_cum = 0.0
-    for rec in records:
-        w_ext_cum += rec.W_ext
-        w_damp_cum += rec.W_damping
-        s = rec.state_next
-        rows.append([str(rec.step_index + 1), _fmt(s.t)]
-                    + [_fmt(x) for x in s.q] + [_fmt(x) for x in s.v]
-                    + [_fmt(rec.E_next), _fmt(rec.H_next), _fmt(w_ext_cum),
-                       _fmt(w_damp_cum), _fmt(rec.contact_work),
-                       _fmt(rec.identity_residual),
-                       ";".join(str(a) for a in rec.active_set),
-                       _fmt(rec.penetration)])
-    _write_csv(out / "trajectory.csv", header, rows)
+
+    def trajectory_rows():
+        w_ext_cum = 0.0
+        w_damp_cum = 0.0
+        for rec in records:
+            w_ext_cum += rec.W_ext
+            w_damp_cum += rec.W_damping
+            s = rec.state_next
+            yield (rec.step_index + 1, s.t, *s.q.tolist(), *s.v.tolist(),
+                   rec.E_next, rec.H_next, w_ext_cum, w_damp_cum, rec.contact_work,
+                   rec.identity_residual, ";".join(str(a) for a in rec.active_set),
+                   rec.penetration)
+
+    _write_csv(out / "trajectory.csv", header,
+               "%d" + ",%.17g" * (2 * n + 7) + ",%s,%.17g\n", trajectory_rows())
 
     tol = cfg.residual_tol()
-    audit_rows = []
-    violations = 0
-    for rec in records:
-        rep = rec.report
-        bad = abs(rep.identity_residual) > tol * rep.residual_scale
-        violations += bad
-        audit_rows.append([str(rec.step_index + 1), _fmt(rec.t_next),
-                           _fmt(rep.identity_residual), _fmt(rep.residual_scale),
-                           _fmt(rep.energy_gain), _fmt(rep.condition_satisfied),
-                           _fmt(rep.condition_satisfied_max_e),
-                           _fmt(rep.dissipation_satisfied), _fmt(not bad)])
+    ok = [rec.report.identity_ok(tol) for rec in records]
+
+    def audit_rows():
+        for rec, good in zip(records, ok):
+            rep = rec.report
+            yield (rec.step_index + 1, rec.t_next, rep.identity_residual,
+                   rep.residual_scale, rep.energy_gain, _flag(rep.condition_satisfied),
+                   _flag(rep.condition_satisfied_max_e), _flag(rep.dissipation_satisfied),
+                   _flag(good))
+
     _write_csv(out / "audit.csv",
                ["step", "t", "identity_residual", "residual_scale", "energy_gain",
                 "condition_satisfied", "condition_satisfied_max_e",
                 "dissipation_satisfied", "identity_ok"],
-               audit_rows)
+               "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s\n", audit_rows())
+    violations = ok.count(False)
 
     if cfg.audit and violations:
         print(f"audit: {violations} step(s) violate the identity residual tolerance",
@@ -345,14 +347,12 @@ def cmd_sweep(cfg: RunConfig, grid: str, out_dir) -> int:
         frac = sum(rep.dissipation_satisfied for rep in reports) / n_steps
         max_gain = max((rep.energy_gain for rep in reports), default=0.0)
         condition = reports[0].condition_satisfied if reports else True
-        violations += sum(abs(rep.identity_residual) > tol * rep.residual_scale
-                          for rep in reports)
-        rows.append([_fmt(v) for v in point]
-                    + [_fmt(condition), _fmt(frac), _fmt(max(0.0, max_gain))])
+        violations += sum(not rep.identity_ok(tol) for rep in reports)
+        rows.append((*point, _flag(condition), frac, max(0.0, max_gain)))
     _write_csv(out / "sweep.csv",
                names + ["condition_satisfied", "dissipation_fraction",
                         "max_energy_gain"],
-               rows)
+               "%.17g," * len(names) + "%s,%.17g,%.17g\n", rows)
     if cfg.audit and violations:
         print(f"audit: {violations} step(s) violate the identity residual tolerance",
               file=sys.stderr)
@@ -390,8 +390,8 @@ def cmd_convergence(cfg: RunConfig, h_values: list[float], out_dir) -> int:
                         + float(np.sum((final.v - v_ref) ** 2)))
         errors.append(err)
     order = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
-    rows = [[_fmt(h), _fmt(err), _fmt(order)] for h, err in zip(h_values, errors)]
-    _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"], rows)
+    _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"], "%.17g,%.17g,%.17g\n",
+               ((h, err, order) for h, err in zip(h_values, errors)))
     return 0
 
 

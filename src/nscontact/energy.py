@@ -25,7 +25,9 @@ concurrently across steps and runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +57,6 @@ class EnergyReport:
     """
 
     E: float
-    K_alg: float
     H_alg: float
     W_ext: float
     W_damping: float
@@ -67,6 +68,53 @@ class EnergyReport:
     dissipation_satisfied: bool
     condition_satisfied: bool
     condition_satisfied_max_e: bool
+
+    def identity_ok(self, tol: float = DEFAULT_AUDIT_TOL) -> bool:
+        """Whether |residual| <= tol * residual_scale; a NaN or infinite residual fails."""
+        r = self.identity_residual
+        return math.isfinite(r) and abs(r) <= tol * self.residual_scale
+
+
+class AuditConstants(NamedTuple):
+    """Audit quantities fixed by (model, spec, h), computed once per run."""
+
+    condition: bool
+    condition_max_e: bool
+    accel_coeff: float     # weight of a^T M a in H
+    filter_coeff: float    # weight of z^T K z in H
+
+
+def _h_weights(spec: SchemeSpec, h: float) -> tuple[float, float]:
+    """Weights of a^T M a and z^T K z in H.
+
+    The z weight is zero whenever eta or nu vanishes (the filter state
+    is identically zero for nu = 0, so nothing is lost).
+    """
+    nu, eta = spec.nu, spec.eta
+    accel = 0.25 * h**2 * (2.0 * spec.beta - spec.gamma)
+    if eta == 0.0 or nu == 0.0:
+        return accel, 0.0
+    return accel, eta / (2.0 * nu**2) * (nu - (spec.gamma - 0.5))
+
+
+def audit_constants(model: LagrangianModel, spec: SchemeSpec, h: float) -> AuditConstants:
+    """Parameter conditions and energy weights shared by every step of a run."""
+    cond, cond_max = _parameter_conditions(model, spec)
+    if spec.variant in THETA_FAMILY:
+        return AuditConstants(cond, cond_max, 0.0, 0.0)
+    return AuditConstants(cond, cond_max, *_h_weights(spec, h))
+
+
+def _energy(model: LagrangianModel, q: np.ndarray, v: np.ndarray) -> float:
+    return 0.5 * float(v @ model.mass @ v) + 0.5 * float(q @ model.stiffness @ q)
+
+
+def _algorithmic(model: LagrangianModel, state: SystemState, energy: float,
+                 accel_coeff: float, filter_coeff: float) -> float:
+    value = energy + accel_coeff * float(state.a @ model.mass @ state.a)
+    if filter_coeff != 0.0:
+        value += filter_coeff * float(state.z @ model.stiffness @ state.z)
+    return value
 
 
 def total_energy(model: LagrangianModel, q, v) -> float:
@@ -80,20 +128,7 @@ def total_energy(model: LagrangianModel, q, v) -> float:
     v = np.asarray(v, dtype=float)
     if q.shape != (model.n,) or v.shape != (model.n,):
         raise DimensionMismatch(f"q, v must have length {model.n}")
-    return 0.5 * float(v @ model.mass @ v) + 0.5 * float(q @ model.stiffness @ q)
-
-
-def _accel_term(model: LagrangianModel, a: np.ndarray, spec: SchemeSpec, h: float) -> float:
-    return 0.25 * h**2 * (2.0 * spec.beta - spec.gamma) * float(a @ model.mass @ a)
-
-
-def _filter_coeff(spec: SchemeSpec) -> float:
-    # The z-term coefficient of H; zero whenever eta or nu vanishes (the
-    # filter state is identically zero for nu = 0, so nothing is lost).
-    nu, eta = spec.nu, spec.eta
-    if eta == 0.0 or nu == 0.0:
-        return 0.0
-    return eta / (2.0 * nu**2) * (nu - (spec.gamma - 0.5))
+    return _energy(model, q, v)
 
 
 def algorithmic_energy(model: LagrangianModel, state: SystemState,
@@ -109,11 +144,8 @@ def algorithmic_energy(model: LagrangianModel, state: SystemState,
     """
     if spec.variant in THETA_FAMILY:
         raise NotApplicable("theta-schemes track the total mechanical energy only")
-    value = total_energy(model, state.q, state.v) + _accel_term(model, state.a, spec, h)
-    cz = _filter_coeff(spec)
-    if cz != 0.0:
-        value += cz * float(state.z @ model.stiffness @ state.z)
-    return value
+    return _algorithmic(model, state, total_energy(model, state.q, state.v),
+                        *_h_weights(spec, h))
 
 
 def update_filters(model: LagrangianModel, state_prev: SystemState,
@@ -145,31 +177,16 @@ def _gamma_mix(prev: np.ndarray, next_: np.ndarray, gamma: float) -> np.ndarray:
     return gamma * next_ + (1.0 - gamma) * prev
 
 
-def discrete_works(model: LagrangianModel, record: StepRecord,
-                   spec: SchemeSpec, h: float) -> tuple[float, float]:
-    """Scheme-consistent external and damping works over one step.
-
-    Theta scheme: h v_{k+theta}^T F_{k+theta} and the matching damping
-    quadrature.  Averaging family: increment-weighted works with the
-    gamma mix of endpoint values; the HHT variant additionally averages
-    the current and previous mixes with weights (1-alpha, alpha), using
-    the cached previous-step force and velocity (the virtual step before
-    t0 replicates the initial data).
-
-    Raises:
-        MissingHistory: the multi-step form lacks its previous-step cache.
-    """
-    sp, sn = record.state_prev, record.state_next
+def _works(model: LagrangianModel, spec: SchemeSpec, h: float, sp: SystemState,
+           sn: SystemState, f_k: np.ndarray, f_k1: np.ndarray,
+           dq: np.ndarray) -> tuple[float, float]:
     C = model.damping
-    f_k = model.force(sp.t)
-    f_k1 = model.force(sn.t)
     v = spec.variant
     if v is SchemeVariant.MOREAU_JEAN:
         th = spec.theta
         v_th = (1 - th) * sp.v + th * sn.v
         f_th = (1 - th) * f_k + th * f_k1
         return h * float(v_th @ f_th), -h * float(v_th @ C @ v_th)
-    dq = sn.q - sp.q
     if v is SchemeVariant.MOREAU_JEAN_VARIANT:
         th = spec.theta
         v_th = (1 - th) * sp.v + th * sn.v
@@ -190,98 +207,44 @@ def discrete_works(model: LagrangianModel, record: StepRecord,
     return float(dq @ f_mix), -float(dq @ C @ v_mix)
 
 
+def discrete_works(model: LagrangianModel, record: StepRecord,
+                   spec: SchemeSpec, h: float) -> tuple[float, float]:
+    """Scheme-consistent external and damping works over one step.
+
+    Theta scheme: h v_{k+theta}^T F_{k+theta} and the matching damping
+    quadrature.  Averaging family: increment-weighted works with the
+    gamma mix of endpoint values; the HHT variant additionally averages
+    the current and previous mixes with weights (1-alpha, alpha), using
+    the cached previous-step force and velocity (the virtual step before
+    t0 replicates the initial data).
+
+    Raises:
+        MissingHistory: the multi-step form lacks its previous-step cache.
+    """
+    sp, sn = record.state_prev, record.state_next
+    return _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t),
+                  sn.q - sp.q)
+
+
+def _weighted(prev: float, next_: float, weight: float) -> float:
+    return (1.0 - weight) * prev + weight * next_
+
+
 def contact_work(U_prev, U_next, P, weight: float) -> float:
     """Work of the contact impulses against the weighted local velocity."""
-    U_prev = np.asarray(U_prev, dtype=float)
-    U_next = np.asarray(U_next, dtype=float)
     P = np.asarray(P, dtype=float)
-    return float(((1.0 - weight) * U_prev + weight * U_next) @ P)
-
-
-def _contact_weight(spec: SchemeSpec) -> float:
-    return spec.theta if spec.variant is SchemeVariant.MOREAU_JEAN else 0.5
+    return _weighted(float(np.asarray(U_prev, dtype=float) @ P),
+                     float(np.asarray(U_next, dtype=float) @ P), weight)
 
 
 def _norm_sq(mat: np.ndarray, vec: np.ndarray) -> float:
     return float(vec @ mat @ vec)
 
 
-def identity_residual(record: StepRecord, model: LagrangianModel,
-                      spec: SchemeSpec, h: float) -> float:
-    """Left minus right side of the scheme's exact per-step energy identity.
-
-    Zero up to roundoff for a correct step; this is the primary
-    correctness oracle of the package.
-    """
-    sp, sn = record.state_prev, record.state_next
-    M, K, C = model.mass, model.stiffness, model.damping
-    w_ext, w_damp = discrete_works(model, record, spec, h)
-    dq = sn.q - sp.q
-    u_half = contact_work(record.U_prev, record.U_next, record.P, 0.5)
-    v = spec.variant
-
-    if v in THETA_FAMILY:
-        dE = (total_energy(model, sn.q, sn.v) - total_energy(model, sp.q, sp.v))
-        if v is SchemeVariant.MOREAU_JEAN:
-            th = spec.theta
-            dv = sn.v - sp.v
-            quad = (0.5 - th) * (_norm_sq(M, dv) + _norm_sq(K, dq))
-            u_th = contact_work(record.U_prev, record.U_next, record.P, th)
-            return dE - w_ext - w_damp - quad - u_th
-        th = spec.theta
-        return dE - w_ext - w_damp - (0.5 - th) * _norm_sq(K, dq) - u_half
-
-    gamma, beta = spec.gamma, spec.beta
-    da = sn.a - sp.a
-    dz = sn.z - sp.z
-    dH = (algorithmic_energy(model, sn, spec, h)
-          - algorithmic_energy(model, sp, spec, h))
-    accel_sq = 0.5 * h**2 * (gamma - 0.5) * (2 * beta - gamma) * _norm_sq(M, da)
-
-    if v is SchemeVariant.NONSMOOTH_NEWMARK:
-        rhs = (0.5 - gamma) * (_norm_sq(K, dq)
-                               + 0.5 * h**2 * (2 * beta - gamma) * _norm_sq(M, da))
-        return dH - w_ext - w_damp - rhs - u_half
-    if v is SchemeVariant.NONSMOOTH_HHT:
-        alpha = spec.alpha_f
-        rhs = (u_half - accel_sq - (gamma - 0.5 - alpha) * _norm_sq(K, dq)
-               - 2 * alpha * (1 - gamma) * _norm_sq(K, dz))
-        return dH - w_ext - w_damp - rhs
-    if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-        eta, nu = spec.eta, spec.nu
-        rhs = (u_half - accel_sq - (gamma - 0.5 - eta) * _norm_sq(K, dq)
-               - spec.eta_over_nu * (nu - gamma + 0.5) * _norm_sq(K, dz))
-        return dH - w_ext - w_damp - rhs
-
-    # full averaging scheme: the load/velocity filters appear on the left
-    eta, nu = spec.eta, spec.nu
-    y_mix = _gamma_mix(sp.y, sn.y, gamma)
-    x_mix = _gamma_mix(sp.x, sn.x, gamma)
-    lhs = dH - w_ext - w_damp + spec.eta_over_nu * float(dq @ (y_mix - C @ x_mix))
-    rhs = (u_half - accel_sq + (eta + 0.5 - gamma) * _norm_sq(K, dq)
-           + spec.eta_over_nu * (gamma - nu - 0.5) * _norm_sq(K, dz))
-    return lhs - rhs
-
-
 def theta_upper_bound(restitution) -> float:
     """Largest theta for which the theta-scheme provably dissipates."""
     e = np.asarray(restitution, dtype=float)
     return float(1.0 / (1.0 + e.max(initial=0.0)))
-
-
-def dissipation_check(record: StepRecord, model: LagrangianModel, spec: SchemeSpec,
-                      h: float, tol: float = DEFAULT_AUDIT_TOL) -> tuple[bool, bool]:
-    """Evaluate the scheme's dissipation statement on one step.
-
-    Returns ``(condition_satisfied, dissipation_satisfied)``: whether
-    the scheme parameters meet the hypothesis of the statement, and
-    whether this step's energy gain dE (or dH) - W_ext - W_damping is
-    nonpositive up to the audit tolerance.  The parameter condition is
-    one-directional: outside it the step may still dissipate.
-    """
-    condition, _ = _parameter_conditions(model, spec)
-    gain, scale = energy_gain(record, model, spec, h)
-    return condition, bool(gain <= tol * scale)
 
 
 def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[bool, bool]:
@@ -324,48 +287,98 @@ def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[boo
     return cond, cond
 
 
-def energy_gain(record: StepRecord, model: LagrangianModel, spec: SchemeSpec,
-                h: float) -> tuple[float, float]:
-    """Step energy gain beyond the supplied works, and its audit scale."""
+def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
+               record: StepRecord, tol: float = DEFAULT_AUDIT_TOL, *,
+               constants: AuditConstants | None = None,
+               prev_energies: tuple[float, float] | None = None) -> EnergyReport:
+    """Audit one step against the scheme's exact energy identity.
+
+    Every term of the identity is computed once and shared by the
+    identity residual, the energy gain dE (or dH) - W_ext - W_damping,
+    its audit scale and the dissipation flag.  The residual is zero up
+    to roundoff for a correct step; this is the primary correctness
+    oracle of the package.
+
+    A run passes ``constants`` from :func:`audit_constants` and
+    ``prev_energies``, the (E, H) of ``record.state_prev``, which the
+    previous record carries as ``E_next``/``H_next``.  Without them both
+    are computed here.  The report and the works, energies and residual
+    are attached to the record.
+
+    Raises:
+        MissingHistory: the HHT works lack their previous-step cache.
+    """
+    consts = audit_constants(model, spec, h) if constants is None else constants
     sp, sn = record.state_prev, record.state_next
-    w_ext, w_damp = discrete_works(model, record, spec, h)
-    dE = total_energy(model, sn.q, sn.v) - total_energy(model, sp.q, sp.v)
-    if spec.variant in THETA_FAMILY:
-        dA = dE
+    M, K, C = model.mass, model.stiffness, model.damping
+    v = spec.variant
+    theta_family = v in THETA_FAMILY
+
+    e_next = _energy(model, sn.q, sn.v)
+    h_next = e_next if theta_family else _algorithmic(
+        model, sn, e_next, consts.accel_coeff, consts.filter_coeff)
+    if prev_energies is None:
+        e_prev = _energy(model, sp.q, sp.v)
+        h_prev = e_prev if theta_family else _algorithmic(
+            model, sp, e_prev, consts.accel_coeff, consts.filter_coeff)
+    else:
+        e_prev, h_prev = prev_energies
+
+    dq = sn.q - sp.q
+    w_ext, w_damp = _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t), dq)
+    # impulse work against the start and end local velocities
+    up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
+    u_half = _weighted(up, un, 0.5)
+    w_contact = u_half
+    dE = e_next - e_prev
+    gain = h_next - h_prev - w_ext - w_damp
+    kdq = _norm_sq(K, dq)
+
+    if v is SchemeVariant.MOREAU_JEAN:
+        th = spec.theta
+        w_contact = _weighted(up, un, th)
+        quad = (0.5 - th) * (_norm_sq(M, sn.v - sp.v) + kdq)
+        residual = gain - quad - w_contact
+    elif v is SchemeVariant.MOREAU_JEAN_VARIANT:
+        residual = gain - (0.5 - spec.theta) * kdq - u_half
+    else:
+        gamma, beta = spec.gamma, spec.beta
+        mda = _norm_sq(M, sn.a - sp.a)
+        if v is SchemeVariant.NONSMOOTH_NEWMARK:
+            rhs = (0.5 - gamma) * (kdq + 0.5 * h**2 * (2 * beta - gamma) * mda)
+            residual = gain - rhs - u_half
+        else:
+            accel_sq = 0.5 * h**2 * (gamma - 0.5) * (2 * beta - gamma) * mda
+            kdz = _norm_sq(K, sn.z - sp.z)
+            eta, nu = spec.eta, spec.nu
+            if v is SchemeVariant.NONSMOOTH_HHT:
+                alpha = spec.alpha_f
+                rhs = (u_half - accel_sq - (gamma - 0.5 - alpha) * kdq
+                       - 2 * alpha * (1 - gamma) * kdz)
+                residual = gain - rhs
+            elif v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
+                rhs = (u_half - accel_sq - (gamma - 0.5 - eta) * kdq
+                       - spec.eta_over_nu * (nu - gamma + 0.5) * kdz)
+                residual = gain - rhs
+            else:
+                # full averaging scheme: the load/velocity filters appear on the left
+                y_mix = _gamma_mix(sp.y, sn.y, gamma)
+                x_mix = _gamma_mix(sp.x, sn.x, gamma)
+                lhs = gain + spec.eta_over_nu * float(dq @ (y_mix - C @ x_mix))
+                rhs = (u_half - accel_sq + (eta + 0.5 - gamma) * kdq
+                       + spec.eta_over_nu * (gamma - nu - 0.5) * kdz)
+                residual = lhs - rhs
+
+    if theta_family:
         scale = 1.0 + max(abs(dE), abs(w_ext))
     else:
-        dA = (algorithmic_energy(model, sn, spec, h)
-              - algorithmic_energy(model, sp, spec, h))
-        scale = 1.0 + max(abs(dE), abs(dA), abs(w_ext))
-    return dA - w_ext - w_damp, scale
-
-
-def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
-               record: StepRecord, tol: float = DEFAULT_AUDIT_TOL) -> EnergyReport:
-    """Compute every audit quantity for one step and attach it to the record."""
-    sp, sn = record.state_prev, record.state_next
-    e_prev = total_energy(model, sp.q, sp.v)
-    e_next = total_energy(model, sn.q, sn.v)
-    if spec.variant in THETA_FAMILY:
-        k_next, h_prev, h_next = e_next, e_prev, e_next
-    else:
-        k_next = e_next + _accel_term(model, sn.a, spec, h)
-        h_prev = algorithmic_energy(model, sp, spec, h)
-        h_next = algorithmic_energy(model, sn, spec, h)
-    w_ext, w_damp = discrete_works(model, record, spec, h)
-    w_contact = contact_work(record.U_prev, record.U_next, record.P, _contact_weight(spec))
-    w_impact = contact_work(record.U_prev, record.U_next, record.P, 0.5)
-    residual = identity_residual(record, model, spec, h)
-    gain, scale = energy_gain(record, model, spec, h)
-    cond, cond_max = _parameter_conditions(model, spec)
-    dissipated = bool(gain <= tol * scale)
-
-    report = EnergyReport(E=e_next, K_alg=k_next, H_alg=h_next, W_ext=w_ext,
-                          W_damping=w_damp, W_contact_step=w_contact,
-                          W_impact_style=w_impact, identity_residual=residual,
-                          residual_scale=scale, energy_gain=gain,
-                          dissipation_satisfied=dissipated, condition_satisfied=cond,
-                          condition_satisfied_max_e=cond_max)
+        scale = 1.0 + max(abs(dE), abs(h_next - h_prev), abs(w_ext))
+    report = EnergyReport(E=e_next, H_alg=h_next, W_ext=w_ext, W_damping=w_damp,
+                          W_contact_step=w_contact, W_impact_style=u_half,
+                          identity_residual=residual, residual_scale=scale,
+                          energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),
+                          condition_satisfied=consts.condition,
+                          condition_satisfied_max_e=consts.condition_max_e)
     record.W_ext = w_ext
     record.W_damping = w_damp
     record.contact_work = w_contact

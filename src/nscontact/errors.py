@@ -24,6 +24,10 @@ class NotPositiveDefinite(NscontactError):
     """A matrix fails its (semi-)definiteness requirement."""
 
 
+class NonFiniteValue(NscontactError):
+    """An input or a computed state holds NaN or infinity."""
+
+
 class RestitutionOutOfRange(NscontactError):
     """A restitution coefficient lies outside [0, 1]."""
 

@@ -17,13 +17,19 @@ reproducible for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import energy as energy_audit
-from .errors import InconsistentSpec, LcpFailure, SimulationError, SingularIterationMatrix
+from .errors import (
+    InconsistentSpec,
+    LcpFailure,
+    NonFiniteValue,
+    SimulationError,
+    SingularIterationMatrix,
+)
 from .lcp import LcpProblem, SOLVERS
 from .model import (
     LagrangianModel,
@@ -65,7 +71,7 @@ class IterationMatrixCache:
     where the velocity is the only eliminated unknown).
     """
 
-    model_ref: int
+    model: LagrangianModel = field(repr=False)
     spec: SchemeSpec
     h: float
     iter_cho: tuple
@@ -75,7 +81,9 @@ class IterationMatrixCache:
     coupling: np.ndarray
 
     def matches(self, model: LagrangianModel, spec: SchemeSpec, h: float) -> bool:
-        return self.model_ref == id(model) and self.spec == spec and self.h == h
+        # identity, not id(): holding the model keeps its id from being
+        # reused by a different model while this cache is alive
+        return self.model is model and self.spec == spec and self.h == h
 
 
 def _factor(matrix: np.ndarray) -> tuple:
@@ -115,7 +123,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         coupling = cho_solve(iter_cho, load @ minv_g)
         impulse_to_velocity = minv_g - h * gamma * c1 * coupling
     delassus = G.T @ impulse_to_velocity
-    return IterationMatrixCache(id(model), spec, h, iter_cho, minv_g,
+    return IterationMatrixCache(model, spec, h, iter_cho, minv_g,
                                 impulse_to_velocity, delassus, coupling)
 
 
@@ -144,9 +152,8 @@ def _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol):
     return P, act, u_prev
 
 
-def _make_record(model, state, new_state, step_index, P, act, u_prev):
+def _make_record(model, state, new_state, step_index, P, act, u_prev, w_corr):
     u_next = local_velocity(model, new_state.v)
-    w_corr = model.solve_mass(model.contact_jacobian @ P)
     zero_set = tuple(a for a in act if P[a] == 0.0)
     pen = float(max(0.0, -gap(model, new_state.q).min(initial=0.0)))
     return StepRecord(step_index=step_index, t_prev=state.t, t_next=new_state.t,
@@ -170,7 +177,7 @@ def _step_theta(model, state, h, spec, cache, lcp_solver, lcp_tol, step_index, m
     else:
         rhs = (M @ state.v - h * K @ (state.q + h * th * (1 - th) * state.v)
                - h * (1 - th) * C @ state.v + h * f_th)
-    v_free = cho_solve(cache.iter_cho, rhs)
+    v_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
 
     P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
     v1 = v_free + cache.impulse_to_velocity @ P
@@ -185,7 +192,8 @@ def _step_theta(model, state, h, spec, cache, lcp_solver, lcp_tol, step_index, m
     new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=a1.copy(),
                             z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
                             f_prev=f_k, v_prev=state.v.copy())
-    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev)
+    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev,
+                                   cache.minv_g @ P)
 
 
 def step_moreau_jean(model, state, h, theta=0.5, *, cache=None, lcp_solver="lemke",
@@ -250,7 +258,7 @@ def step_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="lem
     pred_v = state.v + h * (1 - gamma) * state.a + h * gamma * drift
     pred_q = (state.q + h * state.v + h**2 * (0.5 - beta) * state.a
               + h**2 * beta * drift)
-    at_free = cho_solve(cache.iter_cho, f_k1 - C @ pred_v - K @ pred_q)
+    at_free = cho_solve(cache.iter_cho, f_k1 - C @ pred_v - K @ pred_q, check_finite=False)
     v_free = pred_v + h * gamma * c1 * at_free
 
     P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
@@ -264,7 +272,8 @@ def step_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="lem
                             z=state.z, x=state.x, y=state.y,
                             f_prev=f_k, v_prev=state.v.copy())
     _advance_filters(state, new_state, model, h, spec)
-    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev)
+    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev,
+                                   w_corr)
 
 
 def step_kh_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="lemke",
@@ -287,7 +296,7 @@ def step_kh_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="
     pred_q = state.q + h * state.v + h**2 * (0.5 - beta) * state.a
     rhs = ((1 - am) * f_k1 + am * f_k - am * (M @ state.a + C @ state.v)
            - (1 - am) * C @ pred_v - (1 - af) * K @ pred_q - af * K @ state.q)
-    a_free = cho_solve(cache.iter_cho, rhs)
+    a_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
     v_free = pred_v + h * gamma * a_free
 
     P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
@@ -300,7 +309,8 @@ def step_kh_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="
                             z=state.z, x=state.x, y=state.y,
                             f_prev=f_k, v_prev=state.v.copy())
     _advance_filters(state, new_state, model, h, spec)
-    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev)
+    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev,
+                                   w_corr)
 
 
 def step(model, state, h, spec, **kwargs):
@@ -325,7 +335,9 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
     bitwise-identical trajectories.
 
     Raises:
-        SimulationError: wraps any step failure with its step index.
+        SimulationError: wraps any step failure with its step index,
+            including a step whose new displacement or velocity is not
+            finite.
     """
     if h <= 0.0:
         raise SimulationError("step size must be positive", step_index=-1)
@@ -333,12 +345,18 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
     records: list[StepRecord] = []
     state = initial_state
     cache = build_cache(model, spec, h)
+    constants = energy_audit.audit_constants(model, spec, h) if audit else None
+    prev_energies = None
     for k in range(n_steps):
         try:
             state, record = step(model, state, h, spec, cache=cache,
                                  lcp_solver=lcp_solver, lcp_tol=lcp_tol, step_index=k)
+            if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
+                raise NonFiniteValue("the new displacement or velocity is not finite")
             if audit:
-                energy_audit.audit_step(model, spec, h, record, tol=audit_tol)
+                energy_audit.audit_step(model, spec, h, record, tol=audit_tol,
+                                        constants=constants, prev_energies=prev_energies)
+                prev_energies = (record.E_next, record.H_next)
         except SimulationError:
             raise
         except Exception as exc:

@@ -20,6 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import (
     DimensionMismatch,
     InconsistentSpec,
+    NonFiniteValue,
     NonSymmetric,
     NotPositiveDefinite,
     RestitutionOutOfRange,
@@ -278,7 +279,7 @@ class LagrangianModel:
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs through the cached Cholesky factor."""
-        return cho_solve(self.mass_cho, rhs)
+        return cho_solve(self.mass_cho, rhs, check_finite=False)
 
     def force(self, t: float) -> np.ndarray:
         return self.forcing.evaluate(t)
@@ -286,9 +287,23 @@ class LagrangianModel:
     def with_restitution(self, restitution) -> "LagrangianModel":
         """Same structure, different restitution vector (revalidated)."""
         e = np.broadcast_to(np.asarray(restitution, dtype=float), (self.m,)).copy()
+        _check_finite(e, "restitution")
         if np.any(e < 0.0) or np.any(e > 1.0):
             raise RestitutionOutOfRange(f"restitution {e} outside [0, 1]")
         return replace(self, restitution=e)
+
+
+def _check_finite(a, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{name} contains NaN or infinity")
+
+
+def _check_forcing_finite(forcing: ForcingTerm) -> None:
+    _check_finite(forcing.amplitude, "forcing amplitude")
+    _check_finite([forcing.omega, forcing.phase], "forcing omega/phase")
+    _check_finite(forcing.breakpoints, "forcing breakpoints")
+    for segment in forcing.values:
+        _check_finite(segment, "forcing values")
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
@@ -315,6 +330,8 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
         NotPositiveDefinite: mass not positive definite, or damping or
             stiffness with an eigenvalue below the semi-definite floor.
         RestitutionOutOfRange: a coefficient outside [0, 1].
+        NonFiniteValue: NaN or infinity in any matrix, offset,
+            restitution coefficient or forcing datum (names the field).
     """
     mass = np.array(mass, dtype=float)
     damping = np.array(damping, dtype=float)
@@ -341,6 +358,12 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
         restitution = np.full(m, restitution[0])
     if restitution.shape != (m,):
         raise DimensionMismatch(f"restitution must have length {m}, got {restitution.shape}")
+
+    for name, arr in (("mass", mass), ("damping", damping), ("stiffness", stiffness),
+                      ("contact_jacobian", contact_jacobian), ("gap_offset", gap_offset),
+                      ("restitution", restitution)):
+        _check_finite(arr, name)
+    _check_forcing_finite(forcing)
 
     _check_symmetric(mass, "mass")
     _check_symmetric(damping, "damping")
@@ -416,6 +439,10 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
 
     Filter states start at zero and the virtual previous step replicates
     the initial data, which makes the first-step multi-step works exact.
+
+    Raises:
+        DimensionMismatch: q0 or v0 of the wrong length.
+        NonFiniteValue: NaN or infinity in q0, v0 or t0.
     """
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -423,6 +450,9 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
         raise DimensionMismatch(f"q0 must have length {model.n}, got {q0.shape}")
     if v0.shape != (model.n,):
         raise DimensionMismatch(f"v0 must have length {model.n}, got {v0.shape}")
+    _check_finite(q0, "q0")
+    _check_finite(v0, "v0")
+    _check_finite(t0, "t0")
     f0 = model.force(t0)
     a0 = model.solve_mass(f0 - model.stiffness @ q0 - model.damping @ v0)
     zeros = np.zeros(model.n)

@@ -1,10 +1,14 @@
 """Config parsing, CSV outputs, exit codes, environment overrides."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import nscontact.energy as energy
 from nscontact import ConfigError
-from nscontact.cli import main, parse_config
+from nscontact.cli import _run, main, parse_config
 
 BALL_CONFIG = """\
 # elastic ball under gravity
@@ -24,6 +28,58 @@ def write_config(tmp_path, text=BALL_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+BAR_CONFIG = """\
+scenario.kind = elastic_bar_chain
+scenario.n_masses = 6
+scenario.standoff = 0.01
+scenario.v0 = -1.0
+scenario.restitution = 1.0
+scheme.variant = moreau_jean
+scheme.theta = 0.9
+run.h = 1e-3
+run.t_end = 0.05
+run.audit = false
+"""
+
+
+def _fmt(x) -> str:
+    """Per-field formatting the streamed CSV writer must reproduce."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    return f"{float(x):.17g}"
+
+
+def reference_csvs(records, tol):
+    """trajectory.csv and audit.csv text, one field at a time."""
+    n = records[0].state_next.q.size
+    lines = [",".join(["step", "t"] + [f"q_{i}" for i in range(n)]
+                      + [f"v_{i}" for i in range(n)]
+                      + ["E", "H", "W_ext_cum", "W_damp_cum", "contact_work", "residual",
+                         "active_set", "penetration"])]
+    w_ext_cum = w_damp_cum = 0.0
+    for rec in records:
+        w_ext_cum += rec.W_ext
+        w_damp_cum += rec.W_damping
+        s = rec.state_next
+        lines.append(",".join(
+            [str(rec.step_index + 1), _fmt(s.t)] + [_fmt(x) for x in s.q]
+            + [_fmt(x) for x in s.v]
+            + [_fmt(rec.E_next), _fmt(rec.H_next), _fmt(w_ext_cum), _fmt(w_damp_cum),
+               _fmt(rec.contact_work), _fmt(rec.identity_residual),
+               ";".join(str(a) for a in rec.active_set), _fmt(rec.penetration)]))
+    audit = ["step,t,identity_residual,residual_scale,energy_gain,condition_satisfied,"
+             "condition_satisfied_max_e,dissipation_satisfied,identity_ok"]
+    for rec in records:
+        rep = rec.report
+        bad = not abs(rep.identity_residual) <= tol * rep.residual_scale
+        audit.append(",".join([str(rec.step_index + 1), _fmt(rec.t_next),
+                               _fmt(rep.identity_residual), _fmt(rep.residual_scale),
+                               _fmt(rep.energy_gain), _fmt(rep.condition_satisfied),
+                               _fmt(rep.condition_satisfied_max_e),
+                               _fmt(rep.dissipation_satisfied), _fmt(not bad)]))
+    return "\n".join(lines) + "\n", "\n".join(audit) + "\n"
 
 
 def read_csv(path):
@@ -128,6 +184,40 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--out", str(out), "--audit"]) == 2
+
+    def test_streamed_rows_match_per_field_formatting(self, tmp_path, monkeypatch):
+        # a tolerance inside the roundoff band puts both true and false in
+        # identity_ok; theta = 0.9 with e = 1 fails both conditions
+        monkeypatch.setenv("NSC_TOL", "1e-16")
+        cfg = write_config(tmp_path, BAR_CONFIG)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        _, _, records = _run(parse_config(cfg))
+        assert any(len(rec.active_set) > 0 for rec in records)
+        trajectory, audit = reference_csvs(records, 1e-16)
+        assert (out / "trajectory.csv").read_bytes() == trajectory.encode()
+        assert (out / "audit.csv").read_bytes() == audit.encode()
+        identity_ok = {line.rsplit(",", 1)[1] for line in audit.splitlines()[1:]}
+        assert identity_ok == {"true", "false"}
+
+    def test_nan_residual_fails_the_gate(self, tmp_path, monkeypatch):
+        real_audit = energy.audit_step
+
+        def poisoned_audit(model, spec, h, record, **kwargs):
+            report = real_audit(model, spec, h, record, **kwargs)
+            if record.step_index == 3:
+                record.identity_residual = math.nan
+                record.report = report = replace(report, identity_residual=math.nan)
+            return report
+
+        monkeypatch.setattr(energy, "audit_step", poisoned_audit)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out", str(out), "--audit"]) == 2
+        _, rows = read_csv(out / "audit.csv")
+        assert rows[3][2] == "nan" and rows[3][-1] == "false"
+        assert sum(row[-1] == "false" for row in rows) == 1
+        assert main(["sweep", cfg, "--grid", "theta=0.5", "--out", str(out)]) == 2
 
     def test_exit_three_on_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "scenario.kind = bouncing_ball\nnot a config\n")

@@ -1,5 +1,8 @@
 """Energy functions, filter updates, works, identities, dissipation flags."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +14,11 @@ from nscontact import (
     SchemeSpec,
     SchemeVariant,
     algorithmic_energy,
+    audit_step,
     build_model,
     build_scenario,
     contact_work,
     discrete_works,
-    dissipation_check,
     initial_state,
     simulate,
     total_energy,
@@ -234,6 +237,73 @@ class TestIdentityResidual:
             assert abs(rec.identity_residual) <= 1e-10 * rec.report.residual_scale
 
 
+SIX_VARIANTS = [
+    SchemeSpec.moreau_jean(0.7),
+    SchemeSpec.moreau_jean_variant(0.8),
+    SchemeSpec.newmark(0.6),
+    SchemeSpec.hht(0.15),
+    SchemeSpec.from_rho_infinity(0.7),
+    SchemeSpec.from_rho_infinity(0.7, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA),
+]
+
+
+class TestAuditStep:
+    """The one-pass audit on a damped, sinusoidally forced, multi-contact model."""
+
+    H = 1e-3
+
+    def simultaneous_impact_run(self, rng, spec):
+        # every gap starts closed and closing, so the first step solves a
+        # three-contact LCP with more than one nonzero impulse
+        model = random_model(rng, n=5, m=3, damped=True)
+        jac_t = model.contact_jacobian.T
+        q0 = -np.linalg.lstsq(jac_t, model.gap_offset, rcond=None)[0]
+        v0 = -np.linalg.lstsq(jac_t, np.ones(model.m), rcond=None)[0]
+        records = simulate(model, initial_state(model, q0, v0), self.H, spec, 0.3)
+        assert np.count_nonzero(records[0].P) >= 2
+        return model, records
+
+    @pytest.mark.parametrize("spec", SIX_VARIANTS)
+    def test_carried_energies_equal_fresh_evaluation(self, rng, spec):
+        model, records = self.simultaneous_impact_run(rng, spec)
+        for rec in records:
+            sp = rec.state_prev
+            assert rec.E_prev == total_energy(model, sp.q, sp.v)
+            if spec.is_alpha_family:
+                assert rec.H_prev == algorithmic_energy(model, sp, spec, self.H)
+            else:
+                assert rec.H_prev == rec.E_prev
+
+    @pytest.mark.parametrize("spec", SIX_VARIANTS)
+    def test_standalone_audit_matches_simulate(self, rng, spec):
+        model, records = self.simultaneous_impact_run(rng, spec)
+        for rec in records:
+            in_run = rec.report
+            assert audit_step(model, spec, self.H, rec) == in_run
+            assert abs(rec.identity_residual) <= 1e-10 * rec.report.residual_scale
+            assert rec.report.identity_ok()
+
+
+class TestIdentityGate:
+    def test_non_finite_residual_fails(self):
+        model = plain_model(k=3.0)
+        spec = SchemeSpec.moreau_jean(0.5)
+        rec = simulate(model, initial_state(model, [0.1], [-1.0]), 1e-2, spec, 0.01)[0]
+        assert rec.report.identity_ok()
+        rec.state_next.v = np.array([np.nan])
+        report = audit_step(model, spec, 1e-2, rec)
+        assert math.isnan(report.identity_residual)
+        assert not report.identity_ok()
+        assert not report.dissipation_satisfied
+
+    def test_infinite_residual_fails_even_with_infinite_scale(self):
+        model = plain_model(k=3.0)
+        spec = SchemeSpec.moreau_jean(0.5)
+        rec = simulate(model, initial_state(model, [0.1], [-1.0]), 1e-2, spec, 0.01)[0]
+        report = replace(rec.report, identity_residual=math.inf, residual_scale=math.inf)
+        assert not report.identity_ok()
+
+
 class TestPiecewiseForcingAudit:
     def test_identity_survives_load_jumps(self):
         forcing = ForcingTerm.piecewise_constant([0.05, 0.11], [[2.0], [-5.0], [1.0]])
@@ -255,22 +325,18 @@ class TestDissipationCheck:
     def test_zero_restitution_admits_theta_up_to_one(self):
         for theta in (0.5, 0.75, 1.0):
             model, records = self.ball_run(theta, 0.0)
-            cond, diss = dissipation_check(records[0], model,
-                                           SchemeSpec.moreau_jean(theta), 1e-3)
-            assert cond and diss
+            report = records[0].report
+            assert report.condition_satisfied and report.dissipation_satisfied
 
     def test_full_restitution_admits_only_half(self):
         model, records = self.ball_run(0.5, 1.0)
-        cond, _ = dissipation_check(records[0], model, SchemeSpec.moreau_jean(0.5), 1e-3)
-        assert cond
+        assert records[0].report.condition_satisfied
         model, records = self.ball_run(0.6, 1.0)
-        cond, _ = dissipation_check(records[0], model, SchemeSpec.moreau_jean(0.6), 1e-3)
-        assert not cond
+        assert not records[0].report.condition_satisfied
 
     def test_condition_below_half_theta(self):
         model, records = self.ball_run(0.4, 0.0, t_end=0.3)
-        cond, _ = dissipation_check(records[0], model, SchemeSpec.moreau_jean(0.4), 1e-3)
-        assert not cond
+        assert not records[0].report.condition_satisfied
 
     def test_newmark_dissipates_under_its_condition(self):
         model, state = build_scenario(
@@ -279,8 +345,7 @@ class TestDissipationCheck:
         records = simulate(model, state, 1e-3, spec, 2.0)
         assert any(rec.active_set for rec in records)
         for rec in records:
-            cond, diss = dissipation_check(rec, model, spec, 1e-3)
-            assert cond and diss
+            assert rec.report.condition_satisfied and rec.report.dissipation_satisfied
 
 
 class TestSignIdentities:

@@ -11,6 +11,7 @@ from nscontact import (
     SchemeVariant,
     SimulationError,
     active_set,
+    build_cache,
     build_model,
     initial_state,
     local_velocity,
@@ -342,6 +343,40 @@ class TestSimulate:
         for a, b in zip(rec_l, rec_p):
             assert b.state_next.q == pytest.approx(a.state_next.q, abs=1e-8)
             assert abs(b.identity_residual) <= 1e-10 * b.report.residual_scale
+
+
+class TestIterationMatrixCache:
+    def test_freed_model_does_not_match_a_new_model(self):
+        # The cache's model is dropped, then models with other stiffnesses
+        # are built while the cache lives on.  Now and then one of them
+        # takes the freed model's memory, and with it its id(): an
+        # id()-keyed cache matched in about 1 % of these rounds.
+        spec = SchemeSpec.moreau_jean(0.5)
+        for _ in range(400):
+            cache = build_cache(oscillator(k=40.0), spec, 1e-3)
+            others = [oscillator(k=41.0 + k) for k in range(20)]
+            assert not any(cache.matches(other, spec, 1e-3) for other in others)
+            assert cache.matches(cache.model, spec, 1e-3)
+
+
+class TestNonFiniteState:
+    def test_non_finite_step_names_its_index(self, monkeypatch):
+        model = oscillator()
+        state = initial_state(model, [0.05], [-1.0])
+        real_step = integrators.step
+
+        def overflowing_step(*args, **kwargs):
+            new, rec = real_step(*args, **kwargs)
+            if kwargs["step_index"] == 3:
+                new.v = np.array([np.inf])
+            return new, rec
+
+        monkeypatch.setattr(integrators, "step", overflowing_step)
+        for audit in (True, False):
+            with pytest.raises(SimulationError, match="step 3") as info:
+                simulate(model, state.copy(), 1e-3, SchemeSpec.hht(0.1), 0.1, audit=audit)
+            assert info.value.step_index == 3
+            assert "not finite" in str(info.value)
 
 
 class TestSmoothOrder:

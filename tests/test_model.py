@@ -9,6 +9,7 @@ from nscontact import (
     DimensionMismatch,
     ForcingTerm,
     InconsistentSpec,
+    NonFiniteValue,
     NonSymmetric,
     NotPositiveDefinite,
     RestitutionOutOfRange,
@@ -89,6 +90,37 @@ class TestBuildModel:
         assert model.restitution.tolist() == [1.0]
         with pytest.raises(RestitutionOutOfRange):
             model.with_restitution(-0.1)
+
+
+class TestNonFiniteInput:
+    ARGS = dict(mass=[[1.0]], damping=[[0.0]], stiffness=[[0.0]], contact_jacobian=[[1.0]],
+                gap_offset=[0.0], restitution=[0.5], forcing=ForcingTerm.zero(1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("mass", [[math.nan]]),
+        ("damping", [[math.nan]]),
+        ("stiffness", [[math.inf]]),
+        ("contact_jacobian", [[math.nan]]),
+        ("gap_offset", [math.inf]),
+        ("restitution", [math.nan]),
+        ("forcing", ForcingTerm.constant([math.inf])),
+        ("forcing", ForcingTerm.sinusoidal([1.0], omega=math.nan)),
+        ("forcing", ForcingTerm.piecewise_constant([0.5], [[0.0], [math.nan]])),
+    ])
+    def test_build_model_rejects(self, field, value):
+        name = "forcing" if field == "forcing" else field
+        with pytest.raises(NonFiniteValue, match=name):
+            build_model(**dict(self.ARGS, **{field: value}))
+
+    def test_with_restitution_rejects_nan(self):
+        with pytest.raises(NonFiniteValue, match="restitution"):
+            ball_model().with_restitution(math.nan)
+
+    @pytest.mark.parametrize("q0, v0, name", [
+        ([math.inf], [0.0], "q0"), ([0.0], [math.nan], "v0")])
+    def test_initial_state_rejects(self, q0, v0, name):
+        with pytest.raises(NonFiniteValue, match=name):
+            initial_state(ball_model(), q0, v0)
 
 
 class TestGapAndLocalVelocity:

@@ -8,7 +8,6 @@ from .errors import (
     InconsistentSpec,
     InvalidSpec,
     LcpFailure,
-    MissingHistory,
     NoSolutionFound,
     NonFiniteValue,
     NonSymmetric,
@@ -49,10 +48,6 @@ from .integrators import (
     build_cache,
     simulate,
     step,
-    step_generalized_alpha,
-    step_kh_generalized_alpha,
-    step_moreau_jean,
-    step_moreau_jean_variant,
 )
 from .energy import (
     EnergyReport,

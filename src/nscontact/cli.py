@@ -21,7 +21,7 @@ import numpy as np
 from .energy import DEFAULT_AUDIT_TOL
 from .errors import ConfigError, InvalidSpec, NotAvailable, NscontactError
 from .integrators import simulate
-from .model import SchemeSpec, SchemeVariant
+from .model import THETA_FAMILY, SchemeSpec, SchemeVariant
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
 
 _SCHEME_KEYS = {"variant", "theta", "gamma", "beta", "alpha", "alpha_m", "alpha_f",
@@ -82,7 +82,7 @@ def _build_scheme(params: dict) -> SchemeSpec:
     def derive_beta(gamma: float) -> float:
         return 0.5 * gamma if beta_rule == "half_gamma" else 0.25 * (gamma + 0.5) ** 2
 
-    if var in (SchemeVariant.MOREAU_JEAN, SchemeVariant.MOREAU_JEAN_VARIANT):
+    if var in THETA_FAMILY:
         theta = float(p.pop("theta", 0.5))
         _reject_extra(p)
         return SchemeSpec(var, theta=theta)
@@ -233,12 +233,13 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
         w_ext_cum = 0.0
         w_damp_cum = 0.0
         for rec in records:
-            w_ext_cum += rec.W_ext
-            w_damp_cum += rec.W_damping
+            rep = rec.report
+            w_ext_cum += rep.W_ext
+            w_damp_cum += rep.W_damping
             s = rec.state_next
             yield (rec.step_index + 1, s.t, *s.q.tolist(), *s.v.tolist(),
-                   rec.E_next, rec.H_next, w_ext_cum, w_damp_cum, rec.contact_work,
-                   rec.identity_residual, ";".join(str(a) for a in rec.active_set),
+                   rep.E, rep.H_alg, w_ext_cum, w_damp_cum, rep.W_contact_step,
+                   rep.identity_residual, ";".join(str(a) for a in rec.active_set),
                    rec.penetration)
 
     _write_csv(out / "trajectory.csv", header,
@@ -250,7 +251,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     def audit_rows():
         for rec, good in zip(records, ok):
             rep = rec.report
-            yield (rec.step_index + 1, rec.t_next, rep.identity_residual,
+            yield (rec.step_index + 1, rec.state_next.t, rep.identity_residual,
                    rep.residual_scale, rep.energy_gain, _flag(rep.condition_satisfied),
                    _flag(rep.condition_satisfied_max_e), _flag(rep.dissipation_satisfied),
                    _flag(good))

@@ -31,8 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingHistory, NotApplicable
+from .errors import DimensionMismatch, NotApplicable
 from .model import (
+    THETA_FAMILY,
     LagrangianModel,
     SchemeSpec,
     SchemeVariant,
@@ -42,12 +43,14 @@ from .model import (
 
 DEFAULT_AUDIT_TOL = 1e-10
 
-THETA_FAMILY = (SchemeVariant.MOREAU_JEAN, SchemeVariant.MOREAU_JEAN_VARIANT)
-
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Audit result for one step (energies evaluated at the step end).
+    """Audit result for one step.
+
+    ``E_prev``/``H_prev`` and ``E``/``H_alg`` are the energies at the
+    step start and end; the identity relates their change to the works
+    and the contact term.  For the theta-schemes H equals E.
 
     ``condition_satisfied`` reports the per-contact parameter condition
     of the scheme's dissipation statement; ``condition_satisfied_max_e``
@@ -56,6 +59,8 @@ class EnergyReport:
     are reported for transparency.
     """
 
+    E_prev: float
+    H_prev: float
     E: float
     H_alg: float
     W_ext: float
@@ -196,8 +201,6 @@ def _works(model: LagrangianModel, spec: SchemeSpec, h: float, sp: SystemState,
     f_mix = _gamma_mix(f_k, f_k1, gamma)
     v_mix = _gamma_mix(sp.v, sn.v, gamma)
     if v is SchemeVariant.NONSMOOTH_HHT:
-        if sp.f_prev is None or sp.v_prev is None:
-            raise MissingHistory("HHT works need the previous-step force/velocity cache")
         alpha = spec.alpha_f
         f_mix_prev = _gamma_mix(sp.f_prev, f_k, gamma)
         v_mix_prev = _gamma_mix(sp.v_prev, sp.v, gamma)
@@ -217,9 +220,6 @@ def discrete_works(model: LagrangianModel, record: StepRecord,
     the current and previous mixes with weights (1-alpha, alpha), using
     the cached previous-step force and velocity (the virtual step before
     t0 replicates the initial data).
-
-    Raises:
-        MissingHistory: the multi-step form lacks its previous-step cache.
     """
     sp, sn = record.state_prev, record.state_next
     return _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t),
@@ -301,12 +301,9 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
 
     A run passes ``constants`` from :func:`audit_constants` and
     ``prev_energies``, the (E, H) of ``record.state_prev``, which the
-    previous record carries as ``E_next``/``H_next``.  Without them both
-    are computed here.  The report and the works, energies and residual
-    are attached to the record.
-
-    Raises:
-        MissingHistory: the HHT works lack their previous-step cache.
+    previous step's report holds as ``E``/``H_alg``.  Without them both
+    are computed here.  The record is not modified; the caller attaches
+    the returned report.
     """
     consts = audit_constants(model, spec, h) if constants is None else constants
     sp, sn = record.state_prev, record.state_next
@@ -373,17 +370,10 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
         scale = 1.0 + max(abs(dE), abs(w_ext))
     else:
         scale = 1.0 + max(abs(dE), abs(h_next - h_prev), abs(w_ext))
-    report = EnergyReport(E=e_next, H_alg=h_next, W_ext=w_ext, W_damping=w_damp,
-                          W_contact_step=w_contact, W_impact_style=u_half,
-                          identity_residual=residual, residual_scale=scale,
-                          energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),
-                          condition_satisfied=consts.condition,
-                          condition_satisfied_max_e=consts.condition_max_e)
-    record.W_ext = w_ext
-    record.W_damping = w_damp
-    record.contact_work = w_contact
-    record.E_prev, record.E_next = e_prev, e_next
-    record.H_prev, record.H_next = h_prev, h_next
-    record.identity_residual = residual
-    record.report = report
-    return report
+    return EnergyReport(E_prev=e_prev, H_prev=h_prev, E=e_next, H_alg=h_next,
+                        W_ext=w_ext, W_damping=w_damp,
+                        W_contact_step=w_contact, W_impact_style=u_half,
+                        identity_residual=residual, residual_scale=scale,
+                        energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),
+                        condition_satisfied=consts.condition,
+                        condition_satisfied_max_e=consts.condition_max_e)

@@ -60,10 +60,6 @@ class SingularIterationMatrix(NscontactError):
     """The per-step iteration matrix admits no Cholesky factorization."""
 
 
-class MissingHistory(NscontactError):
-    """A multi-step work evaluation lacks the previous-step cache."""
-
-
 class NotApplicable(NscontactError):
     """The requested quantity is not defined for this scheme."""
 

@@ -24,7 +24,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import energy as energy_audit
 from .errors import (
-    InconsistentSpec,
     LcpFailure,
     NonFiniteValue,
     SimulationError,
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .lcp import LcpProblem, SOLVERS
 from .model import (
+    THETA_FAMILY,
     LagrangianModel,
     SchemeSpec,
     SchemeVariant,
@@ -152,186 +152,94 @@ def _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol):
     return P, act, u_prev
 
 
-def _make_record(model, state, new_state, step_index, P, act, u_prev, w_corr):
-    u_next = local_velocity(model, new_state.v)
-    zero_set = tuple(a for a in act if P[a] == 0.0)
-    pen = float(max(0.0, -gap(model, new_state.q).min(initial=0.0)))
-    return StepRecord(step_index=step_index, t_prev=state.t, t_next=new_state.t,
-                      state_prev=state, state_next=new_state, P=P,
-                      U_prev=u_prev, U_next=u_next, w_corr=w_corr,
-                      active_set=act, zero_impulse_set=zero_set, penetration=pen)
+def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10,
+         step_index=0):
+    """Advance one step with the scheme ``spec`` names.
 
-
-def _step_theta(model, state, h, spec, cache, lcp_solver, lcp_tol, step_index, midpoint_q):
-    M, C, K = model.mass, model.damping, model.stiffness
-    th = spec.theta
-    t0 = state.t
-    f_k = model.force(t0)
-    f_k1 = model.force(t0 + h)
-    f_th = (1 - th) * f_k + th * f_k1
-
-    if midpoint_q:
-        # displacement advances with the midpoint velocity regardless of theta
-        rhs = (M @ state.v - h * K @ (state.q + 0.5 * h * th * state.v)
-               - h * (1 - th) * C @ state.v + h * f_th)
-    else:
-        rhs = (M @ state.v - h * K @ (state.q + h * th * (1 - th) * state.v)
-               - h * (1 - th) * C @ state.v + h * f_th)
-    v_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
-
-    P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
-    v1 = v_free + cache.impulse_to_velocity @ P
-    if midpoint_q:
-        q1 = state.q + 0.5 * h * (state.v + v1)
-    else:
-        q1 = state.q + h * ((1 - th) * state.v + th * v1)
-
-    # theta steps do not evolve the acceleration variables; re-initialize
-    # them consistently so a hand-off to an averaging scheme stays valid
-    a1 = model.solve_mass(f_k1 - K @ q1 - C @ v1)
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=a1.copy(),
-                            z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
-                            f_prev=f_k, v_prev=state.v.copy())
-    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev,
-                                   cache.minv_g @ P)
-
-
-def step_moreau_jean(model, state, h, theta=0.5, *, cache=None, lcp_solver="lemke",
-                     lcp_tol=1e-10, step_index=0):
-    """Advance one step with the impulse theta-scheme.
-
-    The velocity balance and both force-like terms are weighted between
-    the step endpoints by theta; the displacement follows the same
-    weighted velocity.  Constraints act at the velocity level with the
-    Newton impact law on the forecast active set.
-    """
-    spec = SchemeSpec.moreau_jean(theta)
-    if cache is None or not cache.matches(model, spec, h):
-        cache = build_cache(model, spec, h)
-    return _step_theta(model, state, h, spec, cache, lcp_solver, lcp_tol,
-                       step_index, midpoint_q=False)
-
-
-def step_moreau_jean_variant(model, state, h, theta=0.5, *, cache=None,
-                             lcp_solver="lemke", lcp_tol=1e-10, step_index=0):
-    """Theta-scheme with a midpoint displacement update.
-
-    Identical to :func:`step_moreau_jean` except that q advances with
-    the midpoint velocity for every theta, which removes the restitution
-    condition from the scheme's dissipation bound.
-    """
-    spec = SchemeSpec.moreau_jean_variant(theta)
-    if cache is None or not cache.matches(model, spec, h):
-        cache = build_cache(model, spec, h)
-    return _step_theta(model, state, h, spec, cache, lcp_solver, lcp_tol,
-                       step_index, midpoint_q=True)
-
-
-def _advance_filters(state, new_state, model, h, spec):
-    z, x, y = energy_audit.update_filters(model, state, new_state, h, spec)
-    new_state.z, new_state.x, new_state.y = z, x, y
-
-
-def step_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="lemke",
-                           lcp_tol=1e-10, step_index=0):
-    """Averaging-family step (Newmark, HHT, or full generalized-alpha).
-
-    The smooth acceleration at the step end is the eliminated unknown;
-    the auxiliary acceleration follows from the averaging recurrence and
-    drives the Newmark displacement/velocity predictors.  The contact
-    impulse corrects the velocity directly and the displacement with
-    half a step's worth of that correction.
-    """
-    if spec.variant not in (SchemeVariant.NONSMOOTH_NEWMARK, SchemeVariant.NONSMOOTH_HHT,
-                            SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA):
-        raise InconsistentSpec(f"step_generalized_alpha cannot run {spec.variant.value}")
-    if cache is None or not cache.matches(model, spec, h):
-        cache = build_cache(model, spec, h)
-    C, K = model.damping, model.stiffness
-    am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
-    c1 = (1 - af) / (1 - am)
-    t0 = state.t
-    f_k = model.force(t0)
-    f_k1 = model.force(t0 + h)
-
-    drift = (af * state.a_tilde - am * state.a) / (1 - am)
-    pred_v = state.v + h * (1 - gamma) * state.a + h * gamma * drift
-    pred_q = (state.q + h * state.v + h**2 * (0.5 - beta) * state.a
-              + h**2 * beta * drift)
-    at_free = cho_solve(cache.iter_cho, f_k1 - C @ pred_v - K @ pred_q, check_finite=False)
-    v_free = pred_v + h * gamma * c1 * at_free
-
-    P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
-    w_corr = cache.minv_g @ P
-    at1 = at_free - cache.coupling @ P
-    a1 = c1 * at1 + drift
-    v1 = pred_v + h * gamma * c1 * at1 + w_corr
-    q1 = pred_q + h**2 * beta * c1 * at1 + 0.5 * h * w_corr
-
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=at1,
-                            z=state.z, x=state.x, y=state.y,
-                            f_prev=f_k, v_prev=state.v.copy())
-    _advance_filters(state, new_state, model, h, spec)
-    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev,
-                                   w_corr)
-
-
-def step_kh_generalized_alpha(model, state, h, spec, *, cache=None, lcp_solver="lemke",
-                              lcp_tol=1e-10, step_index=0):
-    """Averaging step with damping and load weighted like the inertia term.
-
-    One collocation equation in the end-of-step acceleration replaces
-    the smooth balance plus averaging recurrence; kinematics and contact
-    treatment are unchanged.
+    The theta-schemes eliminate the end velocity: the velocity balance
+    and both force-like terms are weighted between the step endpoints by
+    theta, and the displacement follows the same weighted velocity (the
+    Moreau-Jean variant advances it with the midpoint velocity for every
+    theta instead).  The averaging family eliminates the end-of-step
+    smooth acceleration: Newmark, HHT and generalized-alpha derive the
+    auxiliary acceleration from the averaging recurrence, while KH
+    generalized-alpha solves one collocation equation with damping and
+    load weighted like the inertia term.  In the averaging family the
+    contact impulse corrects the velocity directly and the displacement
+    with half a step's worth of that correction.
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
     M, C, K = model.mass, model.damping, model.stiffness
-    am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
+    variant = spec.variant
     t0 = state.t
     f_k = model.force(t0)
     f_k1 = model.force(t0 + h)
 
-    pred_v = state.v + h * (1 - gamma) * state.a
-    pred_q = state.q + h * state.v + h**2 * (0.5 - beta) * state.a
-    rhs = ((1 - am) * f_k1 + am * f_k - am * (M @ state.a + C @ state.v)
-           - (1 - am) * C @ pred_v - (1 - af) * K @ pred_q - af * K @ state.q)
-    a_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
-    v_free = pred_v + h * gamma * a_free
+    if variant in THETA_FAMILY:
+        th = spec.theta
+        midpoint_q = variant is SchemeVariant.MOREAU_JEAN_VARIANT
+        lag = 0.5 * h * th if midpoint_q else h * th * (1 - th)
+        rhs = (M @ state.v - h * K @ (state.q + lag * state.v)
+               - h * (1 - th) * C @ state.v + h * ((1 - th) * f_k + th * f_k1))
+        v_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
+    else:
+        am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
+        pred_v = state.v + h * (1 - gamma) * state.a
+        pred_q = state.q + h * state.v + h**2 * (0.5 - beta) * state.a
+        if variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
+            c1, drift = 1.0, None
+            rhs = ((1 - am) * f_k1 + am * f_k - am * (M @ state.a + C @ state.v)
+                   - (1 - am) * C @ pred_v - (1 - af) * K @ pred_q - af * K @ state.q)
+        else:
+            c1 = (1 - af) / (1 - am)
+            drift = (af * state.a_tilde - am * state.a) / (1 - am)
+            pred_v = pred_v + h * gamma * drift
+            pred_q = pred_q + h**2 * beta * drift
+            rhs = f_k1 - C @ pred_v - K @ pred_q
+        at_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
+        v_free = pred_v + h * gamma * c1 * at_free
 
     P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
     w_corr = cache.minv_g @ P
-    a1 = a_free - cache.coupling @ P
-    v1 = pred_v + h * gamma * a1 + w_corr
-    q1 = pred_q + h**2 * beta * a1 + 0.5 * h * w_corr
+    if variant in THETA_FAMILY:
+        v1 = v_free + cache.impulse_to_velocity @ P
+        if midpoint_q:
+            q1 = state.q + 0.5 * h * (state.v + v1)
+        else:
+            q1 = state.q + h * ((1 - th) * state.v + th * v1)
+        # theta steps do not evolve the acceleration variables; re-initialize
+        # them consistently so a hand-off to an averaging scheme stays valid
+        a1 = model.solve_mass(f_k1 - K @ q1 - C @ v1)
+        new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=a1.copy(),
+                                z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
+                                f_prev=f_k, v_prev=state.v.copy())
+    else:
+        at1 = at_free - cache.coupling @ P
+        # KH has no averaging recurrence: its two accelerations coincide
+        a1 = at1.copy() if drift is None else c1 * at1 + drift
+        v1 = pred_v + h * gamma * c1 * at1 + w_corr
+        q1 = pred_q + h**2 * beta * c1 * at1 + 0.5 * h * w_corr
+        new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=at1,
+                                z=state.z, x=state.x, y=state.y,
+                                f_prev=f_k, v_prev=state.v.copy())
+        new_state.z, new_state.x, new_state.y = energy_audit.update_filters(
+            model, state, new_state, h, spec)
 
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=a1.copy(),
-                            z=state.z, x=state.x, y=state.y,
-                            f_prev=f_k, v_prev=state.v.copy())
-    _advance_filters(state, new_state, model, h, spec)
-    return new_state, _make_record(model, state, new_state, step_index, P, act, u_prev,
-                                   w_corr)
-
-
-def step(model, state, h, spec, **kwargs):
-    """Dispatch one step according to the scheme variant."""
-    v = spec.variant
-    if v is SchemeVariant.MOREAU_JEAN:
-        return step_moreau_jean(model, state, h, spec.theta, **kwargs)
-    if v is SchemeVariant.MOREAU_JEAN_VARIANT:
-        return step_moreau_jean_variant(model, state, h, spec.theta, **kwargs)
-    if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-        return step_kh_generalized_alpha(model, state, h, spec, **kwargs)
-    return step_generalized_alpha(model, state, h, spec, **kwargs)
+    pen = float(max(0.0, -gap(model, q1).min(initial=0.0)))
+    return new_state, StepRecord(step_index=step_index, state_prev=state,
+                                 state_next=new_state, P=P, U_prev=u_prev,
+                                 U_next=local_velocity(model, v1), w_corr=w_corr,
+                                 active_set=act, penetration=pen)
 
 
 def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-10,
              lcp_solver="lemke", lcp_tol=1e-10) -> list[StepRecord]:
     """Run fixed steps from the initial state until t_end.
 
-    Each record carries the step dynamics; with ``audit=True`` the
-    energy-audit quantities (works, energies, identity residual,
-    dissipation flags) are attached as well.  Identical inputs produce
+    Each record carries the step dynamics; with ``audit=True`` its
+    ``report`` holds the energy audit (works, energies, identity
+    residual, dissipation flags).  Identical inputs produce
     bitwise-identical trajectories.
 
     Raises:
@@ -354,9 +262,10 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
             if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
                 raise NonFiniteValue("the new displacement or velocity is not finite")
             if audit:
-                energy_audit.audit_step(model, spec, h, record, tol=audit_tol,
-                                        constants=constants, prev_energies=prev_energies)
-                prev_energies = (record.E_next, record.H_next)
+                record.report = report = energy_audit.audit_step(
+                    model, spec, h, record, tol=audit_tol, constants=constants,
+                    prev_energies=prev_energies)
+                prev_energies = (report.E, report.H_alg)
         except SimulationError:
             raise
         except Exception as exc:

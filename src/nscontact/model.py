@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -25,6 +26,9 @@ from .errors import (
     NotPositiveDefinite,
     RestitutionOutOfRange,
 )
+
+if TYPE_CHECKING:
+    from .energy import EnergyReport
 
 # Relative tolerances used by build_model validation.  Strict bitwise
 # symmetry would be brittle for user-assembled matrices; rank-deficient
@@ -111,12 +115,9 @@ class SchemeVariant(str, enum.Enum):
     NONSMOOTH_KH_GENERALIZED_ALPHA = "kh_generalized_alpha"
 
 
-ALPHA_FAMILY = frozenset({
-    SchemeVariant.NONSMOOTH_NEWMARK,
-    SchemeVariant.NONSMOOTH_HHT,
-    SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA,
-    SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA,
-})
+# The velocity-level theta schemes; every other variant is an averaging
+# (acceleration-based) scheme.
+THETA_FAMILY = (SchemeVariant.MOREAU_JEAN, SchemeVariant.MOREAU_JEAN_VARIANT)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class SchemeSpec:
 
     def __post_init__(self):
         v = self.variant
-        if v in (SchemeVariant.MOREAU_JEAN, SchemeVariant.MOREAU_JEAN_VARIANT):
+        if v in THETA_FAMILY:
             if not 0.0 <= self.theta <= 1.0:
                 raise InconsistentSpec(f"theta={self.theta} outside [0, 1]")
             return
@@ -235,16 +236,6 @@ class SchemeSpec:
         alpha_m = (2.0 * rho - 1.0) / (rho + 1.0)
         alpha_f = rho / (rho + 1.0)
         return SchemeSpec.generalized_alpha(alpha_m, alpha_f, variant=variant)
-
-    @property
-    def is_alpha_family(self) -> bool:
-        return self.variant in ALPHA_FAMILY
-
-    def describe(self) -> str:
-        if self.variant in (SchemeVariant.MOREAU_JEAN, SchemeVariant.MOREAU_JEAN_VARIANT):
-            return f"{self.variant.value}(theta={self.theta})"
-        return (f"{self.variant.value}(gamma={self.gamma}, beta={self.beta}, "
-                f"alpha_m={self.alpha_m}, alpha_f={self.alpha_f})")
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +371,10 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     if np.any(restitution < 0.0) or np.any(restitution > 1.0):
         raise RestitutionOutOfRange(f"restitution {restitution} outside [0, 1]")
 
+    for i, segment in enumerate(forcing.values):
+        if len(segment) != n:
+            raise DimensionMismatch(
+                f"forcing segment {i} must have length {n}, got {len(segment)}")
     f0 = np.atleast_1d(np.asarray(forcing.evaluate(0.0), dtype=float))
     if f0.shape != (n,):
         raise DimensionMismatch(f"forcing must evaluate to length {n}, got {f0.shape}")
@@ -463,16 +458,15 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
 
 @dataclass
 class StepRecord:
-    """Everything one step produced, plus the audit quantities.
+    """Everything one step produced.
 
-    The dynamic fields are filled by the integrator; the works, energies,
-    residual and flags are attached by the energy audit.  ``state_prev``
-    and ``state_next`` are kept so that audits can be recomputed offline.
+    The integrator fills the dynamic fields; ``report`` is the step's
+    :class:`~nscontact.energy.EnergyReport` when the run was audited and
+    None otherwise.  ``state_prev`` and ``state_next`` are kept so that
+    audits can be recomputed offline.
     """
 
     step_index: int
-    t_prev: float
-    t_next: float
     state_prev: SystemState
     state_next: SystemState
     P: np.ndarray
@@ -480,14 +474,5 @@ class StepRecord:
     U_next: np.ndarray
     w_corr: np.ndarray
     active_set: tuple[int, ...]
-    zero_impulse_set: tuple[int, ...]
     penetration: float = 0.0
-    W_ext: float = 0.0
-    W_damping: float = 0.0
-    contact_work: float = 0.0
-    E_prev: float = 0.0
-    E_next: float = 0.0
-    H_prev: float = 0.0
-    H_next: float = 0.0
-    identity_residual: float = 0.0
-    report: "object" = None
+    report: EnergyReport | None = None

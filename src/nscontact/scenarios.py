@@ -60,11 +60,6 @@ class ScenarioSpec:
             merged[key] = float(value)
         return merged
 
-    def with_params(self, **overrides) -> "ScenarioSpec":
-        new = dict(self.params)
-        new.update(overrides)
-        return ScenarioSpec(self.kind, new)
-
 
 def build_scenario(spec: ScenarioSpec) -> tuple[LagrangianModel, SystemState]:
     """Assemble the validated model and a consistent initial state."""

@@ -5,6 +5,7 @@ to see every line.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +42,17 @@ def bar(e=0.0):
 
 
 def max_scaled_residual(records):
-    return max(abs(r.identity_residual) / r.report.residual_scale for r in records)
+    """Worst |residual| / scale; NaN if any step's residual is NaN."""
+    return float(np.max([abs(r.report.identity_residual) / r.report.residual_scale
+                         for r in records]))
+
+
+def test_max_scaled_residual_keeps_nan():
+    # a NaN anywhere must reach the criterion, whatever its position
+    records = [SimpleNamespace(report=SimpleNamespace(identity_residual=r, residual_scale=1.0))
+               for r in (1e-16, math.nan, 1e-15)]
+    worst = np.maximum(0.0, max_scaled_residual(records))
+    assert math.isnan(worst) and not worst <= 1e-10
 
 
 def test_c01_theta_scheme_identity():
@@ -53,12 +64,12 @@ def test_c01_theta_scheme_identity():
         records = simulate(model, state, 1e-3, spec, 2.0)
         assert len(records) == 2000
         impacts += sum(1 for r in records if r.P.max() > 0)
-        worst = max(worst, max_scaled_residual(records))
+        worst = np.maximum(worst, max_scaled_residual(records))
         model, state = bar(e=0.1)
         records = simulate(model, state, 2e-4, spec, 1.0)
         assert len(records) == 5000
         impacts += sum(1 for r in records if r.P.max() > 0)
-        worst = max(worst, max_scaled_residual(records))
+        worst = np.maximum(worst, max_scaled_residual(records))
     _criterion(1, f"theta-scheme energy identity at roundoff "
                   f"(worst {worst:.2e} <= 1e-10, {impacts} impact steps)",
                impacts > 100 and worst <= 1e-10)
@@ -85,10 +96,10 @@ def test_c03_elastic_conservation():
     model, state = ball(q0=0.2, e=1.0)
     records = simulate(model, state, 1e-3, SchemeSpec.moreau_jean(0.5), 8.5)
     impacts = sum(1 for r in records if r.P.max() > 0)
-    per_step = max((r.E_next - r.E_prev - r.W_ext) / r.report.residual_scale
-                   for r in records)
-    e_scale = 1.0 + max(abs(r.E_next) for r in records)
-    drift = abs(records[-1].E_next - records[0].E_prev - sum(r.W_ext for r in records))
+    reports = [r.report for r in records]
+    per_step = max((r.E - r.E_prev - r.W_ext) / r.residual_scale for r in reports)
+    e_scale = 1.0 + max(abs(r.E) for r in reports)
+    drift = abs(reports[-1].E - reports[0].E_prev - sum(r.W_ext for r in reports))
     _criterion(3, f"elastic ball conserves: {impacts} impacts, per-step gain "
                   f"{per_step:.2e} <= 1e-10, drift {drift:.2e} <= 1e-8 * scale",
                impacts >= 20 and per_step <= 1e-10 and drift <= 1e-8 * e_scale)
@@ -138,7 +149,7 @@ def test_c05_newmark_identity_and_dissipation():
         spec = SchemeSpec.newmark(gamma, beta)
         model, state = ball(q0=0.25, e=0.7)
         records = simulate(model, state, 1e-3, spec, 2.0)
-        worst_res = max(worst_res, max_scaled_residual(records))
+        worst_res = np.maximum(worst_res, max_scaled_residual(records))
         if 2 * beta >= gamma >= 0.5:
             worst_gain = max(worst_gain,
                              max(r.report.energy_gain / r.report.residual_scale
@@ -150,9 +161,9 @@ def test_c05_newmark_identity_and_dissipation():
                                    bar(e=0.0) + (2e-4, 1.0)):
         records = simulate(model, state, h, SchemeSpec.newmark(0.5, 0.25), t_end)
         special = max(special,
-                      max(abs(r.E_next - r.E_prev - r.W_ext - r.W_damping
-                              - r.contact_work) / r.report.residual_scale
-                          for r in records))
+                      max(abs(r.E - r.E_prev - r.W_ext - r.W_damping
+                              - r.W_contact_step) / r.residual_scale
+                          for r in (rec.report for rec in records)))
     _criterion(5, f"Newmark identity {worst_res:.2e} <= 1e-10, conditioned gain "
                   f"{worst_gain:.2e} <= 1e-10, midpoint special form {special:.2e}",
                worst_res <= 1e-10 and worst_gain <= 1e-10 and special <= 1e-10)
@@ -166,7 +177,7 @@ def test_c06_hht_identity_and_dissipation():
         assert 2 * spec.beta >= spec.gamma
         model, state = ball(q0=0.25, e=0.6)
         records = simulate(model, state, 1e-3, spec, 2.0)
-        worst_res = max(worst_res, max_scaled_residual(records))
+        worst_res = np.maximum(worst_res, max_scaled_residual(records))
         worst_gain = max(worst_gain,
                          max(r.report.energy_gain / r.report.residual_scale
                              for r in records))
@@ -175,7 +186,7 @@ def test_c06_hht_identity_and_dissipation():
     spec = SchemeSpec.hht(0.1, gamma=0.8, beta=0.5)
     model, state = ball(q0=0.25, e=0.6)
     records = simulate(model, state, 1e-3, spec, 1.0)
-    worst_res = max(worst_res, max_scaled_residual(records))
+    worst_res = np.maximum(worst_res, max_scaled_residual(records))
     _criterion(6, f"HHT multi-step-work identity {worst_res:.2e} <= 1e-10, "
                   f"conditioned gain {worst_gain:.2e} <= 1e-10",
                worst_res <= 1e-10 and worst_gain <= 1e-10)
@@ -189,7 +200,7 @@ def test_c07_kh_identity_dissipation_equivalence():
             rho, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)
         model, state = ball(q0=0.25, e=0.6)
         records = simulate(model, state, 1e-3, spec, 2.0)
-        worst_res = max(worst_res, max_scaled_residual(records))
+        worst_res = np.maximum(worst_res, max_scaled_residual(records))
         assert records[0].report.condition_satisfied
         worst_gain = max(worst_gain,
                          max(r.report.energy_gain / r.report.residual_scale

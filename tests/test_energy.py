@@ -24,6 +24,7 @@ from nscontact import (
     total_energy,
     update_filters,
 )
+from nscontact.model import THETA_FAMILY
 from conftest import random_model
 
 
@@ -173,12 +174,12 @@ class TestDiscreteWorks:
     def test_zero_forcing_gives_zero_external_work(self, spec):
         model, records = self.run_one(spec)
         for rec in records:
-            assert rec.W_ext == 0.0
+            assert rec.report.W_ext == 0.0
 
     def test_zero_damping_gives_zero_damping_work(self):
         model, records = self.run_one(SchemeSpec.hht(0.2))
         for rec in records:
-            assert rec.W_damping == 0.0
+            assert rec.report.W_damping == 0.0
 
     def test_theta_scheme_hand_value(self):
         # h v_mid f_mid = 0.1 * 1.5 * 4 = 0.6
@@ -187,10 +188,9 @@ class TestDiscreteWorks:
         s0 = make_state(model, [0.0], [1.0])
         s1 = make_state(model, [0.15], [2.0], t=0.1)
         from nscontact.model import StepRecord
-        rec = StepRecord(step_index=0, t_prev=0.0, t_next=0.1, state_prev=s0,
-                         state_next=s1, P=np.zeros(1), U_prev=np.zeros(1),
-                         U_next=np.zeros(1), w_corr=np.zeros(1), active_set=(),
-                         zero_impulse_set=())
+        rec = StepRecord(step_index=0, state_prev=s0, state_next=s1, P=np.zeros(1),
+                         U_prev=np.zeros(1), U_next=np.zeros(1), w_corr=np.zeros(1),
+                         active_set=())
         w_ext, w_damp = discrete_works(model, rec, SchemeSpec.moreau_jean(0.5), 0.1)
         assert w_ext == pytest.approx(0.6)
         assert w_damp == 0.0
@@ -216,7 +216,7 @@ class TestIdentityResidual:
                      SchemeSpec.hht(0.1), SchemeSpec.from_rho_infinity(0.5)):
             records = simulate(model, state.copy(), 1e-2, spec, 0.05)
             for rec in records:
-                assert rec.identity_residual == 0.0
+                assert rec.report.identity_residual == 0.0
 
     @pytest.mark.parametrize("spec", [
         SchemeSpec.moreau_jean(0.5),
@@ -234,7 +234,7 @@ class TestIdentityResidual:
         records = simulate(model, state, 1e-3, spec, 0.5)
         assert any(rec.active_set for rec in records)
         for rec in records:
-            assert abs(rec.identity_residual) <= 1e-10 * rec.report.residual_scale
+            assert abs(rec.report.identity_residual) <= 1e-10 * rec.report.residual_scale
 
 
 SIX_VARIANTS = [
@@ -268,11 +268,11 @@ class TestAuditStep:
         model, records = self.simultaneous_impact_run(rng, spec)
         for rec in records:
             sp = rec.state_prev
-            assert rec.E_prev == total_energy(model, sp.q, sp.v)
-            if spec.is_alpha_family:
-                assert rec.H_prev == algorithmic_energy(model, sp, spec, self.H)
+            assert rec.report.E_prev == total_energy(model, sp.q, sp.v)
+            if spec.variant not in THETA_FAMILY:
+                assert rec.report.H_prev == algorithmic_energy(model, sp, spec, self.H)
             else:
-                assert rec.H_prev == rec.E_prev
+                assert rec.report.H_prev == rec.report.E_prev
 
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
     def test_standalone_audit_matches_simulate(self, rng, spec):
@@ -280,8 +280,17 @@ class TestAuditStep:
         for rec in records:
             in_run = rec.report
             assert audit_step(model, spec, self.H, rec) == in_run
-            assert abs(rec.identity_residual) <= 1e-10 * rec.report.residual_scale
+            assert abs(rec.report.identity_residual) <= 1e-10 * rec.report.residual_scale
             assert rec.report.identity_ok()
+
+    @pytest.mark.parametrize("spec", SIX_VARIANTS)
+    def test_audit_step_is_pure(self, rng, spec):
+        model, audited = self.simultaneous_impact_run(rng, spec)
+        bare = simulate(model, audited[0].state_prev, self.H, spec, 0.3, audit=False)
+        assert len(bare) == len(audited)
+        for rec, in_run in zip(bare, audited):
+            assert audit_step(model, spec, self.H, rec) == in_run.report
+            assert rec.report is None
 
 
 class TestIdentityGate:
@@ -313,7 +322,7 @@ class TestPiecewiseForcingAudit:
                      SchemeSpec.moreau_jean(0.8)):
             records = simulate(model, state.copy(), 1e-3, spec, 0.2)
             for rec in records:
-                assert abs(rec.identity_residual) <= 1e-10 * rec.report.residual_scale
+                assert abs(rec.report.identity_residual) <= 1e-10 * rec.report.residual_scale
 
 
 class TestDissipationCheck:

@@ -57,6 +57,13 @@ class TestBuildModel:
             build_model(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
                         [[1.0]], [0.0], [0.5], ForcingTerm.zero(2))
 
+    def test_every_piecewise_segment_is_checked(self):
+        # the first segment fits, the second does not: rejected at build
+        # time, not when the run reaches it
+        forcing = ForcingTerm.piecewise_constant([0.01], [[1.0], [2.0, 3.0]])
+        with pytest.raises(DimensionMismatch, match="segment 1"):
+            build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [0.0], [0.5], forcing)
+
     def test_asymmetric_mass_rejected(self, rng):
         # every asymmetric perturbation above tolerance must be rejected
         for trial in range(25):

@@ -141,5 +141,5 @@ class TestImpactTimeConvergence:
         for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
             records = simulate(model, state.copy(), h, SchemeSpec.moreau_jean(0.5), 1.0,
                                audit=False)
-            t_impact = next(rec.t_next for rec in records if rec.P.max() > 0.0)
+            t_impact = next(rec.state_next.t for rec in records if rec.P.max() > 0.0)
             assert abs(t_impact - t_star) <= 2.0 * h

@@ -55,7 +55,6 @@ from .energy import (
     audit_step,
     contact_work,
     discrete_works,
-    theta_upper_bound,
     total_energy,
     update_filters,
 )

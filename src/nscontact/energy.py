@@ -1,23 +1,35 @@
 """Per-step energy audit: works, algorithmic energies, exact identities.
 
-Each scheme satisfies an exact algebraic identity linking the change of
-a (possibly augmented) energy to its discrete works and a contact term.
-Because the identities are exact in exact arithmetic, their numerical
-residual on a correctly implemented step is pure roundoff; the audit
-therefore doubles as the primary correctness oracle for the integrators.
+The six schemes form two families, and each family satisfies one exact
+algebraic energy identity per step.  Its residual on a correctly
+implemented step is pure roundoff, so the audit doubles as the primary
+correctness oracle for the integrators.  Notation: |x|_A^2 = x^T A x,
+dx = x_{k+1} - x_k, x_c = (1 - c) x_k + c x_{k+1}, and U = G^T v.
 
-For the theta-schemes the audited energy is the total mechanical energy
-E = (1/2) v^T M v + (1/2) q^T K q.  The averaging family instead tracks
-an algorithmic energy H that augments E with an acceleration term and,
-for the schemes with nonzero averaging shift, a quadratic form of the
-displacement-increment filter state.  The filter states evolve by a
-midpoint rule whose time scale is nu*h with nu = 1/2 - alpha_m.
+Theta family (Moreau-Jean: w = theta; midpoint variant: w = 1/2), with
+E = (1/2)|v|_M^2 + (1/2)|q|_K^2, W_ext = h v_w.F_theta and
+W_damping = -h v_w.C v_theta:
 
-Sign conventions: external work enters positively, damping work is
-nonpositive for positive semi-definite damping, and the contact term is
-provably nonpositive for the averaging family (half weighting).  A
-dissipation check therefore asserts dE (or dH) - W_ext - W_damping <= 0
-whenever the scheme parameters satisfy the relevant conditions.
+    E_{k+1} - E_k - W_ext - W_damping
+        = (1/2 - w)|dv|_M^2 + (1/2 - theta)|dq|_K^2 + U_w.P
+
+Averaging family (Newmark, HHT, generalized-alpha and KH, all cases of
+generalized-alpha with nu = 1/2 - alpha_m, eta = alpha_f - alpha_m), with
+H = E + (h^2/4)(2 beta - gamma)|a|_M^2 + c_z |z|_K^2, W_ext = dq.F_gamma
+and W_damping = -dq.C v_gamma (HHT mixes in the previous step's works):
+
+    H_{k+1} - H_k - W_ext - W_damping [+ (eta/nu) dq.(y_gamma - C x_gamma)]
+        = U_{1/2}.P - (h^2/2)(gamma - 1/2)(2 beta - gamma)|da|_M^2
+          + (eta + 1/2 - gamma)|dq|_K^2 + (eta/nu)(gamma - nu - 1/2)|dz|_K^2
+
+The bracketed filter work enters for generalized-alpha only.  z, x, y
+filter the displacement, velocity and load increments by a midpoint
+rule on the time scale nu*h; the z term vanishes with eta (Newmark).
+
+The contact term U_{1/2}.P is provably nonpositive, as is the damping
+work for positive semi-definite damping.  The dissipation flag asserts
+gain = dE (or dH) - W_ext - W_damping <= 0; the condition flags report
+whether the scheme parameters lie in the region that guarantees it.
 
 All functions are pure over immutable inputs and safe to call
 concurrently across steps and runs.
@@ -167,43 +179,43 @@ def update_filters(model: LagrangianModel, state_prev: SystemState,
     """
     if spec.variant in THETA_FAMILY:
         raise NotApplicable("filters exist only for the averaging schemes")
+    df = model.force(state_next.t) - model.force(state_prev.t)
+    return advance_filters(spec, state_prev, state_next, df)
+
+
+def advance_filters(spec: SchemeSpec, state_prev: SystemState,
+                    state_next: SystemState, df: np.ndarray):
+    """:func:`update_filters` with the load increment ``df`` already known."""
     nu = spec.nu
     denom = 0.5 + nu
     dq = state_next.q - state_prev.q
     dv = state_next.v - state_prev.v
-    df = model.force(state_next.t) - model.force(state_prev.t)
     z = (nu * dq - (0.5 - nu) * state_prev.z) / denom
     x = (nu * dv - (0.5 - nu) * state_prev.x) / denom
     y = (nu * df - (0.5 - nu) * state_prev.y) / denom
     return z, x, y
 
 
-def _gamma_mix(prev: np.ndarray, next_: np.ndarray, gamma: float) -> np.ndarray:
-    return gamma * next_ + (1.0 - gamma) * prev
+def _mix(prev: np.ndarray, next_: np.ndarray, weight: float) -> np.ndarray:
+    return weight * next_ + (1.0 - weight) * prev
 
 
 def _works(model: LagrangianModel, spec: SchemeSpec, h: float, sp: SystemState,
            sn: SystemState, f_k: np.ndarray, f_k1: np.ndarray,
            dq: np.ndarray) -> tuple[float, float]:
     C = model.damping
-    v = spec.variant
-    if v is SchemeVariant.MOREAU_JEAN:
+    if spec.variant in THETA_FAMILY:
         th = spec.theta
-        v_th = (1 - th) * sp.v + th * sn.v
-        f_th = (1 - th) * f_k + th * f_k1
-        return h * float(v_th @ f_th), -h * float(v_th @ C @ v_th)
-    if v is SchemeVariant.MOREAU_JEAN_VARIANT:
-        th = spec.theta
-        v_th = (1 - th) * sp.v + th * sn.v
-        f_th = (1 - th) * f_k + th * f_k1
-        return float(dq @ f_th), -float(dq @ C @ v_th)
+        v_w = _mix(sp.v, sn.v, spec.displacement_weight)
+        v_th = _mix(sp.v, sn.v, th)
+        return h * float(v_w @ _mix(f_k, f_k1, th)), -h * float(v_w @ C @ v_th)
     gamma = spec.gamma
-    f_mix = _gamma_mix(f_k, f_k1, gamma)
-    v_mix = _gamma_mix(sp.v, sn.v, gamma)
-    if v is SchemeVariant.NONSMOOTH_HHT:
+    f_mix = _mix(f_k, f_k1, gamma)
+    v_mix = _mix(sp.v, sn.v, gamma)
+    if spec.variant is SchemeVariant.NONSMOOTH_HHT:
         alpha = spec.alpha_f
-        f_mix_prev = _gamma_mix(sp.f_prev, f_k, gamma)
-        v_mix_prev = _gamma_mix(sp.v_prev, sp.v, gamma)
+        f_mix_prev = _mix(sp.f_prev, f_k, gamma)
+        v_mix_prev = _mix(sp.v_prev, sp.v, gamma)
         w_ext = float(dq @ ((1 - alpha) * f_mix + alpha * f_mix_prev))
         w_damp = -float(dq @ C @ ((1 - alpha) * v_mix + alpha * v_mix_prev))
         return w_ext, w_damp
@@ -214,9 +226,7 @@ def discrete_works(model: LagrangianModel, record: StepRecord,
                    spec: SchemeSpec, h: float) -> tuple[float, float]:
     """Scheme-consistent external and damping works over one step.
 
-    Theta scheme: h v_{k+theta}^T F_{k+theta} and the matching damping
-    quadrature.  Averaging family: increment-weighted works with the
-    gamma mix of endpoint values; the HHT variant additionally averages
+    The works of the module's two identities.  The HHT variant averages
     the current and previous mixes with weights (1-alpha, alpha), using
     the cached previous-step force and velocity (the virtual step before
     t0 replicates the initial data).
@@ -226,25 +236,15 @@ def discrete_works(model: LagrangianModel, record: StepRecord,
                   sn.q - sp.q)
 
 
-def _weighted(prev: float, next_: float, weight: float) -> float:
-    return (1.0 - weight) * prev + weight * next_
-
-
 def contact_work(U_prev, U_next, P, weight: float) -> float:
     """Work of the contact impulses against the weighted local velocity."""
     P = np.asarray(P, dtype=float)
-    return _weighted(float(np.asarray(U_prev, dtype=float) @ P),
-                     float(np.asarray(U_next, dtype=float) @ P), weight)
+    return _mix(float(np.asarray(U_prev, dtype=float) @ P),
+                float(np.asarray(U_next, dtype=float) @ P), weight)
 
 
 def _norm_sq(mat: np.ndarray, vec: np.ndarray) -> float:
     return float(vec @ mat @ vec)
-
-
-def theta_upper_bound(restitution) -> float:
-    """Largest theta for which the theta-scheme provably dissipates."""
-    e = np.asarray(restitution, dtype=float)
-    return float(1.0 / (1.0 + e.max(initial=0.0)))
 
 
 def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[bool, bool]:
@@ -256,35 +256,25 @@ def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[boo
     averaging shift up to roundoff).
     """
     slack = 1e-12
-    v = spec.variant
-    if v is SchemeVariant.MOREAU_JEAN:
-        th = spec.theta
-        per_contact = bool(th >= 0.5 - slack
-                           and np.all(th <= 1.0 / (1.0 + model.restitution) + slack))
-        max_e = bool(0.5 - slack <= th <= theta_upper_bound(model.restitution) + slack)
-        return per_contact, max_e
-    if v is SchemeVariant.MOREAU_JEAN_VARIANT:
-        cond = bool(spec.theta >= 0.5 - slack)
-        return cond, cond
+    if spec.variant in THETA_FAMILY:
+        # theta >= 1/2 and w <= 1/(1 + e); the midpoint weight w = 1/2
+        # meets the second bound for every e in [0, 1]
+        lower = spec.theta >= 0.5 - slack
+        w, e = spec.displacement_weight, model.restitution
+        return (bool(lower and np.all(w <= 1.0 / (1.0 + e) + slack)),
+                bool(lower and w <= 1.0 / (1.0 + e.max(initial=0.0)) + slack))
     gamma, beta = spec.gamma, spec.beta
-    base = 2 * beta >= gamma - slack and gamma >= 0.5 - slack
-    if v is SchemeVariant.NONSMOOTH_NEWMARK:
-        return bool(base), bool(base)
-    if v is SchemeVariant.NONSMOOTH_HHT:
-        alpha = spec.alpha_f
-        cond = bool(base and -slack <= alpha <= gamma - 0.5 + slack
-                    and gamma - 0.5 <= 0.5 + slack)
-        return cond, cond
+    base = bool(2 * beta >= gamma - slack and gamma >= 0.5 - slack)
+    if spec.variant is SchemeVariant.NONSMOOTH_NEWMARK:
+        return base, base
     region = bool(base and -slack <= spec.eta <= gamma - 0.5 + slack
                   and gamma - 0.5 <= spec.nu + slack)
-    if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-        return region, region
-    # The full averaging scheme only inherits the guarantee when the
-    # load/velocity filter terms vanish: no damping, constant loading.
-    damping_free = not model.damping.any()
-    constant_load = model.forcing.kind.value in ("zero", "constant")
-    cond = bool(region and damping_free and constant_load)
-    return cond, cond
+    if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA:
+        # The full averaging scheme only inherits the guarantee when the
+        # load/velocity filter terms vanish: no damping, constant loading.
+        region = (region and not model.damping.any()
+                  and model.forcing.kind.value in ("zero", "constant"))
+    return region, region
 
 
 def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
@@ -308,8 +298,7 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
     consts = audit_constants(model, spec, h) if constants is None else constants
     sp, sn = record.state_prev, record.state_next
     M, K, C = model.mass, model.stiffness, model.damping
-    v = spec.variant
-    theta_family = v in THETA_FAMILY
+    theta_family = spec.variant in THETA_FAMILY
 
     e_next = _energy(model, sn.q, sn.v)
     h_next = e_next if theta_family else _algorithmic(
@@ -325,46 +314,29 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
     w_ext, w_damp = _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t), dq)
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
-    u_half = _weighted(up, un, 0.5)
-    w_contact = u_half
+    u_half = _mix(up, un, 0.5)
+    w_contact = _mix(up, un, spec.displacement_weight)
     dE = e_next - e_prev
     gain = h_next - h_prev - w_ext - w_damp
     kdq = _norm_sq(K, dq)
 
-    if v is SchemeVariant.MOREAU_JEAN:
-        th = spec.theta
-        w_contact = _weighted(up, un, th)
-        quad = (0.5 - th) * (_norm_sq(M, sn.v - sp.v) + kdq)
-        residual = gain - quad - w_contact
-    elif v is SchemeVariant.MOREAU_JEAN_VARIANT:
-        residual = gain - (0.5 - spec.theta) * kdq - u_half
+    if theta_family:
+        w = spec.displacement_weight
+        residual = (gain - (0.5 - w) * _norm_sq(M, sn.v - sp.v)
+                    - (0.5 - spec.theta) * kdq - w_contact)
     else:
-        gamma, beta = spec.gamma, spec.beta
-        mda = _norm_sq(M, sn.a - sp.a)
-        if v is SchemeVariant.NONSMOOTH_NEWMARK:
-            rhs = (0.5 - gamma) * (kdq + 0.5 * h**2 * (2 * beta - gamma) * mda)
-            residual = gain - rhs - u_half
-        else:
-            accel_sq = 0.5 * h**2 * (gamma - 0.5) * (2 * beta - gamma) * mda
-            kdz = _norm_sq(K, sn.z - sp.z)
-            eta, nu = spec.eta, spec.nu
-            if v is SchemeVariant.NONSMOOTH_HHT:
-                alpha = spec.alpha_f
-                rhs = (u_half - accel_sq - (gamma - 0.5 - alpha) * kdq
-                       - 2 * alpha * (1 - gamma) * kdz)
-                residual = gain - rhs
-            elif v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-                rhs = (u_half - accel_sq - (gamma - 0.5 - eta) * kdq
-                       - spec.eta_over_nu * (nu - gamma + 0.5) * kdz)
-                residual = gain - rhs
-            else:
-                # full averaging scheme: the load/velocity filters appear on the left
-                y_mix = _gamma_mix(sp.y, sn.y, gamma)
-                x_mix = _gamma_mix(sp.x, sn.x, gamma)
-                lhs = gain + spec.eta_over_nu * float(dq @ (y_mix - C @ x_mix))
-                rhs = (u_half - accel_sq + (eta + 0.5 - gamma) * kdq
-                       + spec.eta_over_nu * (gamma - nu - 0.5) * kdz)
-                residual = lhs - rhs
+        gamma, eta = spec.gamma, spec.eta
+        accel_sq = (0.5 * h**2 * (gamma - 0.5) * (2 * spec.beta - gamma)
+                    * _norm_sq(M, sn.a - sp.a))
+        rhs = u_half - accel_sq + (eta + 0.5 - gamma) * kdq
+        if eta != 0.0:
+            rhs += spec.eta_over_nu * (gamma - spec.nu - 0.5) * _norm_sq(K, sn.z - sp.z)
+        lhs = gain
+        if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA:
+            # full averaging scheme: the load/velocity filters appear on the left
+            lhs += spec.eta_over_nu * float(
+                dq @ (_mix(sp.y, sn.y, gamma) - C @ _mix(sp.x, sn.x, gamma)))
+        residual = lhs - rhs
 
     if theta_family:
         scale = 1.0 + max(abs(dE), abs(w_ext))

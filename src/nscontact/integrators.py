@@ -97,18 +97,12 @@ def _factor(matrix: np.ndarray) -> tuple:
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
     M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
     minv_g = model.solve_mass(G)
-    v = spec.variant
-    if v is SchemeVariant.MOREAU_JEAN:
+    if spec.variant in THETA_FAMILY:
         th = spec.theta
-        iter_cho = _factor(M + h * th * C + h**2 * th**2 * K)
+        iter_cho = _factor(M + h * th * C + h**2 * (th * spec.displacement_weight) * K)
         impulse_to_velocity = cho_solve(iter_cho, G)
         coupling = np.zeros_like(G)
-    elif v is SchemeVariant.MOREAU_JEAN_VARIANT:
-        th = spec.theta
-        iter_cho = _factor(M + h * th * C + 0.5 * h**2 * th * K)
-        impulse_to_velocity = cho_solve(iter_cho, G)
-        coupling = np.zeros_like(G)
-    elif v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
+    elif spec.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
         am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
         iter_cho = _factor((1 - am) * M + (1 - am) * h * gamma * C
                            + (1 - af) * h**2 * beta * K)
@@ -156,11 +150,11 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
          step_index=0):
     """Advance one step with the scheme ``spec`` names.
 
-    The theta-schemes eliminate the end velocity: the velocity balance
+    The theta family eliminates the end velocity: the velocity balance
     and both force-like terms are weighted between the step endpoints by
-    theta, and the displacement follows the same weighted velocity (the
-    Moreau-Jean variant advances it with the midpoint velocity for every
-    theta instead).  The averaging family eliminates the end-of-step
+    theta, and the displacement follows the velocity weighted by
+    ``spec.displacement_weight`` (theta for Moreau-Jean, 1/2 for the
+    midpoint variant).  The averaging family eliminates the end-of-step
     smooth acceleration: Newmark, HHT and generalized-alpha derive the
     auxiliary acceleration from the averaging recurrence, while KH
     generalized-alpha solves one collocation equation with damping and
@@ -177,10 +171,8 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
     f_k1 = model.force(t0 + h)
 
     if variant in THETA_FAMILY:
-        th = spec.theta
-        midpoint_q = variant is SchemeVariant.MOREAU_JEAN_VARIANT
-        lag = 0.5 * h * th if midpoint_q else h * th * (1 - th)
-        rhs = (M @ state.v - h * K @ (state.q + lag * state.v)
+        th, w = spec.theta, spec.displacement_weight
+        rhs = (M @ state.v - h * K @ (state.q + h * th * (1 - w) * state.v)
                - h * (1 - th) * C @ state.v + h * ((1 - th) * f_k + th * f_k1))
         v_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
     else:
@@ -204,10 +196,7 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
     w_corr = cache.minv_g @ P
     if variant in THETA_FAMILY:
         v1 = v_free + cache.impulse_to_velocity @ P
-        if midpoint_q:
-            q1 = state.q + 0.5 * h * (state.v + v1)
-        else:
-            q1 = state.q + h * ((1 - th) * state.v + th * v1)
+        q1 = state.q + h * ((1 - w) * state.v + w * v1)
         # theta steps do not evolve the acceleration variables; re-initialize
         # them consistently so a hand-off to an averaging scheme stays valid
         a1 = model.solve_mass(f_k1 - K @ q1 - C @ v1)
@@ -223,8 +212,8 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
         new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=at1,
                                 z=state.z, x=state.x, y=state.y,
                                 f_prev=f_k, v_prev=state.v.copy())
-        new_state.z, new_state.x, new_state.y = energy_audit.update_filters(
-            model, state, new_state, h, spec)
+        new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
+            spec, state, new_state, f_k1 - f_k)
 
     pen = float(max(0.0, -gap(model, q1).min(initial=0.0)))
     return new_state, StepRecord(step_index=step_index, state_prev=state,

@@ -155,6 +155,17 @@ class SchemeSpec:
             if not 0.0 <= self.alpha_f <= 1.0 / 3.0 + 1e-15:
                 raise InconsistentSpec(f"HHT weight alpha={self.alpha_f} outside [0, 1/3]")
 
+    @property
+    def displacement_weight(self) -> float:
+        """Weight w of the end-of-step velocity in the displacement update.
+
+        theta for Moreau-Jean, 1/2 for every other variant: the midpoint
+        variant advances q with the mean velocity, and the averaging
+        family adds half a step of the impulse correction to q.  The
+        contact work of the energy identity uses the same weight.
+        """
+        return self.theta if self.variant is SchemeVariant.MOREAU_JEAN else 0.5
+
     # derived filter constants of the averaging family
     @property
     def nu(self) -> float:
@@ -189,21 +200,14 @@ class SchemeSpec:
 
     @staticmethod
     def newmark(gamma: float = 0.5, beta: float | None = None) -> "SchemeSpec":
-        gamma = float(gamma)
-        if beta is None:
-            beta = 0.25 * (gamma + 0.5) ** 2
-        return SchemeSpec(SchemeVariant.NONSMOOTH_NEWMARK, gamma=gamma, beta=float(beta))
+        return SchemeSpec.generalized_alpha(0.0, 0.0, gamma, beta,
+                                            variant=SchemeVariant.NONSMOOTH_NEWMARK)
 
     @staticmethod
     def hht(alpha: float, gamma: float | None = None,
             beta: float | None = None) -> "SchemeSpec":
-        alpha = float(alpha)
-        if gamma is None:
-            gamma = 0.5 + alpha          # second-order weight balance
-        if beta is None:
-            beta = 0.25 * (gamma + 0.5) ** 2
-        return SchemeSpec(SchemeVariant.NONSMOOTH_HHT, gamma=float(gamma),
-                          beta=float(beta), alpha_m=0.0, alpha_f=alpha)
+        return SchemeSpec.generalized_alpha(0.0, alpha, gamma, beta,
+                                            variant=SchemeVariant.NONSMOOTH_HHT)
 
     @staticmethod
     def generalized_alpha(alpha_m: float, alpha_f: float, gamma: float | None = None,
@@ -211,11 +215,11 @@ class SchemeSpec:
                           variant: SchemeVariant = SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA,
                           ) -> "SchemeSpec":
         alpha_m, alpha_f = float(alpha_m), float(alpha_f)
-        if gamma is None:
-            gamma = 0.5 + alpha_f - alpha_m   # second-order weight balance
+        # unspecified gamma: the second-order weight balance
+        gamma = 0.5 + alpha_f - alpha_m if gamma is None else float(gamma)
         if beta is None:
             beta = 0.25 * (gamma + 0.5) ** 2
-        return SchemeSpec(variant, gamma=float(gamma), beta=float(beta),
+        return SchemeSpec(variant, gamma=gamma, beta=float(beta),
                           alpha_m=alpha_m, alpha_f=alpha_f)
 
     @staticmethod

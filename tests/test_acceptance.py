@@ -84,8 +84,8 @@ def test_c02_theta_dissipation_region():
                 continue          # one-directional: no claim outside
             model, state = ball(q0=0.3, e=e)
             records = simulate(model, state, 1e-3, SchemeSpec.moreau_jean(theta), 2.0)
-            gain = max(r.report.energy_gain / r.report.residual_scale for r in records)
-            worst = max(worst, gain)
+            gain = np.max([r.report.energy_gain / r.report.residual_scale for r in records])
+            worst = np.maximum(worst, gain)
             checked += 1
     _criterion(2, f"dissipation inside the theta/restitution region "
                   f"({checked} grid points, worst gain {worst:.2e} <= 1e-10)",
@@ -97,8 +97,8 @@ def test_c03_elastic_conservation():
     records = simulate(model, state, 1e-3, SchemeSpec.moreau_jean(0.5), 8.5)
     impacts = sum(1 for r in records if r.P.max() > 0)
     reports = [r.report for r in records]
-    per_step = max((r.E - r.E_prev - r.W_ext) / r.residual_scale for r in reports)
-    e_scale = 1.0 + max(abs(r.E) for r in reports)
+    per_step = np.max([(r.E - r.E_prev - r.W_ext) / r.residual_scale for r in reports])
+    e_scale = 1.0 + np.max([abs(r.E) for r in reports])
     drift = abs(reports[-1].E - reports[0].E_prev - sum(r.W_ext for r in reports))
     _criterion(3, f"elastic ball conserves: {impacts} impacts, per-step gain "
                   f"{per_step:.2e} <= 1e-10, drift {drift:.2e} <= 1e-8 * scale",
@@ -135,7 +135,7 @@ def test_c04_contact_work_sign_all_averaging_schemes():
         for rec in records:
             scale = 1.0 + float(np.abs(rec.U_prev) @ np.abs(rec.P)
                                 + np.abs(rec.U_next) @ np.abs(rec.P))
-            worst = max(worst, rec.report.W_impact_style / scale)
+            worst = np.maximum(worst, rec.report.W_impact_style / scale)
             impact_steps += rec.P.max(initial=0.0) > 0
     _criterion(4, f"half-weighted contact work nonpositive over {runs} random runs "
                   f"({impact_steps} impact steps, worst {worst:.2e} <= 1e-12)",
@@ -151,19 +151,19 @@ def test_c05_newmark_identity_and_dissipation():
         records = simulate(model, state, 1e-3, spec, 2.0)
         worst_res = np.maximum(worst_res, max_scaled_residual(records))
         if 2 * beta >= gamma >= 0.5:
-            worst_gain = max(worst_gain,
-                             max(r.report.energy_gain / r.report.residual_scale
-                                 for r in records))
+            worst_gain = np.maximum(worst_gain,
+                                    np.max([r.report.energy_gain / r.report.residual_scale
+                                            for r in records]))
     # midpoint pair: the energy change equals works plus the contact work,
     # on the ball and on the ten-mass bar impact
     special = 0.0
     for model, state, h, t_end in (ball(q0=0.25, e=0.7) + (1e-3, 2.0),
                                    bar(e=0.0) + (2e-4, 1.0)):
         records = simulate(model, state, h, SchemeSpec.newmark(0.5, 0.25), t_end)
-        special = max(special,
-                      max(abs(r.E - r.E_prev - r.W_ext - r.W_damping
-                              - r.W_contact_step) / r.residual_scale
-                          for r in (rec.report for rec in records)))
+        special = np.maximum(special,
+                             np.max([abs(r.E - r.E_prev - r.W_ext - r.W_damping
+                                         - r.W_contact_step) / r.residual_scale
+                                     for r in (rec.report for rec in records)]))
     _criterion(5, f"Newmark identity {worst_res:.2e} <= 1e-10, conditioned gain "
                   f"{worst_gain:.2e} <= 1e-10, midpoint special form {special:.2e}",
                worst_res <= 1e-10 and worst_gain <= 1e-10 and special <= 1e-10)
@@ -178,9 +178,9 @@ def test_c06_hht_identity_and_dissipation():
         model, state = ball(q0=0.25, e=0.6)
         records = simulate(model, state, 1e-3, spec, 2.0)
         worst_res = np.maximum(worst_res, max_scaled_residual(records))
-        worst_gain = max(worst_gain,
-                         max(r.report.energy_gain / r.report.residual_scale
-                             for r in records))
+        worst_gain = np.maximum(worst_gain,
+                                np.max([r.report.energy_gain / r.report.residual_scale
+                                        for r in records]))
         assert records[0].report.condition_satisfied
     # off-balance weights still satisfy the identity
     spec = SchemeSpec.hht(0.1, gamma=0.8, beta=0.5)
@@ -202,9 +202,9 @@ def test_c07_kh_identity_dissipation_equivalence():
         records = simulate(model, state, 1e-3, spec, 2.0)
         worst_res = np.maximum(worst_res, max_scaled_residual(records))
         assert records[0].report.condition_satisfied
-        worst_gain = max(worst_gain,
-                         max(r.report.energy_gain / r.report.residual_scale
-                             for r in records))
+        worst_gain = np.maximum(worst_gain,
+                                np.max([r.report.energy_gain / r.report.residual_scale
+                                        for r in records]))
     # no damping + constant load: trajectories match the standard scheme
     model, state = ball(q0=0.25, e=0.6)
     rec_kh = simulate(model, state.copy(), 1e-3,
@@ -213,10 +213,10 @@ def test_c07_kh_identity_dissipation_equivalence():
                       audit=False)
     rec_ga = simulate(model, state.copy(), 1e-3,
                       SchemeSpec.from_rho_infinity(0.9), 2.0, audit=False)
-    diff = max(max(np.abs(a.state_next.q - b.state_next.q).max(),
-                   np.abs(a.state_next.v - b.state_next.v).max())
-               for a, b in zip(rec_kh, rec_ga))
-    scale = 1.0 + max(np.abs(r.state_next.v).max() for r in rec_ga)
+    diff = np.max([np.maximum(np.abs(a.state_next.q - b.state_next.q).max(),
+                              np.abs(a.state_next.v - b.state_next.v).max())
+                   for a, b in zip(rec_kh, rec_ga)])
+    scale = 1.0 + np.max([np.abs(r.state_next.v).max() for r in rec_ga])
     _criterion(7, f"KH identity {worst_res:.2e} <= 1e-10, conditioned gain "
                   f"{worst_gain:.2e}, trajectory match {diff:.2e} <= 1e-12 * scale",
                worst_res <= 1e-10 and worst_gain <= 1e-10 and diff <= 1e-12 * scale)
@@ -233,9 +233,9 @@ def test_c08_lcp_cross_check():
         lemke = solve_lemke(problem)
         oracle = solve_enumeration(problem)
         assert lemke.solved and oracle.solved
-        worst_gap = max(worst_gap, float(np.abs(lemke.z - oracle.z).max(initial=0.0)))
+        worst_gap = np.maximum(worst_gap, np.abs(lemke.z - oracle.z).max(initial=0.0))
         scale = 1.0 + np.abs(problem.b).max()
-        worst_res = max(worst_res, lemke.residual / scale, oracle.residual / scale)
+        worst_res = np.max([worst_res, lemke.residual / scale, oracle.residual / scale])
     _criterion(8, f"500 pivot-vs-enumeration problems agree to {worst_gap:.2e} <= 1e-9 "
                   f"(residuals {worst_res:.2e} <= 1e-10)",
                worst_gap <= 1e-9 and worst_res <= 1e-10)
@@ -270,7 +270,7 @@ def test_c10_penetration_scales_with_step():
         model, state = ball(q0=0.05, e=0.9)
         records = simulate(model, state, h, SchemeSpec.moreau_jean(0.5), 4.0,
                            audit=False)
-        return max(r.penetration for r in records)
+        return np.max([r.penetration for r in records])
 
     pen_h = max_pen(1e-3)
     pen_h2 = max_pen(5e-4)

@@ -24,6 +24,7 @@ from nscontact import (
     total_energy,
     update_filters,
 )
+from nscontact.energy import audit_constants
 from nscontact.model import THETA_FAMILY
 from conftest import random_model
 
@@ -355,6 +356,94 @@ class TestDissipationCheck:
         assert any(rec.active_set for rec in records)
         for rec in records:
             assert rec.report.condition_satisfied and rec.report.dissipation_satisfied
+
+
+def reference_conditions(model, spec):
+    """The per-variant parameter conditions, written out one variant at a time."""
+    slack = 1e-12
+    v = spec.variant
+    if v is SchemeVariant.MOREAU_JEAN:
+        th = spec.theta
+        per_contact = bool(th >= 0.5 - slack
+                           and np.all(th <= 1.0 / (1.0 + model.restitution) + slack))
+        bound = 1.0 / (1.0 + model.restitution.max(initial=0.0))
+        return per_contact, bool(0.5 - slack <= th <= bound + slack)
+    if v is SchemeVariant.MOREAU_JEAN_VARIANT:
+        cond = bool(spec.theta >= 0.5 - slack)
+        return cond, cond
+    gamma, beta = spec.gamma, spec.beta
+    base = 2 * beta >= gamma - slack and gamma >= 0.5 - slack
+    if v is SchemeVariant.NONSMOOTH_NEWMARK:
+        return bool(base), bool(base)
+    if v is SchemeVariant.NONSMOOTH_HHT:
+        alpha = spec.alpha_f
+        cond = bool(base and -slack <= alpha <= gamma - 0.5 + slack
+                    and gamma - 0.5 <= 0.5 + slack)
+        return cond, cond
+    region = bool(base and -slack <= spec.eta <= gamma - 0.5 + slack
+                  and gamma - 0.5 <= spec.nu + slack)
+    if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
+        return region, region
+    cond = bool(region and not model.damping.any()
+                and model.forcing.kind.value in ("zero", "constant"))
+    return cond, cond
+
+
+def condition_grid():
+    thetas = [0.0, 0.3, 0.5 - 1e-13, 0.5, 0.55, 2.0 / 3.0, 0.7, 0.8, 0.9, 1.0,
+              1.0 / 1.25, 1.0 / 1.25 + 1e-11]
+    gammas = [0.4, 0.5, 0.6, 0.75, 0.9, 1.0, 1.05, 1.3]
+    betas = [0.1, 0.25, 0.3, 0.45, 0.7]
+    for th in thetas:
+        yield SchemeSpec.moreau_jean(th)
+        yield SchemeSpec.moreau_jean_variant(th)
+    for gamma in gammas:
+        for beta in betas:
+            yield SchemeSpec.newmark(gamma, beta)
+            for alpha in (0.0, 0.1, 0.25, 1.0 / 3.0):
+                yield SchemeSpec.hht(alpha, gamma, beta)
+            for am in (-0.5, -0.2, 0.0, 0.2, 0.4):
+                for af in (am, -0.1, 0.0, 0.1, 0.3, 0.45):
+                    for variant in (SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA,
+                                    SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA):
+                        yield SchemeSpec.generalized_alpha(am, af, gamma, beta, variant)
+    for rho in (0.0, 0.5, 1.0):
+        yield SchemeSpec.from_rho_infinity(rho)
+        yield SchemeSpec.hht(1.0 / 3.0 * rho)
+
+
+class TestConditionFlags:
+    """Both condition flags against the variant-by-variant reference."""
+
+    def models(self):
+        c = 0.3 * np.eye(2)
+        zero = np.zeros((2, 2))
+        jac = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        for damping, forcing in ((zero, ForcingTerm.constant([0.0, -9.81])),
+                                 (c, ForcingTerm.zero(2)),
+                                 (zero, ForcingTerm.sinusoidal([1.0, 0.5], omega=2.0))):
+            for e in ([0.0, 0.5, 1.0], [0.25, 0.25, 0.25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]):
+                yield build_model(np.eye(2), damping, np.eye(2), jac, [0.1, 0.1, 0.2], e,
+                                  forcing)
+
+    def test_matches_reference_over_grid(self):
+        specs = list(condition_grid())
+        ga_kh = (SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA,
+                 SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)
+        assert any(s.variant is SchemeVariant.NONSMOOTH_HHT and s.alpha_f == 0.0
+                   and s.gamma > 1.0 for s in specs)
+        assert any(s.variant in ga_kh and s.alpha_m == s.alpha_f
+                   and s.gamma > 1.0 - s.alpha_m for s in specs)
+        seen = set()
+        for model in self.models():
+            for spec in specs:
+                expected = reference_conditions(model, spec)
+                assert audit_constants(model, spec, 1e-3)[:2] == expected, spec
+                seen.add((spec.variant, expected))
+        # every variant shows both flag values somewhere on the grid
+        for variant in SchemeVariant:
+            assert {flags for v, flags in seen if v is variant} == {(True, True),
+                                                                    (False, False)}
 
 
 class TestSignIdentities:

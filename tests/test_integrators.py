@@ -316,6 +316,24 @@ class TestSimulate:
         assert info.value.step_index >= 4   # free fall from 0.05 at v=-1
         assert "solver knocked out" in str(info.value)
 
+    @pytest.mark.parametrize("spec", [
+        SchemeSpec.moreau_jean(0.7), SchemeSpec.moreau_jean_variant(0.6),
+        SchemeSpec.newmark(0.6), SchemeSpec.hht(0.2), SchemeSpec.from_rho_infinity(0.8),
+        SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)])
+    def test_forcing_evaluated_once_per_grid_point(self, monkeypatch, spec):
+        # the step evaluates F(t_k) and F(t_k+1) once; the audit needs both again
+        model = random_model(np.random.default_rng(5), n=3, m=2)
+        state = initial_state(model, np.zeros(3), np.ones(3))
+        times = []
+        evaluate = ForcingTerm.evaluate
+        monkeypatch.setattr(ForcingTerm, "evaluate",
+                            lambda self, t: times.append(t) or evaluate(self, t))
+        simulate(model, state, 1e-3, spec, 1e-3, audit=False)
+        assert times == [0.0, 1e-3]
+        times.clear()
+        simulate(model, state, 1e-3, spec, 1e-3, audit=True)
+        assert sorted(times) == [0.0, 0.0, 1e-3, 1e-3]
+
     def test_invalid_step_size(self):
         model = free_particle()
         state = initial_state(model, [1.0], [0.0])

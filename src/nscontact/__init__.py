@@ -11,7 +11,6 @@ from .errors import (
     NoSolutionFound,
     NonFiniteValue,
     NonSymmetric,
-    NotApplicable,
     NotAvailable,
     NotPositiveDefinite,
     NscontactError,
@@ -51,12 +50,7 @@ from .integrators import (
 )
 from .energy import (
     EnergyReport,
-    algorithmic_energy,
     audit_step,
-    contact_work,
-    discrete_works,
-    total_energy,
-    update_filters,
 )
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
 

@@ -65,6 +65,19 @@ class RunConfig:
         return DEFAULT_AUDIT_TOL
 
 
+# Scheme keys each variant accepts besides ``variant`` and ``beta_rule``;
+# ``rho_infinity`` excludes ``alpha_m``/``alpha_f``.
+_AVERAGING_KEYS = {"gamma", "beta", "alpha_m", "alpha_f", "rho_infinity"}
+_VARIANT_KEYS = {
+    SchemeVariant.MOREAU_JEAN: {"theta"},
+    SchemeVariant.MOREAU_JEAN_VARIANT: {"theta"},
+    SchemeVariant.NONSMOOTH_NEWMARK: {"gamma", "beta"},
+    SchemeVariant.NONSMOOTH_HHT: {"alpha", "gamma", "beta"},
+    SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA: _AVERAGING_KEYS,
+    SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA: _AVERAGING_KEYS,
+}
+
+
 def _build_scheme(params: dict) -> SchemeSpec:
     p = dict(params)
     variant = p.pop("variant", None)
@@ -78,42 +91,25 @@ def _build_scheme(params: dict) -> SchemeSpec:
     beta_rule = p.pop("beta_rule", "quarter_square")
     if beta_rule not in ("quarter_square", "half_gamma"):
         raise ConfigError(f"unknown scheme.beta_rule '{beta_rule}'")
-
-    def derive_beta(gamma: float) -> float:
-        return 0.5 * gamma if beta_rule == "half_gamma" else 0.25 * (gamma + 0.5) ** 2
+    allowed = _VARIANT_KEYS[var]
+    if "rho_infinity" in p:
+        allowed = allowed - {"alpha_m", "alpha_f"}
+    extra = sorted(p.keys() - allowed)
+    if extra:
+        raise ConfigError(f"scheme keys not valid for this variant: {extra}")
 
     if var in THETA_FAMILY:
-        theta = float(p.pop("theta", 0.5))
-        _reject_extra(p)
-        return SchemeSpec(var, theta=theta)
-    if var is SchemeVariant.NONSMOOTH_NEWMARK:
-        gamma = float(p.pop("gamma", 0.5))
-        beta = float(p.pop("beta")) if "beta" in p else derive_beta(gamma)
-        _reject_extra(p)
-        return SchemeSpec.newmark(gamma, beta)
-    if var is SchemeVariant.NONSMOOTH_HHT:
-        alpha = float(p.pop("alpha", 0.0))
-        gamma = float(p.pop("gamma", 0.5 + alpha))
-        beta = float(p.pop("beta")) if "beta" in p else derive_beta(gamma)
-        _reject_extra(p)
-        return SchemeSpec.hht(alpha, gamma, beta)
-    # the two full averaging schemes
+        return SchemeSpec(var, theta=float(p.get("theta", 0.5)))
     if "rho_infinity" in p:
-        rho = float(p.pop("rho_infinity"))
-        base = SchemeSpec.from_rho_infinity(rho, variant=var)
+        base = SchemeSpec.from_rho_infinity(p["rho_infinity"], variant=var)
         alpha_m, alpha_f = base.alpha_m, base.alpha_f
     else:
-        alpha_m = float(p.pop("alpha_m", 0.0))
-        alpha_f = float(p.pop("alpha_f", 0.0))
-    gamma = float(p.pop("gamma", 0.5 + alpha_f - alpha_m))
-    beta = float(p.pop("beta")) if "beta" in p else derive_beta(gamma)
-    _reject_extra(p)
-    return SchemeSpec.generalized_alpha(alpha_m, alpha_f, gamma, beta, variant=var)
-
-
-def _reject_extra(p: dict) -> None:
-    if p:
-        raise ConfigError(f"scheme keys not valid for this variant: {sorted(p)}")
+        alpha_m, alpha_f = p.get("alpha_m", 0.0), p.get("alpha_f", p.get("alpha", 0.0))
+    spec = SchemeSpec.generalized_alpha(alpha_m, alpha_f, p.get("gamma"), p.get("beta"),
+                                        variant=var)
+    if beta_rule == "half_gamma" and "beta" not in p:
+        spec = replace(spec, beta=0.5 * spec.gamma)
+    return spec
 
 
 def parse_config(path) -> RunConfig:
@@ -346,10 +342,12 @@ def cmd_sweep(cfg: RunConfig, grid: str, out_dir) -> int:
         reports = [rec.report for rec in records]
         n_steps = max(len(reports), 1)
         frac = sum(rep.dissipation_satisfied for rep in reports) / n_steps
-        max_gain = max((rep.energy_gain for rep in reports), default=0.0)
+        # np.max keeps a NaN gain; initial=0.0 clamps at zero and + 0.0
+        # writes an all-zero maximum as 0, not -0
+        max_gain = np.max([rep.energy_gain for rep in reports], initial=0.0) + 0.0
         condition = reports[0].condition_satisfied if reports else True
         violations += sum(not rep.identity_ok(tol) for rep in reports)
-        rows.append((*point, _flag(condition), frac, max(0.0, max_gain)))
+        rows.append((*point, _flag(condition), frac, max_gain))
     _write_csv(out / "sweep.csv",
                names + ["condition_satisfied", "dissipation_fraction",
                         "max_energy_gain"],

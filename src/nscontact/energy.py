@@ -19,14 +19,16 @@ H = E + (h^2/4)(2 beta - gamma)|a|_M^2 + c_z |z|_K^2, W_ext = dq.F_gamma
 and W_damping = -dq.C v_gamma (HHT mixes in the previous step's works):
 
     H_{k+1} - H_k - W_ext - W_damping [+ (eta/nu) dq.(y_gamma - C x_gamma)]
-        = U_{1/2}.P - (h^2/2)(gamma - 1/2)(2 beta - gamma)|da|_M^2
+        = U_w.P - (h^2/2)(gamma - 1/2)(2 beta - gamma)|da|_M^2
           + (eta + 1/2 - gamma)|dq|_K^2 + (eta/nu)(gamma - nu - 1/2)|dz|_K^2
 
 The bracketed filter work enters for generalized-alpha only.  z, x, y
 filter the displacement, velocity and load increments by a midpoint
 rule on the time scale nu*h; the z term vanishes with eta (Newmark).
+The averaging family's displacement weight is w = 1/2, so both families
+share the one contact term U_w.P.
 
-The contact term U_{1/2}.P is provably nonpositive, as is the damping
+For w = 1/2 the contact term is provably nonpositive, as is the damping
 work for positive semi-definite damping.  The dissipation flag asserts
 gain = dE (or dH) - W_ext - W_damping <= 0; the condition flags report
 whether the scheme parameters lie in the region that guarantees it.
@@ -43,7 +45,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotApplicable
 from .model import (
     THETA_FAMILY,
     LagrangianModel,
@@ -78,7 +79,6 @@ class EnergyReport:
     W_ext: float
     W_damping: float
     W_contact_step: float
-    W_impact_style: float
     identity_residual: float
     residual_scale: float
     energy_gain: float
@@ -134,58 +134,18 @@ def _algorithmic(model: LagrangianModel, state: SystemState, energy: float,
     return value
 
 
-def total_energy(model: LagrangianModel, q, v) -> float:
-    """Total mechanical energy (1/2) v^T M v + (1/2) q^T K q.
-
-    Constant external forces (gravity included) are not folded into a
-    potential, so E is not conserved in free flight; the audit tracks
-    dE = W_ext instead.
-    """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if q.shape != (model.n,) or v.shape != (model.n,):
-        raise DimensionMismatch(f"q, v must have length {model.n}")
-    return _energy(model, q, v)
-
-
-def algorithmic_energy(model: LagrangianModel, state: SystemState,
-                       spec: SchemeSpec, h: float) -> float:
-    """Energy functional the averaging schemes provably dissipate.
-
-    H = E + (h^2/4)(2 beta - gamma) a^T M a + c_z z^T K z, with the
-    filter term dropped when the averaging shift vanishes (Newmark) and
-    the acceleration term alone remaining in that case.
-
-    Raises:
-        NotApplicable: theta-schemes have no H; use total_energy.
-    """
-    if spec.variant in THETA_FAMILY:
-        raise NotApplicable("theta-schemes track the total mechanical energy only")
-    return _algorithmic(model, state, total_energy(model, state.q, state.v),
-                        *_h_weights(spec, h))
-
-
-def update_filters(model: LagrangianModel, state_prev: SystemState,
-                   state_next: SystemState, h: float, spec: SchemeSpec):
+def advance_filters(spec: SchemeSpec, state_prev: SystemState,
+                    state_next: SystemState, df: np.ndarray):
     """Advance the three first-order filter states by one midpoint step.
 
     Each filter relaxes toward the increment of its driving signal
-    (displacement, velocity, load) on the time scale nu*h:
+    (displacement, velocity, load ``df``) on the time scale nu*h:
 
         (1/2 + nu) s_next + (1/2 - nu) s_prev = nu * (signal increment)
 
     For nu = 1/2 this collapses to 2 s_next = increment, and for nu = 0
     a zero-started filter stays at zero.
     """
-    if spec.variant in THETA_FAMILY:
-        raise NotApplicable("filters exist only for the averaging schemes")
-    df = model.force(state_next.t) - model.force(state_prev.t)
-    return advance_filters(spec, state_prev, state_next, df)
-
-
-def advance_filters(spec: SchemeSpec, state_prev: SystemState,
-                    state_next: SystemState, df: np.ndarray):
-    """:func:`update_filters` with the load increment ``df`` already known."""
     nu = spec.nu
     denom = 0.5 + nu
     dq = state_next.q - state_prev.q
@@ -220,27 +180,6 @@ def _works(model: LagrangianModel, spec: SchemeSpec, h: float, sp: SystemState,
         w_damp = -float(dq @ C @ ((1 - alpha) * v_mix + alpha * v_mix_prev))
         return w_ext, w_damp
     return float(dq @ f_mix), -float(dq @ C @ v_mix)
-
-
-def discrete_works(model: LagrangianModel, record: StepRecord,
-                   spec: SchemeSpec, h: float) -> tuple[float, float]:
-    """Scheme-consistent external and damping works over one step.
-
-    The works of the module's two identities.  The HHT variant averages
-    the current and previous mixes with weights (1-alpha, alpha), using
-    the cached previous-step force and velocity (the virtual step before
-    t0 replicates the initial data).
-    """
-    sp, sn = record.state_prev, record.state_next
-    return _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t),
-                  sn.q - sp.q)
-
-
-def contact_work(U_prev, U_next, P, weight: float) -> float:
-    """Work of the contact impulses against the weighted local velocity."""
-    P = np.asarray(P, dtype=float)
-    return _mix(float(np.asarray(U_prev, dtype=float) @ P),
-                float(np.asarray(U_next, dtype=float) @ P), weight)
 
 
 def _norm_sq(mat: np.ndarray, vec: np.ndarray) -> float:
@@ -314,7 +253,6 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
     w_ext, w_damp = _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t), dq)
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
-    u_half = _mix(up, un, 0.5)
     w_contact = _mix(up, un, spec.displacement_weight)
     dE = e_next - e_prev
     gain = h_next - h_prev - w_ext - w_damp
@@ -328,7 +266,7 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
         gamma, eta = spec.gamma, spec.eta
         accel_sq = (0.5 * h**2 * (gamma - 0.5) * (2 * spec.beta - gamma)
                     * _norm_sq(M, sn.a - sp.a))
-        rhs = u_half - accel_sq + (eta + 0.5 - gamma) * kdq
+        rhs = w_contact - accel_sq + (eta + 0.5 - gamma) * kdq
         if eta != 0.0:
             rhs += spec.eta_over_nu * (gamma - spec.nu - 0.5) * _norm_sq(K, sn.z - sp.z)
         lhs = gain
@@ -344,7 +282,7 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
         scale = 1.0 + max(abs(dE), abs(h_next - h_prev), abs(w_ext))
     return EnergyReport(E_prev=e_prev, H_prev=h_prev, E=e_next, H_alg=h_next,
                         W_ext=w_ext, W_damping=w_damp,
-                        W_contact_step=w_contact, W_impact_style=u_half,
+                        W_contact_step=w_contact,
                         identity_residual=residual, residual_scale=scale,
                         energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),
                         condition_satisfied=consts.condition,

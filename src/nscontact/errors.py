@@ -60,10 +60,6 @@ class SingularIterationMatrix(NscontactError):
     """The per-step iteration matrix admits no Cholesky factorization."""
 
 
-class NotApplicable(NscontactError):
-    """The requested quantity is not defined for this scheme."""
-
-
 class NotAvailable(NscontactError):
     """No closed-form reference solution exists for this scenario."""
 

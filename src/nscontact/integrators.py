@@ -197,12 +197,9 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
     if variant in THETA_FAMILY:
         v1 = v_free + cache.impulse_to_velocity @ P
         q1 = state.q + h * ((1 - w) * state.v + w * v1)
-        # theta steps do not evolve the acceleration variables; re-initialize
-        # them consistently so a hand-off to an averaging scheme stays valid
-        a1 = model.solve_mass(f_k1 - K @ q1 - C @ v1)
-        new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=a1.copy(),
-                                z=state.z.copy(), x=state.x.copy(), y=state.y.copy(),
-                                f_prev=f_k, v_prev=state.v.copy())
+        new_state = SystemState(t=t0 + h, q=q1, v=v1, a=state.a, a_tilde=state.a_tilde,
+                                z=state.z, x=state.x, y=state.y,
+                                f_prev=state.f_prev, v_prev=state.v_prev)
     else:
         at1 = at_free - cache.coupling @ P
         # KH has no averaging recurrence: its two accelerations coincide

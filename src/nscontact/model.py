@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -279,14 +279,6 @@ class LagrangianModel:
     def force(self, t: float) -> np.ndarray:
         return self.forcing.evaluate(t)
 
-    def with_restitution(self, restitution) -> "LagrangianModel":
-        """Same structure, different restitution vector (revalidated)."""
-        e = np.broadcast_to(np.asarray(restitution, dtype=float), (self.m,)).copy()
-        _check_finite(e, "restitution")
-        if np.any(e < 0.0) or np.any(e > 1.0):
-            raise RestitutionOutOfRange(f"restitution {e} outside [0, 1]")
-        return replace(self, restitution=e)
-
 
 def _check_finite(a, name: str) -> None:
     if not np.isfinite(a).all():
@@ -414,6 +406,11 @@ class SystemState:
     x from velocity increments, y from load increments) that the energy
     audit tracks, and previous-step caches (f_prev, v_prev) consumed by
     the multi-step work formulas.
+
+    Only averaging steps advance these auxiliary fields.  A theta step
+    carries them over from its start state unchanged (the same arrays,
+    not copies), so a state reached by theta steps is restarted under
+    another scheme with ``initial_state(model, s.q, s.v, s.t)``.
     """
 
     t: float

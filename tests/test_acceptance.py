@@ -135,7 +135,7 @@ def test_c04_contact_work_sign_all_averaging_schemes():
         for rec in records:
             scale = 1.0 + float(np.abs(rec.U_prev) @ np.abs(rec.P)
                                 + np.abs(rec.U_next) @ np.abs(rec.P))
-            worst = np.maximum(worst, rec.report.W_impact_style / scale)
+            worst = np.maximum(worst, rec.report.W_contact_step / scale)
             impact_steps += rec.P.max(initial=0.0) > 0
     _criterion(4, f"half-weighted contact work nonpositive over {runs} random runs "
                   f"({impact_steps} impact steps, worst {worst:.2e} <= 1e-12)",

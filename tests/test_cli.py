@@ -280,6 +280,19 @@ class TestSweepCommand:
         cfg = write_config(tmp_path)
         assert main(["sweep", cfg, "--grid", "mass=1,2", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_nan_energy_gain_is_written(self, tmp_path):
+        # q^T K q overflows, so every step's energy gain is inf - inf = NaN
+        cfg = write_config(tmp_path, "scenario.kind = forced_oscillator_contact\n"
+                                     "scenario.q0 = 1e160\n"
+                                     "scheme.variant = hht\n"
+                                     "run.h = 1e-3\nrun.t_end = 0.01\n")
+        out = tmp_path / "nan"
+        assert main(["sweep", cfg, "--grid", "alpha=0,0.1", "--out", str(out)]) == 2
+        _, rows = read_csv(out / "sweep.csv")
+        assert [row[-1] for row in rows] == ["nan", "nan"]
+        assert [row[-2] for row in rows] == ["0", "0"]
+
     def test_axis_incompatible_with_variant_exits_three(self, tmp_path, capsys):
         text = BALL_CONFIG.replace(
             "scheme.variant = moreau_jean\nscheme.theta = 0.5\n",

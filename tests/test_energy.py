@@ -7,24 +7,18 @@ import numpy as np
 import pytest
 
 from nscontact import (
-    DimensionMismatch,
     ForcingTerm,
-    NotApplicable,
     ScenarioSpec,
     SchemeSpec,
     SchemeVariant,
-    algorithmic_energy,
+    StepRecord,
     audit_step,
     build_model,
     build_scenario,
-    contact_work,
-    discrete_works,
     initial_state,
     simulate,
-    total_energy,
-    update_filters,
 )
-from nscontact.energy import audit_constants
+from nscontact.energy import advance_filters, audit_constants
 from nscontact.model import THETA_FAMILY
 from conftest import random_model
 
@@ -44,15 +38,28 @@ def plain_model(n=1, k=0.0):
                        np.ones((n, 1)), [10.0], [0.5], ForcingTerm.zero(n))
 
 
+def audit_states(model, spec, h, s0, s1, U_prev=(0.0,), U_next=(0.0,), P=(0.0,)):
+    """Audit a hand-built step from s0 to s1."""
+    rec = StepRecord(step_index=0, state_prev=s0, state_next=s1, P=np.asarray(P),
+                     U_prev=np.asarray(U_prev), U_next=np.asarray(U_next),
+                     w_corr=np.zeros(model.n), active_set=())
+    return audit_step(model, spec, h, rec)
+
+
+def end_energy(model, q, v, spec=SchemeSpec.moreau_jean()):
+    """Report E of a step that ends at (q, v)."""
+    s0 = make_state(model, np.zeros(model.n), np.zeros(model.n))
+    return audit_states(model, spec, 0.1, s0, make_state(model, q, v, t=0.1)).E
+
+
 class TestTotalEnergy:
     def test_zero_state(self):
-        model = plain_model()
-        assert total_energy(model, [0.0], [0.0]) == 0.0
+        assert end_energy(plain_model(), [0.0], [0.0]) == 0.0
 
     def test_hand_quadratic_forms(self):
         model = build_model([[2.0]], [[0.0]], [[8.0]], [[1.0]], [0.0], [0.5],
                             ForcingTerm.zero(1))
-        assert total_energy(model, [1.0], [1.0]) == pytest.approx(5.0)
+        assert end_energy(model, [1.0], [1.0]) == pytest.approx(5.0)
 
     def test_matches_double_loop_oracle(self, rng):
         model = random_model(rng, n=6, m=2)
@@ -61,29 +68,31 @@ class TestTotalEnergy:
                              for i in range(6) for j in range(6))
         expected += 0.5 * sum(q[i] * model.stiffness[i, j] * q[j]
                               for i in range(6) for j in range(6))
-        assert total_energy(model, q, v) == pytest.approx(expected, rel=1e-13)
-
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            total_energy(plain_model(), [0.0, 1.0], [0.0])
+        assert end_energy(model, q, v) == pytest.approx(expected, rel=1e-13)
 
 
 class TestAlgorithmicEnergy:
+    @staticmethod
+    def h_alg(model, state, spec, h):
+        """Report H of a step that ends at ``state``."""
+        start = make_state(model, np.zeros(model.n), np.zeros(model.n))
+        return audit_states(model, spec, h, start, state).H_alg
+
     def test_reduces_to_total_energy(self):
         # matched beta and gamma kill the acceleration term; zero filter
         # state kills the rest
         model = plain_model(k=5.0)
         spec = SchemeSpec.generalized_alpha(0.1, 0.3, gamma=0.7, beta=0.35)
         state = make_state(model, [1.0], [2.0], a=[3.0], z=[0.0])
-        assert algorithmic_energy(model, state, spec, 0.1) == pytest.approx(
-            total_energy(model, [1.0], [2.0]))
+        assert self.h_alg(model, state, spec, 0.1) == pytest.approx(
+            end_energy(model, [1.0], [2.0]))
 
     def test_newmark_hand_value(self):
         model = plain_model()
         spec = SchemeSpec.newmark(gamma=0.5, beta=0.5)
         state = make_state(model, [0.0], [0.0], a=[2.0])
         # (h^2/4)(2b - g) a M a = (0.01/4)(0.5)(4) = 0.005
-        assert algorithmic_energy(model, state, spec, 0.1) == pytest.approx(0.005)
+        assert self.h_alg(model, state, spec, 0.1) == pytest.approx(0.005)
 
     def test_hht_filter_coefficient(self):
         # substituting the HHT constants gives the coefficient 2a(1-g)
@@ -94,16 +103,10 @@ class TestAlgorithmicEnergy:
         state = make_state(model, [0.4], [0.1], a=[0.3], z=z)
         base = make_state(model, [0.4], [0.1], a=[0.3], z=[0.0])
         h = 0.05
-        got = algorithmic_energy(model, state, spec, h)
-        ref = algorithmic_energy(model, base, spec, h)
+        got = self.h_alg(model, state, spec, h)
+        ref = self.h_alg(model, base, spec, h)
         expected = 2 * alpha * (1 - gamma) * float(z @ (3.0 * np.eye(1)) @ z)
         assert got - ref == pytest.approx(expected, rel=1e-12)
-
-    def test_not_applicable_for_theta_schemes(self):
-        model = plain_model()
-        state = make_state(model, [0.0], [0.0])
-        with pytest.raises(NotApplicable):
-            algorithmic_energy(model, state, SchemeSpec.moreau_jean(), 0.1)
 
     def test_nonnegative_under_seminorm_conditions(self, rng):
         # H is a sum of seminorms when 2b >= g and eta(nu - (g - 1/2)) >= 0
@@ -113,7 +116,7 @@ class TestAlgorithmicEnergy:
         for _ in range(20):
             state = make_state(model, rng.normal(size=3), rng.normal(size=3),
                                a=rng.normal(size=3), z=rng.normal(size=3))
-            assert algorithmic_energy(model, state, spec, 0.05) >= 0.0
+            assert self.h_alg(model, state, spec, 0.05) >= 0.0
 
 
 class TestUpdateFilters:
@@ -122,7 +125,7 @@ class TestUpdateFilters:
         spec = SchemeSpec.generalized_alpha(0.5, 0.5)   # nu = 0
         s0 = make_state(model, [0.0], [0.0])
         s1 = make_state(model, [3.0], [1.0], t=0.1)
-        z, x, y = update_filters(model, s0, s1, 0.1, spec)
+        z, x, y = advance_filters(spec, s0, s1, np.zeros(1))
         assert z == pytest.approx([0.0]) and x == pytest.approx([0.0])
 
     def test_half_gives_closed_forms(self):
@@ -132,10 +135,11 @@ class TestUpdateFilters:
         s0 = make_state(model, [0.0], [1.0])
         s1 = make_state(model, [0.5], [4.0], t=0.1)
         s0.z, s0.x, s0.y = (np.array([9.0]),) * 3       # history must drop out
-        z, x, y = update_filters(model, s0, s1, 0.1, spec)
+        df = model.force(0.1) - model.force(0.0)
+        z, x, y = advance_filters(spec, s0, s1, df)
         assert 2 * z == pytest.approx(s1.q - s0.q)
         assert 2 * x == pytest.approx(s1.v - s0.v)
-        assert 2 * y == pytest.approx(model.force(0.1) - model.force(0.0))
+        assert 2 * y == pytest.approx(df)
 
     def test_midpoint_hand_value(self):
         # constant q across the step, nu = 0.3, z = [1] -> -(0.2/0.8) = -0.25
@@ -144,14 +148,8 @@ class TestUpdateFilters:
         s0 = make_state(model, [1.0], [0.0])
         s0.z = np.array([1.0])
         s1 = make_state(model, [1.0], [0.0], t=0.1)
-        z, _, _ = update_filters(model, s0, s1, 0.1, spec)
+        z, _, _ = advance_filters(spec, s0, s1, np.zeros(1))
         assert z == pytest.approx([-0.25])
-
-    def test_not_applicable_for_theta_schemes(self):
-        model = plain_model()
-        s0 = make_state(model, [0.0], [0.0])
-        with pytest.raises(NotApplicable):
-            update_filters(model, s0, s0, 0.1, SchemeSpec.moreau_jean())
 
 
 class TestDiscreteWorks:
@@ -188,25 +186,32 @@ class TestDiscreteWorks:
                             ForcingTerm.constant([4.0]))
         s0 = make_state(model, [0.0], [1.0])
         s1 = make_state(model, [0.15], [2.0], t=0.1)
-        from nscontact.model import StepRecord
-        rec = StepRecord(step_index=0, state_prev=s0, state_next=s1, P=np.zeros(1),
-                         U_prev=np.zeros(1), U_next=np.zeros(1), w_corr=np.zeros(1),
-                         active_set=())
-        w_ext, w_damp = discrete_works(model, rec, SchemeSpec.moreau_jean(0.5), 0.1)
-        assert w_ext == pytest.approx(0.6)
-        assert w_damp == 0.0
+        report = audit_states(model, SchemeSpec.moreau_jean(0.5), 0.1, s0, s1)
+        assert report.W_ext == pytest.approx(0.6)
+        assert report.W_damping == 0.0
 
 
 class TestContactWork:
+    """W_contact_step = U_w.P, with w = 1/2 for both families here."""
+
+    SPECS = (SchemeSpec.moreau_jean(0.5), SchemeSpec.newmark(0.6))
+
+    def contact_work(self, U_prev, U_next, P):
+        model = plain_model()
+        s0 = make_state(model, [0.0], [0.0])
+        s1 = make_state(model, [0.0], [0.0], t=0.1)
+        return [audit_states(model, spec, 0.1, s0, s1, U_prev, U_next, P).W_contact_step
+                for spec in self.SPECS]
+
     def test_zero_impulse(self):
-        assert contact_work([1.0], [2.0], [0.0], 0.5) == 0.0
+        assert self.contact_work([1.0], [2.0], [0.0]) == [0.0, 0.0]
 
     def test_elastic_midpoint_vanishes(self):
         # full restitution reverses the local velocity exactly
-        assert contact_work([-3.0], [3.0], [7.0], 0.5) == pytest.approx(0.0)
+        assert self.contact_work([-3.0], [3.0], [7.0]) == pytest.approx([0.0, 0.0])
 
     def test_hand_value(self):
-        assert contact_work([-1.0], [0.5], [1.5], 0.5) == pytest.approx(-0.375)
+        assert self.contact_work([-1.0], [0.5], [1.5]) == pytest.approx([-0.375, -0.375])
 
 
 class TestIdentityResidual:
@@ -268,11 +273,11 @@ class TestAuditStep:
     def test_carried_energies_equal_fresh_evaluation(self, rng, spec):
         model, records = self.simultaneous_impact_run(rng, spec)
         for rec in records:
-            sp = rec.state_prev
-            assert rec.report.E_prev == total_energy(model, sp.q, sp.v)
-            if spec.variant not in THETA_FAMILY:
-                assert rec.report.H_prev == algorithmic_energy(model, sp, spec, self.H)
-            else:
+            # without prev_energies, audit_step evaluates the start energies afresh
+            fresh = audit_step(model, spec, self.H, rec)
+            assert rec.report.E_prev == fresh.E_prev
+            assert rec.report.H_prev == fresh.H_prev
+            if spec.variant in THETA_FAMILY:
                 assert rec.report.H_prev == rec.report.E_prev
 
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
@@ -475,7 +480,7 @@ class TestSignIdentities:
             for rec in records:
                 scale = 1.0 + float(np.abs(rec.U_prev) @ np.abs(rec.P)
                                     + np.abs(rec.U_next) @ np.abs(rec.P))
-                assert rec.report.W_impact_style <= 1e-12 * scale
+                assert rec.report.W_contact_step <= 1e-12 * scale
 
     def test_always_dissipative_at_half_regardless_of_restitution(self):
         # the midpoint theta needs no restitution condition

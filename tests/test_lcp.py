@@ -127,9 +127,3 @@ class TestFailureModes:
     def test_problem_shape_check(self):
         with pytest.raises(InconsistentSpec):
             LcpProblem(np.eye(3), np.ones(2))
-
-    def test_validate_flags_asymmetry(self):
-        problem = LcpProblem([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
-        with pytest.raises(InconsistentSpec):
-            problem.validate()
-        LcpProblem([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0]).validate()

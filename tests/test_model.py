@@ -90,14 +90,6 @@ class TestBuildModel:
                             np.ones((2, 2)), [0.0, 0.0], [0.5], ForcingTerm.zero(2))
         assert model.restitution.tolist() == [0.5, 0.5]
 
-    def test_with_restitution(self):
-        model = ball_model(e=1.0)
-        swapped = model.with_restitution(0.25)
-        assert swapped.restitution.tolist() == [0.25]
-        assert model.restitution.tolist() == [1.0]
-        with pytest.raises(RestitutionOutOfRange):
-            model.with_restitution(-0.1)
-
 
 class TestNonFiniteInput:
     ARGS = dict(mass=[[1.0]], damping=[[0.0]], stiffness=[[0.0]], contact_jacobian=[[1.0]],
@@ -118,10 +110,6 @@ class TestNonFiniteInput:
         name = "forcing" if field == "forcing" else field
         with pytest.raises(NonFiniteValue, match=name):
             build_model(**dict(self.ARGS, **{field: value}))
-
-    def test_with_restitution_rejects_nan(self):
-        with pytest.raises(NonFiniteValue, match="restitution"):
-            ball_model().with_restitution(math.nan)
 
     @pytest.mark.parametrize("q0, v0, name", [
         ([math.inf], [0.0], "q0"), ([0.0], [math.nan], "v0")])

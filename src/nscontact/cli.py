@@ -208,6 +208,20 @@ def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
             fh.write(row_format % row)
 
 
+def _audit_exit(cfg: RunConfig, identity_ok: list[bool]) -> int:
+    """Exit code of a finished command: 2 if the gate is armed and a step failed.
+
+    ``identity_ok`` holds one ``EnergyReport.identity_ok`` flag per
+    audited step of every run the command made.
+    """
+    violations = identity_ok.count(False)
+    if cfg.audit and violations:
+        print(f"audit: {violations} step(s) violate the identity residual tolerance",
+              file=sys.stderr)
+        return 2
+    return 0
+
+
 def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     """Run one simulation; write trajectory.csv and audit.csv."""
     out = Path(out_dir)
@@ -257,13 +271,7 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
                 "condition_satisfied", "condition_satisfied_max_e",
                 "dissipation_satisfied", "identity_ok"],
                "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s\n", audit_rows())
-    violations = ok.count(False)
-
-    if cfg.audit and violations:
-        print(f"audit: {violations} step(s) violate the identity residual tolerance",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _audit_exit(cfg, ok)
 
 
 def _parse_grid(grid: str) -> list[tuple[str, list[float]]]:
@@ -327,7 +335,7 @@ def cmd_sweep(cfg: RunConfig, grid: str, out_dir) -> int:
 
     tol = cfg.residual_tol()
     rows = []
-    violations = 0
+    ok = []
     for point in points:
         point_cfg = cfg
         for name, value in zip(names, point):
@@ -346,17 +354,13 @@ def cmd_sweep(cfg: RunConfig, grid: str, out_dir) -> int:
         # writes an all-zero maximum as 0, not -0
         max_gain = np.max([rep.energy_gain for rep in reports], initial=0.0) + 0.0
         condition = reports[0].condition_satisfied if reports else True
-        violations += sum(not rep.identity_ok(tol) for rep in reports)
+        ok += [rep.identity_ok(tol) for rep in reports]
         rows.append((*point, _flag(condition), frac, max_gain))
     _write_csv(out / "sweep.csv",
                names + ["condition_satisfied", "dissipation_fraction",
                         "max_energy_gain"],
                "%.17g," * len(names) + "%s,%.17g,%.17g\n", rows)
-    if cfg.audit and violations:
-        print(f"audit: {violations} step(s) violate the identity residual tolerance",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _audit_exit(cfg, ok)
 
 
 def cmd_convergence(cfg: RunConfig, h_values: list[float], out_dir) -> int:
@@ -367,6 +371,8 @@ def cmd_convergence(cfg: RunConfig, h_values: list[float], out_dir) -> int:
         print("error: convergence studies need at least 3 step sizes", file=sys.stderr)
         return 3
     errors = []
+    ok = []
+    tol = cfg.residual_tol()
     scenario = cfg.scenario_spec()
     for h in h_values:
         run_cfg = replace(cfg, h=h)
@@ -388,10 +394,11 @@ def cmd_convergence(cfg: RunConfig, h_values: list[float], out_dir) -> int:
         err = math.sqrt(float(np.sum((final.q - q_ref) ** 2))
                         + float(np.sum((final.v - v_ref) ** 2)))
         errors.append(err)
+        ok += [rec.report.identity_ok(tol) for rec in records]
     order = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
     _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"], "%.17g,%.17g,%.17g\n",
                ((h, err, order) for h, err in zip(h_values, errors)))
-    return 0
+    return _audit_exit(cfg, ok)
 
 
 def main(argv=None) -> int:

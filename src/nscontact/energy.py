@@ -16,15 +16,19 @@ W_damping = -h v_w.C v_theta:
 Averaging family (Newmark, HHT, generalized-alpha and KH, all cases of
 generalized-alpha with nu = 1/2 - alpha_m, eta = alpha_f - alpha_m), with
 H = E + (h^2/4)(2 beta - gamma)|a|_M^2 + c_z |z|_K^2, W_ext = dq.F_gamma
-and W_damping = -dq.C v_gamma (HHT mixes in the previous step's works):
+and W_damping = -dq.C v_gamma:
 
     H_{k+1} - H_k - W_ext - W_damping [+ (eta/nu) dq.(y_gamma - C x_gamma)]
         = U_w.P - (h^2/2)(gamma - 1/2)(2 beta - gamma)|da|_M^2
           + (eta + 1/2 - gamma)|dq|_K^2 + (eta/nu)(gamma - nu - 1/2)|dz|_K^2
 
-The bracketed filter work enters for generalized-alpha only.  z, x, y
-filter the displacement, velocity and load increments by a midpoint
-rule on the time scale nu*h; the z term vanishes with eta (Newmark).
+z, x, y filter the displacement, velocity and load increments by a
+midpoint rule on the time scale nu*h; the z term vanishes with eta
+(Newmark).  The bracketed filter work enters for generalized-alpha on
+the left.  HHT's averaged works dq.((1 - alpha) F_gamma + alpha
+F_gamma,prev) and its damping twin absorb it instead: at nu = 1/2 the
+filters are y = dF/2 and x = dv/2, so W_ext = dq.(F_gamma -
+(eta/nu) y_gamma) and W_damping = -dq.C(v_gamma - (eta/nu) x_gamma).
 The averaging family's displacement weight is w = 1/2, so both families
 share the one contact term U_w.P.
 
@@ -170,16 +174,16 @@ def _works(model: LagrangianModel, spec: SchemeSpec, h: float, sp: SystemState,
         v_th = _mix(sp.v, sn.v, th)
         return h * float(v_w @ _mix(f_k, f_k1, th)), -h * float(v_w @ C @ v_th)
     gamma = spec.gamma
-    f_mix = _mix(f_k, f_k1, gamma)
-    v_mix = _mix(sp.v, sn.v, gamma)
+    w_ext = float(dq @ _mix(f_k, f_k1, gamma))
+    w_damp = -float(dq @ C @ _mix(sp.v, sn.v, gamma))
     if spec.variant is SchemeVariant.NONSMOOTH_HHT:
-        alpha = spec.alpha_f
-        f_mix_prev = _mix(sp.f_prev, f_k, gamma)
-        v_mix_prev = _mix(sp.v_prev, sp.v, gamma)
-        w_ext = float(dq @ ((1 - alpha) * f_mix + alpha * f_mix_prev))
-        w_damp = -float(dq @ C @ ((1 - alpha) * v_mix + alpha * v_mix_prev))
-        return w_ext, w_damp
-    return float(dq @ f_mix), -float(dq @ C @ v_mix)
+        # HHT mixes in the previous step's works with weight alpha.  At
+        # nu = 1/2 the filters hold exactly half the last load and
+        # velocity increments, so that mix is the filter work.
+        r = spec.eta_over_nu
+        w_ext -= r * float(dq @ _mix(sp.y, sn.y, gamma))
+        w_damp += r * float(dq @ C @ _mix(sp.x, sn.x, gamma))
+    return w_ext, w_damp
 
 
 def _norm_sq(mat: np.ndarray, vec: np.ndarray) -> float:

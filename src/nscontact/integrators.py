@@ -34,7 +34,6 @@ from .model import (
     THETA_FAMILY,
     LagrangianModel,
     SchemeSpec,
-    SchemeVariant,
     StepRecord,
     SystemState,
     gap,
@@ -94,6 +93,11 @@ def _factor(matrix: np.ndarray) -> tuple:
     return factor
 
 
+def _gains(spec: SchemeSpec, h: float) -> tuple[float, float]:
+    """Velocity and displacement gains g, b of the averaging unknown s."""
+    return h * spec.gamma / (1 - spec.alpha_m), h**2 * spec.beta / (1 - spec.alpha_m)
+
+
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
     M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
     minv_g = model.solve_mass(G)
@@ -102,20 +106,13 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         iter_cho = _factor(M + h * th * C + h**2 * (th * spec.displacement_weight) * K)
         impulse_to_velocity = cho_solve(iter_cho, G)
         coupling = np.zeros_like(G)
-    elif spec.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-        am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
-        iter_cho = _factor((1 - am) * M + (1 - am) * h * gamma * C
-                           + (1 - af) * h**2 * beta * K)
-        load = (1 - am) * C + (1 - af) * (h / 2) * K
-        coupling = cho_solve(iter_cho, load @ minv_g)
-        impulse_to_velocity = minv_g - h * gamma * coupling
     else:
-        am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
-        c1 = (1 - af) / (1 - am)
-        iter_cho = _factor(M + h * gamma * c1 * C + h**2 * beta * c1 * K)
-        load = C + (h / 2) * K
+        ac, af = spec.load_weight, spec.alpha_f
+        g, b = _gains(spec, h)
+        iter_cho = _factor(M + (1 - ac) * g * C + (1 - af) * b * K)
+        load = (1 - ac) * C + (1 - af) * (h / 2) * K
         coupling = cho_solve(iter_cho, load @ minv_g)
-        impulse_to_velocity = minv_g - h * gamma * c1 * coupling
+        impulse_to_velocity = minv_g - g * coupling
     delassus = G.T @ impulse_to_velocity
     return IterationMatrixCache(model, spec, h, iter_cho, minv_g,
                                 impulse_to_velocity, delassus, coupling)
@@ -154,61 +151,61 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
     and both force-like terms are weighted between the step endpoints by
     theta, and the displacement follows the velocity weighted by
     ``spec.displacement_weight`` (theta for Moreau-Jean, 1/2 for the
-    midpoint variant).  The averaging family eliminates the end-of-step
-    smooth acceleration: Newmark, HHT and generalized-alpha derive the
-    auxiliary acceleration from the averaging recurrence, while KH
-    generalized-alpha solves one collocation equation with damping and
-    load weighted like the inertia term.  In the averaging family the
-    contact impulse corrects the velocity directly and the displacement
-    with half a step's worth of that correction.
+    midpoint variant).  The averaging family (Newmark, HHT,
+    generalized-alpha and KH) solves one generalized-alpha balance for
+    s = (1 - alpha_m) a_{k+1} + alpha_m a_k:
+
+        M s = (1 - alpha_c)(F_{k+1} - C v_{k+1}) + alpha_c (F_k - C v_k)
+              - (1 - alpha_f) K q_{k+1} - alpha_f K q_k
+
+    with alpha_c = ``spec.load_weight``; the variants differ only in
+    their weights.  The velocity and displacement follow s with the
+    gains h gamma / (1 - alpha_m) and h^2 beta / (1 - alpha_m).  In the
+    averaging family the contact impulse corrects the velocity directly
+    and the displacement with half a step's worth of that correction.
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
     M, C, K = model.mass, model.damping, model.stiffness
-    variant = spec.variant
+    theta_family = spec.variant in THETA_FAMILY
     t0 = state.t
     f_k = model.force(t0)
     f_k1 = model.force(t0 + h)
 
-    if variant in THETA_FAMILY:
+    if theta_family:
         th, w = spec.theta, spec.displacement_weight
         rhs = (M @ state.v - h * K @ (state.q + h * th * (1 - w) * state.v)
                - h * (1 - th) * C @ state.v + h * ((1 - th) * f_k + th * f_k1))
         v_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
     else:
-        am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
-        pred_v = state.v + h * (1 - gamma) * state.a
-        pred_q = state.q + h * state.v + h**2 * (0.5 - beta) * state.a
-        if variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-            c1, drift = 1.0, None
-            rhs = ((1 - am) * f_k1 + am * f_k - am * (M @ state.a + C @ state.v)
-                   - (1 - am) * C @ pred_v - (1 - af) * K @ pred_q - af * K @ state.q)
-        else:
-            c1 = (1 - af) / (1 - am)
-            drift = (af * state.a_tilde - am * state.a) / (1 - am)
-            pred_v = pred_v + h * gamma * drift
-            pred_q = pred_q + h**2 * beta * drift
-            rhs = f_k1 - C @ pred_v - K @ pred_q
-        at_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
-        v_free = pred_v + h * gamma * c1 * at_free
+        am, af, ac = spec.alpha_m, spec.alpha_f, spec.load_weight
+        gamma, beta = spec.gamma, spec.beta
+        g, b = _gains(spec, h)
+        # v_{k+1} = pred_v + g s and q_{k+1} = pred_q + b s before the impulse
+        pred_v = state.v + (h * (1 - gamma) - g * am) * state.a
+        pred_q = state.q + h * state.v + (h**2 * (0.5 - beta) - b * am) * state.a
+        rhs = ((1 - ac) * f_k1 + ac * f_k - C @ ((1 - ac) * pred_v + ac * state.v)
+               - K @ ((1 - af) * pred_q + af * state.q))
+        s_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
+        v_free = pred_v + g * s_free
 
     P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
     w_corr = cache.minv_g @ P
-    if variant in THETA_FAMILY:
+    if theta_family:
         v1 = v_free + cache.impulse_to_velocity @ P
         q1 = state.q + h * ((1 - w) * state.v + w * v1)
-        new_state = SystemState(t=t0 + h, q=q1, v=v1, a=state.a, a_tilde=state.a_tilde,
-                                z=state.z, x=state.x, y=state.y,
-                                f_prev=state.f_prev, v_prev=state.v_prev)
+        a1 = state.a
     else:
-        at1 = at_free - cache.coupling @ P
-        # KH has no averaging recurrence: its two accelerations coincide
-        a1 = at1.copy() if drift is None else c1 * at1 + drift
-        v1 = pred_v + h * gamma * c1 * at1 + w_corr
-        q1 = pred_q + h**2 * beta * c1 * at1 + 0.5 * h * w_corr
-        new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=at1,
-                                z=state.z, x=state.x, y=state.y,
-                                f_prev=f_k, v_prev=state.v.copy())
+        s = s_free - cache.coupling @ P
+        a1 = (s - am * state.a) / (1 - am)
+        v1 = pred_v + g * s + w_corr
+        q1 = pred_q + b * s + 0.5 * h * w_corr
+    # a_tilde, f_prev and v_prev are never advanced; a theta step carries
+    # a and the filters over as well
+    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=state.a_tilde,
+                            z=state.z, x=state.x, y=state.y,
+                            f_prev=state.f_prev, v_prev=state.v_prev)
+    if not theta_family:
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
             spec, state, new_state, f_k1 - f_k)
 

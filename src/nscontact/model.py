@@ -166,6 +166,20 @@ class SchemeSpec:
         """
         return self.theta if self.variant is SchemeVariant.MOREAU_JEAN else 0.5
 
+    @property
+    def load_weight(self) -> float:
+        """Weight alpha_c of the start-of-step load and damping force.
+
+        The averaging twin of ``displacement_weight``: alpha_m for KH
+        generalized-alpha, which weights load and damping like the
+        inertia term, and alpha_f for Newmark, HHT and generalized-alpha,
+        which weight them like the stiffness term.  Unused by the theta
+        family.
+        """
+        if self.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
+            return self.alpha_m
+        return self.alpha_f
+
     # derived filter constants of the averaging family
     @property
     def nu(self) -> float:
@@ -400,17 +414,18 @@ def local_velocity(model: LagrangianModel, v: np.ndarray) -> np.ndarray:
 class SystemState:
     """Full per-instant state owned by one simulation run.
 
-    Besides (t, q, v) it carries the auxiliary acceleration ``a`` and
-    the smooth acceleration ``a_tilde`` used by the averaging schemes,
-    the three first-order filter states (z from displacement increments,
-    x from velocity increments, y from load increments) that the energy
-    audit tracks, and previous-step caches (f_prev, v_prev) consumed by
-    the multi-step work formulas.
+    Besides (t, q, v) it carries the auxiliary acceleration ``a`` of the
+    averaging schemes and the three first-order filter states (z from
+    displacement increments, x from velocity increments, y from load
+    increments) that the energy audit tracks.  Only averaging steps
+    advance them.  A theta step carries them over from its start state
+    unchanged (the same arrays, not copies), so a state reached by theta
+    steps is restarted under another scheme with
+    ``initial_state(model, s.q, s.v, s.t)``.
 
-    Only averaging steps advance these auxiliary fields.  A theta step
-    carries them over from its start state unchanged (the same arrays,
-    not copies), so a state reached by theta steps is restarted under
-    another scheme with ``initial_state(model, s.q, s.v, s.t)``.
+    ``a_tilde``, ``f_prev`` and ``v_prev`` are set by
+    :func:`initial_state` and no step advances or reads them: every step
+    carries them over like a theta step carries ``a``.
     """
 
     t: float
@@ -433,8 +448,7 @@ class SystemState:
 def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemState:
     """Consistent start state: a0 balances the smooth equation of motion.
 
-    Filter states start at zero and the virtual previous step replicates
-    the initial data, which makes the first-step multi-step works exact.
+    Filter states start at zero.
 
     Raises:
         DimensionMismatch: q0 or v0 of the wrong length.

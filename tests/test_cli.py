@@ -357,6 +357,15 @@ run.t_end = 1.0
                      "--out", str(tmp_path)]) == 1
         assert "reference" in capsys.readouterr().err
 
+    def test_exit_two_when_tolerance_forced_to_zero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NSC_TOL", "0")
+        cfg = write_config(tmp_path, self.OSC)
+        out = tmp_path / "conv0"
+        assert main(["convergence", cfg, "--h", "1e-2,5e-3,2.5e-3", "--out", str(out)]) == 2
+        assert "violate the identity residual tolerance" in capsys.readouterr().err
+        _, rows = read_csv(out / "convergence.csv")
+        assert len(rows) == 3
+
     def test_too_few_step_sizes_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, self.OSC)
         assert main(["convergence", cfg, "--h", "1e-2,5e-3", "--out", str(tmp_path)]) == 3

@@ -180,6 +180,31 @@ class TestDiscreteWorks:
         for rec in records:
             assert rec.report.W_damping == 0.0
 
+    def test_hht_works_mix_in_the_previous_step(self, rng):
+        # the averaged works of HHT, dq.((1 - alpha) F_gamma + alpha F_gamma,prev)
+        # and its damping twin, with the previous step's mixes tracked by
+        # hand; the virtual step before the first replicates the initial data
+        model = random_model(rng, n=4, m=2, damped=True)
+        spec = SchemeSpec.hht(0.2, gamma=0.8, beta=0.5)
+        assert spec.gamma != 0.5 + spec.alpha_f
+        col = model.contact_jacobian[:, 0]
+        state = initial_state(model, np.zeros(4), -2.0 * col / (col @ col))
+        records = simulate(model, state, 1e-3, spec, 0.3)
+        assert any(rec.active_set for rec in records)
+        alpha, gamma, C = spec.alpha_f, spec.gamma, model.damping
+        f_prev, v_prev = model.force(0.0), state.v
+        for rec in records:
+            sp, sn = rec.state_prev, rec.state_next
+            f_k, f_k1 = model.force(sp.t), model.force(sn.t)
+            dq = sn.q - sp.q
+            f_mix = (1 - alpha) * ((1 - gamma) * f_k + gamma * f_k1) + alpha * (
+                (1 - gamma) * f_prev + gamma * f_k)
+            v_mix = (1 - alpha) * ((1 - gamma) * sp.v + gamma * sn.v) + alpha * (
+                (1 - gamma) * v_prev + gamma * sp.v)
+            assert rec.report.W_ext == pytest.approx(dq @ f_mix, rel=1e-12)
+            assert rec.report.W_damping == pytest.approx(-dq @ C @ v_mix, rel=1e-12)
+            f_prev, v_prev = f_k, sp.v
+
     def test_theta_scheme_hand_value(self):
         # h v_mid f_mid = 0.1 * 1.5 * 4 = 0.6
         model = build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [10.0], [0.5],

@@ -17,6 +17,7 @@ from nscontact import (
     simulate,
     step,
 )
+from nscontact.model import THETA_FAMILY
 from conftest import random_model
 
 
@@ -86,12 +87,20 @@ class TestMoreauJean:
         assert new.v == pytest.approx([expected[1]], rel=1e-13)
 
     @pytest.mark.parametrize("spec", [SchemeSpec.moreau_jean(0.7),
-                                      SchemeSpec.moreau_jean_variant(0.8)])
+                                      SchemeSpec.moreau_jean_variant(0.8),
+                                      SchemeSpec.newmark(0.6), SchemeSpec.hht(0.2),
+                                      SchemeSpec.from_rho_infinity(0.8),
+                                      SchemeSpec.kh_generalized_alpha(0.1, 0.3)])
     def test_carries_averaging_fields_over(self, spec):
+        # no step advances a_tilde, f_prev or v_prev; a theta step does not
+        # advance a or the filters either
         model = oscillator()
         state = initial_state(model, [0.2], [0.1])
         new, _ = step(model, state, 1e-3, spec)
-        for name in ("a", "a_tilde", "z", "x", "y", "f_prev", "v_prev"):
+        names = ("a_tilde", "f_prev", "v_prev")
+        if spec.variant in THETA_FAMILY:
+            names += ("a", "z", "x", "y")
+        for name in names:
             assert getattr(new, name) is getattr(state, name), name
 
 
@@ -144,31 +153,35 @@ class TestGeneralizedAlpha:
             assert s_nm.q == pytest.approx(s_mj.q, abs=1e-12)
             assert s_nm.v == pytest.approx(s_mj.v, abs=1e-12)
 
-    def test_step_relations_hold(self, rng):
+    @pytest.mark.parametrize("spec", [
+        SchemeSpec.newmark(0.6, 0.35), SchemeSpec.hht(0.2, gamma=0.8, beta=0.5),
+        SchemeSpec.from_rho_infinity(0.8),
+        SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA),
+    ], ids=["newmark", "hht", "ga", "kh"])
+    def test_step_relations_hold(self, rng, spec):
         # every defining relation of the averaging step, checked per step
         model = random_model(rng, n=4, m=2)
-        spec = SchemeSpec.from_rho_infinity(0.8)
         h = 1e-3
         # drive the first contact so the run actually produces impacts
         col = model.contact_jacobian[:, 0]
         v0 = -2.0 * col / (col @ col)
         state = initial_state(model, np.zeros(4), v0)
-        am, af, g, b = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
+        am, af, ac = spec.alpha_m, spec.alpha_f, spec.load_weight
+        g, b = spec.gamma, spec.beta
+        M, C, K = model.mass, model.damping, model.stiffness
         hits = 0
         for _ in range(300):
             new, rec = step(model, state, h, spec)
             scale = 1.0 + np.abs(new.v).max() + np.abs(rec.P).max()
-            # smooth balance at the step end
-            r1 = (model.mass @ new.a_tilde + model.stiffness @ new.q
-                  + model.damping @ new.v - model.force(new.t))
-            assert np.abs(r1).max() < 1e-11 * scale
-            # averaging recurrence between auxiliary and smooth accelerations
-            r2 = ((1 - am) * new.a + am * state.a
-                  - (1 - af) * new.a_tilde - af * state.a_tilde)
-            assert np.abs(r2).max() < 1e-11 * scale
+            # the generalized-alpha balance with load weight alpha_c
+            s = (1 - am) * new.a + am * state.a
+            r = (M @ s - (1 - ac) * (model.force(new.t) - C @ new.v)
+                 - ac * (model.force(state.t) - C @ state.v)
+                 + (1 - af) * K @ new.q + af * K @ state.q)
+            assert np.abs(r).max() < 1e-11 * scale
             # impulse correction and kinematics
             w = rec.w_corr
-            assert np.abs(model.mass @ w - model.contact_jacobian @ rec.P).max() < 1e-11 * scale
+            assert np.abs(M @ w - model.contact_jacobian @ rec.P).max() < 1e-11 * scale
             v_pred = state.v + h * ((1 - g) * state.a + g * new.a)
             q_pred = (state.q + h * state.v
                       + h * h * ((0.5 - b) * state.a + b * new.a))

@@ -1,10 +1,11 @@
 """Property tests: the per-step energy identity holds for every variant,
 and Lemke agrees with the enumeration oracle on singular Delassus matrices.
 
-For the identity, hypothesis draws the scheme parameters and a damped,
-sinusoidally forced random model (see ``conftest.random_model``),
-optionally with a stiffness scaled by 1e4 and with one contact column
-duplicated, which makes the contact jacobian rank-deficient and the
+For the identity, hypothesis draws the scheme parameters (including
+generalized-alpha, KH and HHT weights with gamma and beta off the
+second-order balance) and a damped, sinusoidally forced random model
+(see ``conftest.random_model``), optionally with a stiffness scaled by
+1e4 and with one contact column duplicated, which makes the contact jacobian rank-deficient and the
 Delassus matrix singular.  Every gap starts closed and closing, so the
 first steps solve multi-contact LCPs.  The identity gate is the
 unchanged 1e-10 default.
@@ -33,6 +34,14 @@ def unit(lo=0.0, hi=1.0):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def free_averaging(params):
+    """Generalized-alpha weights with gamma and beta off the second-order balance."""
+    variant, alpha_m, alpha_f, gamma, beta = params
+    if variant is SchemeVariant.NONSMOOTH_HHT:
+        alpha_m, alpha_f = 0.0, alpha_f * 2.0 / 3.0
+    return SchemeSpec.generalized_alpha(alpha_m, alpha_f, gamma, beta, variant=variant)
+
+
 SPECS = st.one_of(
     unit().map(SchemeSpec.moreau_jean),
     unit().map(SchemeSpec.moreau_jean_variant),
@@ -42,6 +51,11 @@ SPECS = st.one_of(
     unit().map(SchemeSpec.from_rho_infinity),
     unit().map(lambda rho: SchemeSpec.from_rho_infinity(
         rho, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)),
+    st.tuples(st.sampled_from([SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA,
+                               SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA,
+                               SchemeVariant.NONSMOOTH_HHT]),
+              unit(-0.5, 0.4), unit(0.0, 0.5), unit(0.5, 1.0), unit(0.0, 1.0),
+              ).map(free_averaging),
 )
 
 

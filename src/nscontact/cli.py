@@ -57,9 +57,12 @@ class RunConfig:
         env = os.environ.get("NSC_TOL")
         if env is not None:
             try:
-                return float(env)
+                tol = float(env)
             except ValueError as exc:
                 raise ConfigError(f"NSC_TOL is not a number: {env!r}") from exc
+            if not 0.0 <= tol < math.inf:
+                raise ConfigError(f"NSC_TOL must be finite and nonnegative, got {env!r}")
+            return tol
         if self.tol is not None:
             return self.tol
         return DEFAULT_AUDIT_TOL
@@ -166,8 +169,11 @@ def parse_config(path) -> RunConfig:
                                       line=lineno)
                 cfg.solver = value
             else:
-                setattr(cfg, "tol" if name == "tol" else name,
-                        _number(value, key, lineno))
+                number = _number(value, key, lineno)
+                if not math.isfinite(number) or (name == "tol" and number < 0.0):
+                    rule = "finite and nonnegative" if name == "tol" else "finite"
+                    raise ConfigError(f"{key} must be {rule}, got '{value}'", line=lineno)
+                setattr(cfg, name, number)
         else:
             raise ConfigError(f"unknown section '{section}'", line=lineno)
 
@@ -261,10 +267,12 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
     def audit_rows():
         for rec, good in zip(records, ok):
             rep = rec.report
+            # both condition columns carry the one flag; the worst-restitution
+            # form of the condition equals the per-contact one
+            cond = _flag(rep.condition_satisfied)
             yield (rec.step_index + 1, rec.state_next.t, rep.identity_residual,
-                   rep.residual_scale, rep.energy_gain, _flag(rep.condition_satisfied),
-                   _flag(rep.condition_satisfied_max_e), _flag(rep.dissipation_satisfied),
-                   _flag(good))
+                   rep.residual_scale, rep.energy_gain, cond, cond,
+                   _flag(rep.dissipation_satisfied), _flag(good))
 
     _write_csv(out / "audit.csv",
                ["step", "t", "identity_residual", "residual_scale", "energy_gain",

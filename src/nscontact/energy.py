@@ -1,41 +1,44 @@
-"""Per-step energy audit: works, algorithmic energies, exact identities.
+"""Per-step energy audit: works, algorithmic energies, one exact identity.
 
-The six schemes form two families, and each family satisfies one exact
-algebraic energy identity per step.  Its residual on a correctly
-implemented step is pure roundoff, so the audit doubles as the primary
-correctness oracle for the integrators.  Notation: |x|_A^2 = x^T A x,
-dx = x_{k+1} - x_k, x_c = (1 - c) x_k + c x_{k+1}, and U = G^T v.
+Both scheme families satisfy one exact algebraic energy identity per
+step, with a row of per-run coefficients (:class:`AuditConstants`) that
+:func:`audit_constants` sets from the family.  Its residual on a
+correctly implemented step is pure roundoff, so the audit doubles as
+the primary correctness oracle for the integrators.  Notation:
+|x|_A^2 = x^T A x, dx = x_{k+1} - x_k, x_c = (1 - c) x_k + c x_{k+1},
+U = G^T v, E = (1/2)|v|_M^2 + (1/2)|q|_K^2 and
+H = E + c_a |a|_M^2 + c_z |z|_K^2:
 
-Theta family (Moreau-Jean: w = theta; midpoint variant: w = 1/2), with
-E = (1/2)|v|_M^2 + (1/2)|q|_K^2, W_ext = h v_w.F_theta and
-W_damping = -h v_w.C v_theta:
+    H_{k+1} - H_k - W_ext - W_damping + phi dq.(y_c - C x_c)
+        = U_w.P + k_v |dv|_M^2 + k_a |da|_M^2 + k_q |dq|_K^2 + k_z |dz|_K^2
 
-    E_{k+1} - E_k - W_ext - W_damping
-        = (1/2 - w)|dv|_M^2 + (1/2 - theta)|dq|_K^2 + U_w.P
+with W_ext = dq.F_c and W_damping = -dq.C v_c, and w the scheme's
+displacement weight.  The two rows, with nu = 1/2 - alpha_m and
+eta = alpha_f - alpha_m:
 
-Averaging family (Newmark, HHT, generalized-alpha and KH, all cases of
-generalized-alpha with nu = 1/2 - alpha_m, eta = alpha_f - alpha_m), with
-H = E + (h^2/4)(2 beta - gamma)|a|_M^2 + c_z |z|_K^2, W_ext = dq.F_gamma
-and W_damping = -dq.C v_gamma:
+    coefficient  theta family   averaging family
+    c            theta          gamma
+    c_a          0              (h^2/4)(2 beta - gamma)
+    c_z          0              eta/(2 nu^2) (nu - (gamma - 1/2)), 0 if eta or nu is 0
+    k_v          1/2 - w        0
+    k_a          0              -(h^2/2)(gamma - 1/2)(2 beta - gamma)
+    k_q          1/2 - theta    eta + 1/2 - gamma
+    k_z          0              (eta/nu)(gamma - nu - 1/2), 0 if eta = 0
 
-    H_{k+1} - H_k - W_ext - W_damping [+ (eta/nu) dq.(y_gamma - C x_gamma)]
-        = U_w.P - (h^2/2)(gamma - 1/2)(2 beta - gamma)|da|_M^2
-          + (eta + 1/2 - gamma)|dq|_K^2 + (eta/nu)(gamma - nu - 1/2)|dz|_K^2
-
-z, x, y filter the displacement, velocity and load increments by a
-midpoint rule on the time scale nu*h; the z term vanishes with eta
-(Newmark).  The bracketed filter work enters for generalized-alpha on
-the left.  HHT's averaged works dq.((1 - alpha) F_gamma + alpha
-F_gamma,prev) and its damping twin absorb it instead: at nu = 1/2 the
-filters are y = dF/2 and x = dv/2, so W_ext = dq.(F_gamma -
-(eta/nu) y_gamma) and W_damping = -dq.C(v_gamma - (eta/nu) x_gamma).
-The averaging family's displacement weight is w = 1/2, so both families
-share the one contact term U_w.P.
+In the theta family dq = h v_w, so the works are h v_w.F_theta and
+-h v_w.C v_theta, and H = E.  z, x, y filter the displacement,
+velocity and load increments by a midpoint rule on the time scale
+nu*h.  The filter work phi = eta/nu enters on the left for
+generalized-alpha and is zero for Newmark, KH and the theta family.
+HHT's averaged works dq.((1 - alpha) F_gamma + alpha F_gamma,prev) and
+their damping twin absorb it instead: at nu = 1/2 the filters are
+y = dF/2 and x = dv/2, so HHT reports W_ext = dq.(F_gamma - (eta/nu)
+y_gamma) and W_damping = -dq.C(v_gamma - (eta/nu) x_gamma).
 
 For w = 1/2 the contact term is provably nonpositive, as is the damping
 work for positive semi-definite damping.  The dissipation flag asserts
-gain = dE (or dH) - W_ext - W_damping <= 0; the condition flags report
-whether the scheme parameters lie in the region that guarantees it.
+gain = dH - W_ext - W_damping <= 0; the condition flag reports whether
+the scheme parameters lie in the region that guarantees it.
 
 All functions are pure over immutable inputs and safe to call
 concurrently across steps and runs.
@@ -69,11 +72,9 @@ class EnergyReport:
     step start and end; the identity relates their change to the works
     and the contact term.  For the theta-schemes H equals E.
 
-    ``condition_satisfied`` reports the per-contact parameter condition
-    of the scheme's dissipation statement; ``condition_satisfied_max_e``
-    evaluates the same bound through the worst restitution coefficient
-    only.  Quantified over every contact the two are equivalent; both
-    are reported for transparency.
+    ``condition_satisfied`` reports whether the scheme parameters meet
+    the condition of the scheme's dissipation statement for every
+    contact's restitution coefficient.
     """
 
     E_prev: float
@@ -88,7 +89,6 @@ class EnergyReport:
     energy_gain: float
     dissipation_satisfied: bool
     condition_satisfied: bool
-    condition_satisfied_max_e: bool
 
     def identity_ok(self, tol: float = DEFAULT_AUDIT_TOL) -> bool:
         """Whether |residual| <= tol * residual_scale; a NaN or infinite residual fails."""
@@ -97,45 +97,60 @@ class EnergyReport:
 
 
 class AuditConstants(NamedTuple):
-    """Audit quantities fixed by (model, spec, h), computed once per run."""
+    """The identity's coefficient row, fixed by (model, spec, h) and computed once per run.
+
+    Names follow the module docstring: ``accel_coeff`` and
+    ``filter_coeff`` are c_a and c_z, ``work_weight`` is c, the ``d*``
+    fields are k_v, k_a, k_q and k_z, ``filter_left`` is phi, and
+    ``filter_works`` is the filter-work weight HHT's works absorb.
+    Unset weights are zero.
+    """
 
     condition: bool
-    condition_max_e: bool
-    accel_coeff: float     # weight of a^T M a in H
-    filter_coeff: float    # weight of z^T K z in H
-
-
-def _h_weights(spec: SchemeSpec, h: float) -> tuple[float, float]:
-    """Weights of a^T M a and z^T K z in H.
-
-    The z weight is zero whenever eta or nu vanishes (the filter state
-    is identically zero for nu = 0, so nothing is lost).
-    """
-    nu, eta = spec.nu, spec.eta
-    accel = 0.25 * h**2 * (2.0 * spec.beta - spec.gamma)
-    if eta == 0.0 or nu == 0.0:
-        return accel, 0.0
-    return accel, eta / (2.0 * nu**2) * (nu - (spec.gamma - 0.5))
+    work_weight: float
+    accel_coeff: float = 0.0
+    filter_coeff: float = 0.0
+    dv_coeff: float = 0.0
+    da_coeff: float = 0.0
+    dq_coeff: float = 0.0
+    dz_coeff: float = 0.0
+    filter_left: float = 0.0
+    filter_works: float = 0.0
 
 
 def audit_constants(model: LagrangianModel, spec: SchemeSpec, h: float) -> AuditConstants:
-    """Parameter conditions and energy weights shared by every step of a run."""
-    cond, cond_max = _parameter_conditions(model, spec)
+    """The parameter condition and coefficient row shared by every step of a run."""
+    cond = _parameter_conditions(model, spec)
     if spec.variant in THETA_FAMILY:
-        return AuditConstants(cond, cond_max, 0.0, 0.0)
-    return AuditConstants(cond, cond_max, *_h_weights(spec, h))
+        th = spec.theta
+        return AuditConstants(cond, work_weight=th, dv_coeff=0.5 - spec.displacement_weight,
+                              dq_coeff=0.5 - th)
+    nu, eta, gamma, r = spec.nu, spec.eta, spec.gamma, spec.eta_over_nu
+    accel = 2.0 * spec.beta - gamma
+    return AuditConstants(
+        cond, work_weight=gamma, accel_coeff=0.25 * h**2 * accel,
+        # the filter state is identically zero for nu = 0, so nothing is lost
+        filter_coeff=(0.0 if eta == 0.0 or nu == 0.0
+                      else eta / (2.0 * nu**2) * (nu - (gamma - 0.5))),
+        da_coeff=-(0.5 * h**2 * (gamma - 0.5) * accel), dq_coeff=eta + 0.5 - gamma,
+        dz_coeff=0.0 if eta == 0.0 else r * (gamma - nu - 0.5),
+        filter_left=r if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA else 0.0,
+        filter_works=r if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0)
 
 
 def _energy(model: LagrangianModel, q: np.ndarray, v: np.ndarray) -> float:
     return 0.5 * float(v @ model.mass @ v) + 0.5 * float(q @ model.stiffness @ q)
 
 
+def _quad(coeff: float, mat: np.ndarray, vec: np.ndarray) -> float:
+    """coeff |vec|_mat^2; a zero weight skips the matrix product."""
+    return coeff * float(vec @ mat @ vec) if coeff else 0.0
+
+
 def _algorithmic(model: LagrangianModel, state: SystemState, energy: float,
-                 accel_coeff: float, filter_coeff: float) -> float:
-    value = energy + accel_coeff * float(state.a @ model.mass @ state.a)
-    if filter_coeff != 0.0:
-        value += filter_coeff * float(state.z @ model.stiffness @ state.z)
-    return value
+                 row: AuditConstants) -> float:
+    return (energy + _quad(row.accel_coeff, model.mass, state.a)
+            + _quad(row.filter_coeff, model.stiffness, state.z))
 
 
 def advance_filters(spec: SchemeSpec, state_prev: SystemState,
@@ -164,34 +179,8 @@ def _mix(prev: np.ndarray, next_: np.ndarray, weight: float) -> np.ndarray:
     return weight * next_ + (1.0 - weight) * prev
 
 
-def _works(model: LagrangianModel, spec: SchemeSpec, h: float, sp: SystemState,
-           sn: SystemState, f_k: np.ndarray, f_k1: np.ndarray,
-           dq: np.ndarray) -> tuple[float, float]:
-    C = model.damping
-    if spec.variant in THETA_FAMILY:
-        th = spec.theta
-        v_w = _mix(sp.v, sn.v, spec.displacement_weight)
-        v_th = _mix(sp.v, sn.v, th)
-        return h * float(v_w @ _mix(f_k, f_k1, th)), -h * float(v_w @ C @ v_th)
-    gamma = spec.gamma
-    w_ext = float(dq @ _mix(f_k, f_k1, gamma))
-    w_damp = -float(dq @ C @ _mix(sp.v, sn.v, gamma))
-    if spec.variant is SchemeVariant.NONSMOOTH_HHT:
-        # HHT mixes in the previous step's works with weight alpha.  At
-        # nu = 1/2 the filters hold exactly half the last load and
-        # velocity increments, so that mix is the filter work.
-        r = spec.eta_over_nu
-        w_ext -= r * float(dq @ _mix(sp.y, sn.y, gamma))
-        w_damp += r * float(dq @ C @ _mix(sp.x, sn.x, gamma))
-    return w_ext, w_damp
-
-
-def _norm_sq(mat: np.ndarray, vec: np.ndarray) -> float:
-    return float(vec @ mat @ vec)
-
-
-def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[bool, bool]:
-    """Per-contact and worst-restitution forms of the parameter condition.
+def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> bool:
+    """Whether the parameters meet the dissipation condition for every contact.
 
     Comparisons carry a small slack because the standard parameter
     constructions sit exactly on the boundary of their conditions
@@ -200,16 +189,15 @@ def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[boo
     """
     slack = 1e-12
     if spec.variant in THETA_FAMILY:
-        # theta >= 1/2 and w <= 1/(1 + e); the midpoint weight w = 1/2
-        # meets the second bound for every e in [0, 1]
-        lower = spec.theta >= 0.5 - slack
-        w, e = spec.displacement_weight, model.restitution
-        return (bool(lower and np.all(w <= 1.0 / (1.0 + e) + slack)),
-                bool(lower and w <= 1.0 / (1.0 + e.max(initial=0.0)) + slack))
+        # theta >= 1/2 and w <= 1/(1 + e) for every e; the bound is
+        # monotone in e, so the largest coefficient decides.  The
+        # midpoint weight w = 1/2 meets it for every e in [0, 1]
+        return bool(spec.theta >= 0.5 - slack and spec.displacement_weight
+                    <= 1.0 / (1.0 + model.restitution.max()) + slack)
     gamma, beta = spec.gamma, spec.beta
     base = bool(2 * beta >= gamma - slack and gamma >= 0.5 - slack)
     if spec.variant is SchemeVariant.NONSMOOTH_NEWMARK:
-        return base, base
+        return base
     region = bool(base and -slack <= spec.eta <= gamma - 0.5 + slack
                   and gamma - 0.5 <= spec.nu + slack)
     if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA:
@@ -217,20 +205,21 @@ def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> tuple[boo
         # load/velocity filter terms vanish: no damping, constant loading.
         region = (region and not model.damping.any()
                   and model.forcing.kind.value in ("zero", "constant"))
-    return region, region
+    return region
 
 
 def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
                record: StepRecord, tol: float = DEFAULT_AUDIT_TOL, *,
                constants: AuditConstants | None = None,
                prev_energies: tuple[float, float] | None = None) -> EnergyReport:
-    """Audit one step against the scheme's exact energy identity.
+    """Audit one step against the exact energy identity of the module docstring.
 
-    Every term of the identity is computed once and shared by the
-    identity residual, the energy gain dE (or dH) - W_ext - W_damping,
-    its audit scale and the dissipation flag.  The residual is zero up
-    to roundoff for a correct step; this is the primary correctness
-    oracle of the package.
+    The identity is evaluated with the run's coefficient row, and every
+    term is computed once and shared by the identity residual, the
+    energy gain dH - W_ext - W_damping, its audit scale
+    1 + max(|dE|, |dH|, |W_ext|) and the dissipation flag.  The residual
+    is zero up to roundoff for a correct step; this is the primary
+    correctness oracle of the package.
 
     A run passes ``constants`` from :func:`audit_constants` and
     ``prev_energies``, the (E, H) of ``record.state_prev``, which the
@@ -238,56 +227,40 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
     are computed here.  The record is not modified; the caller attaches
     the returned report.
     """
-    consts = audit_constants(model, spec, h) if constants is None else constants
+    row = audit_constants(model, spec, h) if constants is None else constants
     sp, sn = record.state_prev, record.state_next
-    M, K, C = model.mass, model.stiffness, model.damping
-    theta_family = spec.variant in THETA_FAMILY
+    M, K = model.mass, model.stiffness
+    c = row.work_weight
 
     e_next = _energy(model, sn.q, sn.v)
-    h_next = e_next if theta_family else _algorithmic(
-        model, sn, e_next, consts.accel_coeff, consts.filter_coeff)
+    h_next = _algorithmic(model, sn, e_next, row)
     if prev_energies is None:
         e_prev = _energy(model, sp.q, sp.v)
-        h_prev = e_prev if theta_family else _algorithmic(
-            model, sp, e_prev, consts.accel_coeff, consts.filter_coeff)
+        h_prev = _algorithmic(model, sp, e_prev, row)
     else:
         e_prev, h_prev = prev_energies
 
     dq = sn.q - sp.q
-    w_ext, w_damp = _works(model, spec, h, sp, sn, model.force(sp.t), model.force(sn.t), dq)
+    dq_c = dq @ model.damping
+    filter_y = filter_x = 0.0
+    if row.filter_left or row.filter_works:
+        filter_y = float(dq @ _mix(sp.y, sn.y, c))
+        filter_x = float(dq_c @ _mix(sp.x, sn.x, c))
+    f_c = _mix(model.force(sp.t), model.force(sn.t), c)
+    w_ext = float(dq @ f_c) - row.filter_works * filter_y
+    w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + row.filter_works * filter_x
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
     w_contact = _mix(up, un, spec.displacement_weight)
-    dE = e_next - e_prev
-    gain = h_next - h_prev - w_ext - w_damp
-    kdq = _norm_sq(K, dq)
-
-    if theta_family:
-        w = spec.displacement_weight
-        residual = (gain - (0.5 - w) * _norm_sq(M, sn.v - sp.v)
-                    - (0.5 - spec.theta) * kdq - w_contact)
-    else:
-        gamma, eta = spec.gamma, spec.eta
-        accel_sq = (0.5 * h**2 * (gamma - 0.5) * (2 * spec.beta - gamma)
-                    * _norm_sq(M, sn.a - sp.a))
-        rhs = w_contact - accel_sq + (eta + 0.5 - gamma) * kdq
-        if eta != 0.0:
-            rhs += spec.eta_over_nu * (gamma - spec.nu - 0.5) * _norm_sq(K, sn.z - sp.z)
-        lhs = gain
-        if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA:
-            # full averaging scheme: the load/velocity filters appear on the left
-            lhs += spec.eta_over_nu * float(
-                dq @ (_mix(sp.y, sn.y, gamma) - C @ _mix(sp.x, sn.x, gamma)))
-        residual = lhs - rhs
-
-    if theta_family:
-        scale = 1.0 + max(abs(dE), abs(w_ext))
-    else:
-        scale = 1.0 + max(abs(dE), abs(h_next - h_prev), abs(w_ext))
+    dH = h_next - h_prev
+    gain = dH - w_ext - w_damp
+    residual = gain + row.filter_left * (filter_y - filter_x) - (
+        w_contact + _quad(row.dv_coeff, M, sn.v - sp.v) + _quad(row.da_coeff, M, sn.a - sp.a)
+        + _quad(row.dq_coeff, K, dq) + _quad(row.dz_coeff, K, sn.z - sp.z))
+    scale = 1.0 + max(abs(e_next - e_prev), abs(dH), abs(w_ext))
     return EnergyReport(E_prev=e_prev, H_prev=h_prev, E=e_next, H_alg=h_next,
                         W_ext=w_ext, W_damping=w_damp,
                         W_contact_step=w_contact,
                         identity_residual=residual, residual_scale=scale,
                         energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),
-                        condition_satisfied=consts.condition,
-                        condition_satisfied_max_e=consts.condition_max_e)
+                        condition_satisfied=row.condition)

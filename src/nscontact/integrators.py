@@ -1,11 +1,14 @@
 """One-step maps for the event-capturing contact schemes.
 
-All schemes share the same skeleton: eliminate the smooth unknowns onto
-the contact impulses through a factorized iteration matrix, forecast the
-active contact set, try the free-flight step first, and only assemble
-and solve the complementarity problem when the free velocities violate
-the impact law.  Impulses (not forces) are the contact unknowns, so the
-steps stay consistent when an impact happens inside the step.
+Every scheme solves one weighted balance (see
+:class:`IterationMatrixCache`); the two families differ only in the
+per-run weights ``build_cache`` sets.  A step eliminates the smooth
+unknowns onto the contact impulses through a factorized iteration
+matrix, forecasts the active contact set, tries the free-flight step
+first, and only assembles and solves the complementarity problem when
+the free velocities violate the impact law.  Impulses (not forces) are
+the contact unknowns, so the steps stay consistent when an impact
+happens inside the step.
 
 The iteration matrices are positive definite for every step size h > 0
 because the model validator guarantees a positive definite mass matrix
@@ -17,6 +20,7 @@ reproducible for identical inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +64,27 @@ def active_set(model: LagrangianModel, state: SystemState, h: float) -> tuple[in
 
 @dataclass
 class IterationMatrixCache:
-    """Factorized per-step linear algebra, valid for one (model, spec, h).
+    """Factorized iteration matrix and step weights, valid for one (model, spec, h).
 
-    ``impulse_to_velocity`` maps the full impulse vector to the velocity
-    change it induces, and ``delassus`` is its contact-space restriction
-    G^T V used to assemble the complementarity matrix on the active set.
-    ``coupling`` carries the impulse influence on the acceleration-type
-    unknown of the averaging schemes (zero columns for the theta schemes,
-    where the velocity is the only eliminated unknown).
+    Both families solve one weighted balance for an unknown s,
+
+        M s = sigma [(1 - alpha_c)(F_{k+1} - C v_{k+1}) + alpha_c (F_k - C v_k)
+                     - (1 - alpha_f) K q_{k+1} - alpha_f K q_k]
+
+    with v_{k+1} = pred_v + g s, q_{k+1} = pred_q + b s,
+    pred_v = v_k + pred_v_a a_k and pred_q = q_k + h v_k + pred_q_a a_k.
+    The theta family has s = dv, sigma = h, alpha_c = alpha_f = 1 - theta,
+    g = 1, b = h w and no ``a`` terms; the averaging family has
+    s = (1 - alpha_m) a_{k+1} + alpha_m a_k, sigma = 1 and the gains
+    g = h gamma / (1 - alpha_m), b = h^2 beta / (1 - alpha_m).
+
+    ``impulse_to_s``, ``impulse_to_velocity`` and
+    ``impulse_to_displacement`` map the full impulse vector to its share
+    of s, v_{k+1} and q_{k+1}.  A theta impulse enters the balance; an
+    averaging impulse corrects the velocity by M^-1 G P and the
+    displacement by half a step of that, and s responds through the
+    balance.  ``delassus`` is G^T times the velocity map, restricted to
+    the active set when the complementarity matrix is assembled.
     """
 
     model: LagrangianModel = field(repr=False)
@@ -75,9 +92,17 @@ class IterationMatrixCache:
     h: float
     iter_cho: tuple
     minv_g: np.ndarray
+    sigma: float
+    alpha_c: float
+    alpha_f: float
+    g: float
+    b: float
+    pred_v_a: float
+    pred_q_a: float
+    impulse_to_s: np.ndarray
     impulse_to_velocity: np.ndarray
+    impulse_to_displacement: np.ndarray
     delassus: np.ndarray
-    coupling: np.ndarray
 
     def matches(self, model: LagrangianModel, spec: SchemeSpec, h: float) -> bool:
         # identity, not id(): holding the model keeps its id from being
@@ -93,29 +118,30 @@ def _factor(matrix: np.ndarray) -> tuple:
     return factor
 
 
-def _gains(spec: SchemeSpec, h: float) -> tuple[float, float]:
-    """Velocity and displacement gains g, b of the averaging unknown s."""
-    return h * spec.gamma / (1 - spec.alpha_m), h**2 * spec.beta / (1 - spec.alpha_m)
-
-
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
     M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
     minv_g = model.solve_mass(G)
     if spec.variant in THETA_FAMILY:
-        th = spec.theta
-        iter_cho = _factor(M + h * th * C + h**2 * (th * spec.displacement_weight) * K)
-        impulse_to_velocity = cho_solve(iter_cho, G)
-        coupling = np.zeros_like(G)
+        sigma, ac = h, 1.0 - spec.theta
+        af, g, b = ac, 1.0, h * spec.displacement_weight
+        pred_v_a = pred_q_a = 0.0
+        # the impulse enters the balance and moves v and q only through s
+        enters, direct_v, direct_q = 1.0, 0.0, 0.0
     else:
-        ac, af = spec.load_weight, spec.alpha_f
-        g, b = _gains(spec, h)
-        iter_cho = _factor(M + (1 - ac) * g * C + (1 - af) * b * K)
-        load = (1 - ac) * C + (1 - af) * (h / 2) * K
-        coupling = cho_solve(iter_cho, load @ minv_g)
-        impulse_to_velocity = minv_g - g * coupling
-    delassus = G.T @ impulse_to_velocity
-    return IterationMatrixCache(model, spec, h, iter_cho, minv_g,
-                                impulse_to_velocity, delassus, coupling)
+        am, gamma, beta = spec.alpha_m, spec.gamma, spec.beta
+        sigma, ac, af = 1.0, spec.load_weight, spec.alpha_f
+        g, b = h * gamma / (1 - am), h**2 * beta / (1 - am)
+        pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h**2 * (0.5 - beta) - b * am
+        enters, direct_v, direct_q = 0.0, 1.0, 0.5 * h
+    iter_cho = _factor(M + sigma * (1 - ac) * g * C + sigma * (1 - af) * b * K)
+    # impulse share of s: G P where the impulse enters the balance, less the
+    # balance forces of its direct velocity and displacement corrections
+    load = sigma * (1 - ac) * direct_v * C + sigma * (1 - af) * direct_q * K
+    to_s = cho_solve(iter_cho, enters * G - load @ minv_g)
+    to_v = direct_v * minv_g + g * to_s
+    to_q = direct_q * minv_g + b * to_s
+    return IterationMatrixCache(model, spec, h, iter_cho, minv_g, sigma, ac, af, g, b,
+                                pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v)
 
 
 def _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol):
@@ -147,72 +173,50 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
          step_index=0):
     """Advance one step with the scheme ``spec`` names.
 
-    The theta family eliminates the end velocity: the velocity balance
-    and both force-like terms are weighted between the step endpoints by
-    theta, and the displacement follows the velocity weighted by
-    ``spec.displacement_weight`` (theta for Moreau-Jean, 1/2 for the
-    midpoint variant).  The averaging family (Newmark, HHT,
-    generalized-alpha and KH) solves one generalized-alpha balance for
-    s = (1 - alpha_m) a_{k+1} + alpha_m a_k:
-
-        M s = (1 - alpha_c)(F_{k+1} - C v_{k+1}) + alpha_c (F_k - C v_k)
-              - (1 - alpha_f) K q_{k+1} - alpha_f K q_k
-
-    with alpha_c = ``spec.load_weight``; the variants differ only in
-    their weights.  The velocity and displacement follow s with the
-    gains h gamma / (1 - alpha_m) and h^2 beta / (1 - alpha_m).  In the
-    averaging family the contact impulse corrects the velocity directly
-    and the displacement with half a step's worth of that correction.
+    Every scheme solves the one weighted balance of
+    :class:`IterationMatrixCache` with the weights ``build_cache`` set
+    for its family: a free step, then, when the active set is nonempty,
+    the impulse tail v += V P, q += Q P, s += S P.  Theta schemes carry
+    ``a`` and the filters over from the start state; averaging steps
+    recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m) and advance the
+    filters.
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
-    M, C, K = model.mass, model.damping, model.stiffness
-    theta_family = spec.variant in THETA_FAMILY
+    C, K = model.damping, model.stiffness
+    ac, af = cache.alpha_c, cache.alpha_f
     t0 = state.t
     f_k = model.force(t0)
     f_k1 = model.force(t0 + h)
 
-    if theta_family:
-        th, w = spec.theta, spec.displacement_weight
-        rhs = (M @ state.v - h * K @ (state.q + h * th * (1 - w) * state.v)
-               - h * (1 - th) * C @ state.v + h * ((1 - th) * f_k + th * f_k1))
-        v_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
-    else:
-        am, af, ac = spec.alpha_m, spec.alpha_f, spec.load_weight
-        gamma, beta = spec.gamma, spec.beta
-        g, b = _gains(spec, h)
-        # v_{k+1} = pred_v + g s and q_{k+1} = pred_q + b s before the impulse
-        pred_v = state.v + (h * (1 - gamma) - g * am) * state.a
-        pred_q = state.q + h * state.v + (h**2 * (0.5 - beta) - b * am) * state.a
-        rhs = ((1 - ac) * f_k1 + ac * f_k - C @ ((1 - ac) * pred_v + ac * state.v)
-               - K @ ((1 - af) * pred_q + af * state.q))
-        s_free = cho_solve(cache.iter_cho, rhs, check_finite=False)
-        v_free = pred_v + g * s_free
+    pred_v = state.v + cache.pred_v_a * state.a
+    pred_q = state.q + h * state.v + cache.pred_q_a * state.a
+    rhs = cache.sigma * ((1 - ac) * f_k1 + ac * f_k
+                         - C @ ((1 - ac) * pred_v + ac * state.v)
+                         - K @ ((1 - af) * pred_q + af * state.q))
+    s = cho_solve(cache.iter_cho, rhs, check_finite=False)
+    v1 = pred_v + cache.g * s
+    q1 = pred_q + cache.b * s
 
-    P, act, u_prev = _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol)
-    w_corr = cache.minv_g @ P
-    if theta_family:
-        v1 = v_free + cache.impulse_to_velocity @ P
-        q1 = state.q + h * ((1 - w) * state.v + w * v1)
-        a1 = state.a
-    else:
-        s = s_free - cache.coupling @ P
-        a1 = (s - am * state.a) / (1 - am)
-        v1 = pred_v + g * s + w_corr
-        q1 = pred_q + b * s + 0.5 * h * w_corr
+    P, act, u_prev = _solve_contact(model, state, h, cache, v1, lcp_solver, lcp_tol)
+    if act:
+        v1 += cache.impulse_to_velocity @ P
+        q1 += cache.impulse_to_displacement @ P
+        s += cache.impulse_to_s @ P
     # a_tilde, f_prev and v_prev are never advanced; a theta step carries
     # a and the filters over as well
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=a1, a_tilde=state.a_tilde,
+    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=state.a, a_tilde=state.a_tilde,
                             z=state.z, x=state.x, y=state.y,
                             f_prev=state.f_prev, v_prev=state.v_prev)
-    if not theta_family:
+    if spec.variant not in THETA_FAMILY:
+        new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
             spec, state, new_state, f_k1 - f_k)
 
     pen = float(max(0.0, -gap(model, q1).min(initial=0.0)))
     return new_state, StepRecord(step_index=step_index, state_prev=state,
                                  state_next=new_state, P=P, U_prev=u_prev,
-                                 U_next=local_velocity(model, v1), w_corr=w_corr,
+                                 U_next=local_velocity(model, v1), w_corr=cache.minv_g @ P,
                                  active_set=act, penetration=pen)
 
 
@@ -230,8 +234,10 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
             including a step whose new displacement or velocity is not
             finite.
     """
-    if h <= 0.0:
-        raise SimulationError("step size must be positive", step_index=-1)
+    if not 0.0 < h < math.inf:
+        raise SimulationError("step size must be positive and finite", step_index=-1)
+    if not math.isfinite(t_end):
+        raise SimulationError("end time must be finite", step_index=-1)
     n_steps = int(np.floor((t_end - initial_state.t) / h + 1e-9))
     records: list[StepRecord] = []
     state = initial_state

@@ -1,0 +1,35 @@
+"""The benchmark's hooks still see what its checks count.
+
+The benchmark in ``perfbench/`` wraps ``integrators.step``,
+``energy.audit_step`` and the other functions it traces at the names
+their callers look them up by, and reads record and state fields to
+count work.  Each workload's audited command runs once here, at the
+benchmark's short smoke length, under its counting wrappers, and must
+pass the checks the benchmark turns into failed operations.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_counted_command_passes_the_benchmark_checks(tmp_path, name):
+    command = workloads.Command(name, 7, True, tmp_path)
+    counts, _cpu, _wall = tracing.Instrument(timed=False).run_command(command)
+    result = command.finish()
+    assert result.ok, result.detail
+    steps = workloads.WORKLOADS[name].steps(True)
+    assert counts.steps == steps
+    assert counts.audit_calls == steps
+    assert counts.gate_violations == 0
+    assert counts.retained_bytes > 0
+    _cpu, _wall, digest, noaudit_steps = workloads.noaudit(command)
+    assert noaudit_steps == steps
+    assert digest == workloads.final_state_digest(counts.final_states)

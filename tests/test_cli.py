@@ -78,7 +78,7 @@ def reference_csvs(records, tol):
         audit.append(",".join([str(rec.step_index + 1), _fmt(rec.state_next.t),
                                _fmt(rep.identity_residual), _fmt(rep.residual_scale),
                                _fmt(rep.energy_gain), _fmt(rep.condition_satisfied),
-                               _fmt(rep.condition_satisfied_max_e),
+                               _fmt(rep.condition_satisfied),
                                _fmt(rep.dissipation_satisfied), _fmt(not bad)]))
     return "\n".join(lines) + "\n", "\n".join(audit) + "\n"
 
@@ -132,6 +132,15 @@ class TestConfigParsing:
             "scheme.variant = newmark\nscheme.gamma = 0.8\nscheme.beta_rule = half_gamma\n")
         spec = parse_config(write_config(tmp_path, text)).scheme_spec()
         assert spec.beta == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("line", ["run.h = nan", "run.t_end = nan", "run.t_end = inf",
+                                      "run.h = -inf", "run.tol = nan", "run.tol = inf",
+                                      "run.tol = -1e-10"])
+    def test_non_finite_or_negative_run_controls_rejected(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        path = write_config(tmp_path, BALL_CONFIG + line + "\n")
+        with pytest.raises(ConfigError, match=rf"line 11: {key}"):
+            parse_config(path)
 
 
 class TestSimulateCommand:
@@ -223,6 +232,18 @@ class TestSimulateCommand:
         path = write_config(tmp_path, "scenario.kind = bouncing_ball\nnot a config\n")
         assert main(["simulate", path, "--out", str(tmp_path)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["run.h = nan", "run.t_end = inf", "run.tol = nan"])
+    def test_exit_three_on_non_finite_run_control(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, BALL_CONFIG + line + "\n")
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        assert line.split(" = ")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-10"])
+    def test_exit_three_on_bad_tolerance_override(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("NSC_TOL", value)
+        assert main(["simulate", write_config(tmp_path), "--out", str(tmp_path / "out")]) == 3
+        assert "NSC_TOL" in capsys.readouterr().err
 
     def test_exit_three_on_missing_file(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 3

@@ -141,6 +141,48 @@ class TestMoreauJeanVariant:
         assert new.v == pytest.approx([v1], rel=1e-12)
 
 
+class TestThetaFamily:
+    @pytest.mark.parametrize("spec", [
+        SchemeSpec.moreau_jean(0.3), SchemeSpec.moreau_jean(0.7),
+        SchemeSpec.moreau_jean_variant(0.8),
+    ], ids=["mj0.3", "mj0.7", "mjv0.8"])
+    def test_step_relations_hold(self, rng, spec):
+        # every defining relation of the theta step, checked per step on a
+        # run whose impulses act
+        model = random_model(rng, n=4, m=2)
+        h = 1e-3
+        col = model.contact_jacobian[:, 0]
+        v0 = -2.0 * col / (col @ col)
+        state = initial_state(model, np.zeros(4), v0)
+        th, w = spec.theta, spec.displacement_weight
+        M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
+        impacts = 0
+        for _ in range(300):
+            new, rec = step(model, state, h, spec)
+            scale = 1.0 + np.abs(new.v).max() + np.abs(rec.P).max()
+            # the impulse balance with theta-weighted load, damping and stiffness
+            f_th = (1 - th) * model.force(state.t) + th * model.force(new.t)
+            v_th = (1 - th) * state.v + th * new.v
+            q_th = (1 - th) * state.q + th * new.q
+            r = M @ (new.v - state.v) - h * (f_th - C @ v_th - K @ q_th) - G @ rec.P
+            assert np.abs(r).max() < 1e-11 * scale
+            # kinematics with the displacement weight
+            q_pred = state.q + h * ((1 - w) * state.v + w * new.v)
+            assert new.q == pytest.approx(q_pred, abs=1e-12 * scale)
+            # local velocities and complementarity on the active set
+            assert rec.U_next == pytest.approx(local_velocity(model, new.v), abs=1e-12 * scale)
+            for a in range(model.m):
+                if a in rec.active_set:
+                    lhs = min(rec.P[a],
+                              rec.U_next[a] + model.restitution[a] * rec.U_prev[a])
+                    assert abs(lhs) < 1e-9 * scale
+                else:
+                    assert rec.P[a] == 0.0
+            impacts += bool(rec.P.max() > 0.0)
+            state = new
+        assert impacts > 0
+
+
 class TestGeneralizedAlpha:
     def test_newmark_trapezoidal_equals_moreau_jean_half(self):
         model = oscillator()
@@ -353,6 +395,15 @@ class TestSimulate:
         state = initial_state(model, [1.0], [0.0])
         with pytest.raises(SimulationError):
             simulate(model, state, -1e-3, SchemeSpec.moreau_jean(), 1.0)
+
+    @pytest.mark.parametrize("h, t_end", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                          (1e-3, float("nan")), (1e-3, float("inf"))])
+    def test_non_finite_step_size_or_end_time(self, h, t_end):
+        model = free_particle()
+        state = initial_state(model, [1.0], [0.0])
+        with pytest.raises(SimulationError) as info:
+            simulate(model, state, h, SchemeSpec.moreau_jean(), t_end)
+        assert info.value.step_index == -1
 
     def test_gauss_seidel_solver_matches_pivoting(self):
         model = oscillator(e=0.6, wall=-0.05)

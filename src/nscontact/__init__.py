@@ -8,17 +8,14 @@ from .errors import (
     InconsistentSpec,
     InvalidSpec,
     LcpFailure,
-    NoSolutionFound,
     NonFiniteValue,
     NonSymmetric,
     NotAvailable,
     NotPositiveDefinite,
     NscontactError,
-    NumericalBreakdown,
     RestitutionOutOfRange,
     SimulationError,
     SingularIterationMatrix,
-    ZeroDiagonal,
 )
 from .model import (
     ForcingKind,
@@ -36,10 +33,8 @@ from .model import (
 from .lcp import (
     LcpProblem,
     LcpSolution,
-    LcpStatus,
     solve_enumeration,
     solve_lemke,
-    solve_pgs,
 )
 from .integrators import (
     IterationMatrixCache,

@@ -26,7 +26,7 @@ from .scenarios import ScenarioSpec, build_scenario, reference_solution
 
 _SCHEME_KEYS = {"variant", "theta", "gamma", "beta", "alpha", "alpha_m", "alpha_f",
                 "rho_infinity", "beta_rule"}
-_RUN_KEYS = {"h", "t_end", "audit", "tol", "solver"}
+_RUN_KEYS = {"h", "t_end", "audit", "tol"}
 _GRID_AXES = ("theta", "gamma", "beta", "alpha", "rho_infinity", "e")
 
 
@@ -45,7 +45,6 @@ class RunConfig:
     t_end: float = 1.0
     audit: bool = True
     tol: float | None = None
-    solver: str = "lemke"
 
     def scenario_spec(self) -> ScenarioSpec:
         return ScenarioSpec(self.scenario_kind, dict(self.scenario_params))
@@ -157,17 +156,12 @@ def parse_config(path) -> RunConfig:
                 cfg.scheme_params[name] = _number(value, key, lineno)
         elif section == "run":
             if name not in _RUN_KEYS:
-                raise ConfigError(f"unknown run key '{name}'", line=lineno)
+                raise ConfigError(f"unknown run key '{key}'", line=lineno)
             if name == "audit":
                 if value not in ("true", "false"):
                     raise ConfigError(f"run.audit must be true/false, got '{value}'",
                                       line=lineno)
                 cfg.audit = value == "true"
-            elif name == "solver":
-                if value not in ("lemke", "pgs"):
-                    raise ConfigError(f"run.solver must be lemke or pgs, got '{value}'",
-                                      line=lineno)
-                cfg.solver = value
             else:
                 number = _number(value, key, lineno)
                 if not math.isfinite(number) or (name == "tol" and number < 0.0):
@@ -179,16 +173,25 @@ def parse_config(path) -> RunConfig:
 
     if not seen_kind:
         raise ConfigError("scenario.kind is required")
-    if cfg.h <= 0.0 or cfg.t_end <= 0.0:
-        raise ConfigError("run.h and run.t_end must be positive")
+    if cfg.t_end <= 0.0:
+        raise ConfigError("run.t_end must be positive")
+    _step_size(cfg.h, "run.h", cfg.t_end)
     return cfg
 
 
-def _number(value: str, key: str, lineno: int) -> float:
+def _number(value: str, key: str, lineno: int | None = None) -> float:
     try:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got '{value}'", line=lineno) from None
+
+
+def _step_size(h: float, key: str, t_end: float) -> float:
+    """``h`` if it is positive and finite and gives a finite step count t_end / h."""
+    if not (0.0 < h < math.inf and math.isfinite(t_end / h)):
+        raise ConfigError(f"{key} must be positive and finite with a finite "
+                          f"step count t_end / h, got {h!r}")
+    return h
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +202,7 @@ def _run(cfg: RunConfig):
     model, state = build_scenario(cfg.scenario_spec())
     spec = cfg.scheme_spec()
     records = simulate(model, state, cfg.h, spec, cfg.t_end, audit=True,
-                       audit_tol=cfg.residual_tol(), lcp_solver=cfg.solver)
+                       audit_tol=cfg.residual_tol())
     return model, spec, records
 
 
@@ -297,12 +300,17 @@ def _parse_grid(grid: str) -> list[tuple[str, list[float]]]:
             pieces = values.split(":")
             if len(pieces) != 3:
                 raise ConfigError(f"range axis is start:stop:count, got '{values}'")
-            start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+            start, stop = (_number(x, f"grid axis '{name}'") for x in pieces[:2])
+            try:
+                count = int(pieces[2])
+            except ValueError:
+                count = 0
             if count < 1:
-                raise ConfigError("range axis count must be at least 1")
+                raise ConfigError(f"range axis '{name}' count must be an integer of at "
+                                  f"least 1, got '{pieces[2]}'")
             axes.append((name, [float(x) for x in np.linspace(start, stop, count)]))
         else:
-            axes.append((name, [float(x) for x in values.split(",")]))
+            axes.append((name, [_number(x, f"grid axis '{name}'") for x in values.split(",")]))
     if not 1 <= len(axes) <= 2:
         raise ConfigError("sweep grids use one or two axes")
     return axes
@@ -446,7 +454,8 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg, args.out)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.grid, args.out)
-        h_values = [float(x) for x in args.h_list.split(",") if x.strip()]
+        h_values = [_step_size(_number(x, "--h"), "--h", cfg.t_end)
+                    for x in args.h_list.split(",") if x.strip()]
         return cmd_convergence(cfg, h_values, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,24 +36,8 @@ class InconsistentSpec(NscontactError):
     """Scheme parameters violate the constraints of the chosen variant."""
 
 
-class NumericalBreakdown(NscontactError):
-    """A pivot fell below the numerical floor inside the LCP solver."""
-
-
-class ZeroDiagonal(NscontactError):
-    """Projected Gauss-Seidel requires a strictly positive diagonal."""
-
-
-class NoSolutionFound(NscontactError):
-    """Exhaustive enumeration found no feasible complementarity point.
-
-    For the problems this package assembles (positive semi-definite
-    matrices) this signals an assembly bug, not a property of the model.
-    """
-
-
 class LcpFailure(NscontactError):
-    """A contact subproblem could not be solved to tolerance."""
+    """A contact subproblem could not be solved to tolerance; names the reason."""
 
 
 class SingularIterationMatrix(NscontactError):

@@ -6,7 +6,9 @@ per-run weights ``build_cache`` sets.  A step eliminates the smooth
 unknowns onto the contact impulses through a factorized iteration
 matrix, forecasts the active contact set, tries the free-flight step
 first, and only assembles and solves the complementarity problem when
-the free velocities violate the impact law.  Impulses (not forces) are
+the free velocities violate the impact law.  The solver (Lemke's, or the
+enumeration oracle that tests swap in) returns a verified solution or
+raises ``LcpFailure``.  Impulses (not forces) are
 the contact unknowns, so the steps stay consistent when an impact
 happens inside the step.
 
@@ -27,12 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import energy as energy_audit
-from .errors import (
-    LcpFailure,
-    NonFiniteValue,
-    SimulationError,
-    SingularIterationMatrix,
-)
+from .errors import NonFiniteValue, SimulationError, SingularIterationMatrix
 from .lcp import LcpProblem, SOLVERS
 from .model import (
     THETA_FAMILY,
@@ -144,12 +141,14 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v)
 
 
-def _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol):
+def _solve_contact(model, state, h, cache, v_free, lcp_solver):
     """Free flight first; assemble the LCP only when the impact law is violated.
 
     Accepting the free step when the free local velocities are feasible
     is exact, not an approximation: zero impulse solves that LCP, so the
-    outcome is bitwise identical to always solving it.
+    outcome is bitwise identical to always solving it.  The solver is
+    looked up in ``SOLVERS`` at call time; it returns a verified
+    solution or raises ``LcpFailure``.
     """
     m = model.m
     u_prev = local_velocity(model, state.v)
@@ -160,17 +159,11 @@ def _solve_contact(model, state, h, cache, v_free, lcp_solver, lcp_tol):
         b = (model.contact_jacobian.T @ v_free)[idx] + model.restitution[idx] * u_prev[idx]
         if b.min() < 0.0:
             problem = LcpProblem(cache.delassus[np.ix_(idx, idx)], b)
-            solution = SOLVERS[lcp_solver](problem, lcp_tol)
-            if not solution.solved:
-                raise LcpFailure(
-                    f"contact subproblem not solved at t={state.t:g}: "
-                    f"status={solution.status.value}, residual={solution.residual:.3e}")
-            P[idx] = solution.z
+            P[idx] = SOLVERS[lcp_solver](problem).z
     return P, act, u_prev
 
 
-def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10,
-         step_index=0):
+def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", step_index=0):
     """Advance one step with the scheme ``spec`` names.
 
     Every scheme solves the one weighted balance of
@@ -198,7 +191,7 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 
-    P, act, u_prev = _solve_contact(model, state, h, cache, v1, lcp_solver, lcp_tol)
+    P, act, u_prev = _solve_contact(model, state, h, cache, v1, lcp_solver)
     if act:
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
@@ -221,7 +214,7 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", lcp_tol=1e-10
 
 
 def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-10,
-             lcp_solver="lemke", lcp_tol=1e-10) -> list[StepRecord]:
+             lcp_solver="lemke") -> list[StepRecord]:
     """Run fixed steps from the initial state until t_end.
 
     Each record carries the step dynamics; with ``audit=True`` its
@@ -229,16 +222,23 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
     residual, dissipation flags).  Identical inputs produce
     bitwise-identical trajectories.
 
+    ``lcp_solver`` names the contact solver in ``lcp.SOLVERS``:
+    ``"lemke"`` or the ``"enumeration"`` oracle.
+
     Raises:
-        SimulationError: wraps any step failure with its step index,
-            including a step whose new displacement or velocity is not
-            finite.
+        SimulationError: ``step_index = -1`` when h is not positive and
+            finite or the step count (t_end - t0) / h is not finite;
+            otherwise wraps any step failure, an ``LcpFailure`` or a
+            step whose new displacement or velocity is not finite
+            included, with its step index.
     """
     if not 0.0 < h < math.inf:
         raise SimulationError("step size must be positive and finite", step_index=-1)
-    if not math.isfinite(t_end):
-        raise SimulationError("end time must be finite", step_index=-1)
-    n_steps = int(np.floor((t_end - initial_state.t) / h + 1e-9))
+    span = (t_end - initial_state.t) / h
+    if not math.isfinite(span):
+        raise SimulationError(f"the step count (t_end - t0) / h = {span} is not finite",
+                              step_index=-1)
+    n_steps = int(np.floor(span + 1e-9))
     records: list[StepRecord] = []
     state = initial_state
     cache = build_cache(model, spec, h)
@@ -247,7 +247,7 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
     for k in range(n_steps):
         try:
             state, record = step(model, state, h, spec, cache=cache,
-                                 lcp_solver=lcp_solver, lcp_tol=lcp_tol, step_index=k)
+                                 lcp_solver=lcp_solver, step_index=k)
             if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
                 raise NonFiniteValue("the new displacement or velocity is not finite")
             if audit:

@@ -6,32 +6,28 @@ Every scheme in this package reduces its contact unknowns to
 
 on the active contact set, where W is the (near-)symmetric positive
 semi-definite Delassus matrix of the step.  Lemke's complementary
-pivoting is the default solver: it terminates in finitely many pivots
+pivoting solves it in the steps: it terminates in finitely many pivots
 for this problem class and handles simultaneous impacts through a
-lexicographic ratio test.  A projected Gauss-Seidel iteration and an
-exhaustive enumeration oracle (for testing) complete the module.
+lexicographic ratio test.  An exhaustive enumeration oracle cross-checks
+it in tests.
 
-All operations are stateless over immutable problem data.
+A solver returns only a solution it has verified to tolerance, and
+raises :class:`LcpFailure` otherwise.  All operations are stateless over
+immutable problem data.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentSpec, NoSolutionFound, NumericalBreakdown, ZeroDiagonal
+from .errors import InconsistentSpec, LcpFailure
 
 PIVOT_FLOOR = 1e-12
-DEFAULT_TOL = 1e-10
-
-
-class LcpStatus(enum.Enum):
-    SOLVED = "solved"
-    MAX_ITERATIONS = "max_iterations"
-    RAY_TERMINATION = "ray_termination"
+# complementarity tolerance, relative to 1 + max |b|
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,49 +51,48 @@ class LcpProblem:
 
 @dataclass(frozen=True)
 class LcpSolution:
+    """A verified solution: ``residual = max |min(z, w_slack)| <= TOL (1 + max |b|)``."""
+
     z: np.ndarray
     w_slack: np.ndarray
-    status: LcpStatus
     iterations: int
     residual: float
 
-    @property
-    def solved(self) -> bool:
-        return self.status is LcpStatus.SOLVED
+
+def _tol(problem: LcpProblem) -> float:
+    return TOL * (1.0 + np.abs(problem.b).max(initial=0.0))
 
 
-def _empty_solution() -> LcpSolution:
-    return LcpSolution(np.zeros(0), np.zeros(0), LcpStatus.SOLVED, 0, 0.0)
-
-
-def _finish(problem: LcpProblem, z: np.ndarray, status: LcpStatus,
-            iterations: int) -> LcpSolution:
+def _candidate(problem: LcpProblem, z: np.ndarray, iterations: int) -> LcpSolution:
+    # |min(z_i, w_i)| <= tol bounds both z_i and w_i below by -tol, so the
+    # residual alone checks sign and complementarity
     w = problem.W @ z + problem.b
     residual = float(np.abs(np.minimum(z, w)).max(initial=0.0))
-    return LcpSolution(z, w, status, iterations, residual)
+    return LcpSolution(z, w, iterations, residual)
 
 
-def solve_lemke(problem: LcpProblem, tol: float = DEFAULT_TOL,
-                max_pivots: int | None = None) -> LcpSolution:
+def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSolution:
     """Complementary pivoting with a lexicographic ratio test.
 
     The lexicographic test (ratios taken against the inverse-basis
     columns) prevents cycling on degenerate problems such as several
-    contacts closing with identical geometry in the same step.
+    contacts closing with identical geometry in the same step.  A row
+    of the covering variable whose ratio ties the least one (to within
+    ``PIVOT_FLOOR`` relative) is preferred, so the solve ends there.
 
-    When no pivot is admissible, the current point is returned as solved
-    if it solves the problem to tolerance.
+    When no pivot is admissible, the current point is returned if it
+    solves the problem to tolerance.
 
     Raises:
-        NumericalBreakdown: the only admissible pivots are below 1e-12
-            and the current point does not solve the problem.
+        LcpFailure: ray termination or only sub-floor pivots at a point
+            that does not solve the problem, the pivot limit
+            (default 50 s + 100), or a terminal point that fails the
+            tolerance check.
     """
     s = problem.size
-    if s == 0:
-        return _empty_solution()
-    tol_eff = tol * (1.0 + np.abs(problem.b).max(initial=0.0))
-    if problem.b.min() >= 0.0:
-        return _finish(problem, np.zeros(s), LcpStatus.SOLVED, 0)
+    if s == 0 or problem.b.min() >= 0.0:
+        return _candidate(problem, np.zeros(s), 0)
+    tol = _tol(problem)
     if max_pivots is None:
         max_pivots = 50 * s + 100
 
@@ -115,20 +110,18 @@ def solve_lemke(problem: LcpProblem, tol: float = DEFAULT_TOL,
     basis = list(range(s))
 
     def pivot(r: int, c: int) -> None:
-        T[r] /= T[r, c]
-        for i in range(s):
-            if i != r and T[i, c] != 0.0:
-                T[i] -= T[i, c] * T[r]
+        row = T[r] / T[r, c]
+        T[:] -= np.outer(T[:, c], row)
+        T[r] = row
         basis[r] = c
 
     # First pivot: bring the covering variable in on the most negative
     # row (lexicographic tie-break on the inverse-basis columns).
-    cand = np.arange(s)
-    keys = np.column_stack([T[cand, -1], T[np.ix_(cand, np.arange(s))]])
-    order = np.lexsort(keys.T[::-1])
-    r = int(cand[order[0]])
+    keys = np.column_stack([T[:, -1], T[:, :s]])
+    r = int(np.lexsort(keys.T[::-1])[0])
     entering = zcol(r)          # complement of the leaving w_r
     pivot(r, aux)
+    aux_row = r                 # the covering variable stays here until it leaves
 
     for it in range(1, max_pivots + 1):
         col = T[:, entering]
@@ -136,31 +129,31 @@ def solve_lemke(problem: LcpProblem, tol: float = DEFAULT_TOL,
         if not usable.any():
             # A degenerate tie can leave the covering variable basic at zero;
             # the ray (or roundoff-sized pivot) then starts from a solution.
-            sol = _finish(problem, _extract_z(T, basis, s), LcpStatus.SOLVED, it)
-            if sol.residual <= tol_eff:
+            sol = _candidate(problem, _extract_z(T, basis, s), it)
+            if sol.residual <= tol:
                 return sol
-            if (col > 0.0).any():
-                raise NumericalBreakdown(
-                    f"all candidate pivots below {PIVOT_FLOOR:g} after {it} pivots")
-            return replace(sol, status=LcpStatus.RAY_TERMINATION)
+            reason = (f"all candidate pivots below {PIVOT_FLOOR:g}" if (col > 0.0).any()
+                      else "ray termination")
+            raise LcpFailure(f"Lemke: {reason} after {it} pivots, residual "
+                             f"{sol.residual:.3e} exceeds tolerance {tol:.3e}")
         cand = np.flatnonzero(usable)
-        ratios = np.column_stack([T[cand, -1], T[np.ix_(cand, np.arange(s))]])
-        ratios = ratios / col[cand, None]
-        order = np.lexsort(ratios.T[::-1])
-        r = int(cand[order[0]])
+        ratios = np.column_stack([T[cand, -1], T[cand, :s]]) / col[cand, None]
+        r = int(cand[np.lexsort(ratios.T[::-1])[0]])
+        least = T[r, -1] / col[r]
+        if usable[aux_row] and (T[aux_row, -1] / col[aux_row]
+                                <= least + PIVOT_FLOOR * (1.0 + abs(least))):
+            r = aux_row
         leaving = basis[r]
         pivot(r, entering)
         if leaving == aux:
-            z = _extract_z(T, basis, s)
-            sol = _finish(problem, z, LcpStatus.SOLVED, it)
-            if sol.residual > tol_eff or z.min(initial=0.0) < -tol_eff:
-                raise NumericalBreakdown(
-                    f"pivoting terminated but residual {sol.residual:.3e} "
-                    f"exceeds tolerance {tol_eff:.3e}")
+            sol = _candidate(problem, _extract_z(T, basis, s), it)
+            if sol.residual > tol:
+                raise LcpFailure(f"Lemke: terminated after {it} pivots but residual "
+                                 f"{sol.residual:.3e} exceeds tolerance {tol:.3e}")
             return sol
         entering = zcol(leaving) if leaving < s else leaving - s
 
-    return _finish(problem, _extract_z(T, basis, s), LcpStatus.MAX_ITERATIONS, max_pivots)
+    raise LcpFailure(f"Lemke: pivot limit {max_pivots} reached")
 
 
 def _extract_z(T: np.ndarray, basis: list[int], s: int) -> np.ndarray:
@@ -171,51 +164,20 @@ def _extract_z(T: np.ndarray, basis: list[int], s: int) -> np.ndarray:
     return z
 
 
-def solve_pgs(problem: LcpProblem, tol: float = DEFAULT_TOL,
-              max_sweeps: int = 5000) -> LcpSolution:
-    """Projected Gauss-Seidel sweeps z_i <- max(0, z_i - (Wz+b)_i / W_ii).
-
-    Raises:
-        ZeroDiagonal: some W_ii is not strictly positive.
-    """
-    s = problem.size
-    if s == 0:
-        return _empty_solution()
-    diag = np.diag(problem.W)
-    if diag.min(initial=np.inf) <= PIVOT_FLOOR:
-        raise ZeroDiagonal(f"diagonal entry {diag.min():.3e} not strictly positive")
-    tol_eff = tol * (1.0 + np.abs(problem.b).max(initial=0.0))
-    if problem.b.min() >= 0.0:
-        return _finish(problem, np.zeros(s), LcpStatus.SOLVED, 0)
-
-    W, b = problem.W, problem.b
-    z = np.zeros(s)
-    for sweep in range(1, max_sweeps + 1):
-        for i in range(s):
-            z[i] = max(0.0, z[i] - (W[i] @ z + b[i]) / diag[i])
-        w = W @ z + b
-        residual = np.abs(np.minimum(z, w)).max(initial=0.0)
-        if residual <= tol_eff and w.min() >= -tol_eff:
-            return LcpSolution(z, w, LcpStatus.SOLVED, sweep, float(residual))
-    return _finish(problem, z, LcpStatus.MAX_ITERATIONS, max_sweeps)
-
-
-def solve_enumeration(problem: LcpProblem, tol: float = DEFAULT_TOL) -> LcpSolution:
+def solve_enumeration(problem: LcpProblem) -> LcpSolution:
     """Exhaustive oracle: try every active subset, accept the first that
     is primal and dual feasible.  Intended for cross-checking the pivot
     solver on small problems (at most 12 contacts).
 
     Raises:
-        NoSolutionFound: no subset works, which for positive
-            semi-definite W indicates an assembly bug upstream.
+        LcpFailure: no subset works, which for positive semi-definite W
+            indicates an assembly bug upstream.
     """
     s = problem.size
-    if s == 0:
-        return _empty_solution()
     if s > 12:
         raise InconsistentSpec(f"enumeration oracle limited to 12 contacts, got {s}")
     W, b = problem.W, problem.b
-    tol_eff = tol * (1.0 + np.abs(b).max(initial=0.0))
+    tol = _tol(problem)
     tried = 0
     for r in range(s + 1):
         for subset in itertools.combinations(range(s), r):
@@ -227,17 +189,13 @@ def solve_enumeration(problem: LcpProblem, tol: float = DEFAULT_TOL) -> LcpSolut
                     z[idx] = np.linalg.solve(W[np.ix_(idx, idx)], -b[idx])
                 except np.linalg.LinAlgError:
                     continue
-                if z[idx].min() < -tol_eff:
-                    continue
-            w = W @ z + b
-            if w.min() >= -tol_eff:
-                residual = float(np.abs(np.minimum(z, w)).max(initial=0.0))
-                return LcpSolution(z, w, LcpStatus.SOLVED, tried, residual)
-    raise NoSolutionFound(f"no feasible active subset among {tried} candidates")
+            sol = _candidate(problem, z, tried)
+            if sol.residual <= tol:
+                return sol
+    raise LcpFailure(f"enumeration: no feasible active subset among {tried} candidates")
 
 
 SOLVERS = {
     "lemke": solve_lemke,
-    "pgs": solve_pgs,
     "enumeration": solve_enumeration,
 }

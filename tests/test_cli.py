@@ -233,7 +233,9 @@ class TestSimulateCommand:
         assert main(["simulate", path, "--out", str(tmp_path)]) == 3
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["run.h = nan", "run.t_end = inf", "run.tol = nan"])
+    # h = 1e-320 is positive and finite, but t_end / h overflows to inf
+    @pytest.mark.parametrize("line", ["run.h = nan", "run.t_end = inf", "run.tol = nan",
+                                      "run.h = 1e-320"])
     def test_exit_three_on_non_finite_run_control(self, tmp_path, capsys, line):
         path = write_config(tmp_path, BALL_CONFIG + line + "\n")
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
@@ -244,6 +246,12 @@ class TestSimulateCommand:
         monkeypatch.setenv("NSC_TOL", value)
         assert main(["simulate", write_config(tmp_path), "--out", str(tmp_path / "out")]) == 3
         assert "NSC_TOL" in capsys.readouterr().err
+
+    def test_exit_three_on_solver_key(self, tmp_path, capsys):
+        # Lemke is the one contact solver, so there is no run.solver key
+        path = write_config(tmp_path, BALL_CONFIG + "run.solver = pgs\n")
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
+        assert "run.solver" in capsys.readouterr().err
 
     def test_exit_three_on_missing_file(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 3
@@ -300,6 +308,14 @@ class TestSweepCommand:
     def test_unknown_axis_exits_three(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", cfg, "--grid", "mass=1,2", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("grid, value", [("theta=a,b", "'a'"),
+                                              ("theta=0.5:1:x", "'x'")])
+    def test_malformed_axis_values_exit_three(self, tmp_path, capsys, grid, value):
+        cfg = write_config(tmp_path)
+        assert main(["sweep", cfg, "--grid", grid, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "theta" in err and value in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nan_energy_gain_is_written(self, tmp_path):
@@ -390,3 +406,10 @@ run.t_end = 1.0
     def test_too_few_step_sizes_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, self.OSC)
         assert main(["convergence", cfg, "--h", "1e-2,5e-3", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("h_list", ["abc,1e-3,2e-3", "0,1e-3,2e-3", "1e-320,1e-3,2e-3"])
+    def test_malformed_step_sizes_exit_three(self, tmp_path, capsys, h_list):
+        cfg = write_config(tmp_path, self.OSC)
+        assert main(["convergence", cfg, "--h", h_list, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "--h" in err and h_list.split(",")[0] in err

@@ -1,5 +1,7 @@
 """Step maps against hand solutions, independent oracles, and each other."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nscontact import (
     initial_state,
     local_velocity,
     simulate,
+    solve_lemke,
     step,
 )
 from nscontact.model import THETA_FAMILY
@@ -24,6 +27,10 @@ from conftest import random_model
 def free_particle(e=0.5, force=None):
     forcing = ForcingTerm.constant([force]) if force is not None else ForcingTerm.zero(1)
     return build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [0.0], [e], forcing)
+
+
+def broken_solver(problem):
+    raise RuntimeError("solver knocked out")
 
 
 def oscillator(m=2.0, c=0.3, k=40.0, wall=-50.0, e=0.5, force_amp=1.5):
@@ -359,18 +366,19 @@ class TestSimulate:
                     else:
                         assert rec.P[a] == 0.0
 
-    def test_failing_step_reports_index(self, monkeypatch):
+    @pytest.mark.parametrize("solver, reason", [
+        (broken_solver, "solver knocked out"),
+        (functools.partial(solve_lemke, max_pivots=0), "Lemke: pivot limit 0 reached")],
+        ids=["broken_solver", "lemke_no_pivots"])
+    def test_failing_step_reports_index(self, monkeypatch, solver, reason):
         model = free_particle(e=0.5)
         state = initial_state(model, [0.05], [-1.0])
-
-        def broken_solver(problem, tol=1e-10, **kwargs):
-            raise RuntimeError("solver knocked out")
-
-        monkeypatch.setitem(integrators.SOLVERS, "lemke", broken_solver)
+        monkeypatch.setitem(integrators.SOLVERS, "lemke", solver)
         with pytest.raises(SimulationError) as info:
             simulate(model, state, 1e-2, SchemeSpec.moreau_jean(0.5), 1.0)
         assert info.value.step_index >= 4   # free fall from 0.05 at v=-1
-        assert "solver knocked out" in str(info.value)
+        assert f"step {info.value.step_index} " in str(info.value)
+        assert reason in str(info.value)
 
     @pytest.mark.parametrize("spec", [
         SchemeSpec.moreau_jean(0.7), SchemeSpec.moreau_jean_variant(0.6),
@@ -397,7 +405,8 @@ class TestSimulate:
             simulate(model, state, -1e-3, SchemeSpec.moreau_jean(), 1.0)
 
     @pytest.mark.parametrize("h, t_end", [(float("nan"), 1.0), (float("inf"), 1.0),
-                                          (1e-3, float("nan")), (1e-3, float("inf"))])
+                                          (1e-3, float("nan")), (1e-3, float("inf")),
+                                          (1e-320, 1.0)])
     def test_non_finite_step_size_or_end_time(self, h, t_end):
         model = free_particle()
         state = initial_state(model, [1.0], [0.0])
@@ -405,12 +414,12 @@ class TestSimulate:
             simulate(model, state, h, SchemeSpec.moreau_jean(), t_end)
         assert info.value.step_index == -1
 
-    def test_gauss_seidel_solver_matches_pivoting(self):
+    def test_enumeration_solver_matches_pivoting(self):
         model = oscillator(e=0.6, wall=-0.05)
         state = initial_state(model, [0.05], [-1.0])
         spec = SchemeSpec.moreau_jean(0.5)
         rec_l = simulate(model, state.copy(), 1e-3, spec, 1.0)
-        rec_p = simulate(model, state.copy(), 1e-3, spec, 1.0, lcp_solver="pgs")
+        rec_p = simulate(model, state.copy(), 1e-3, spec, 1.0, lcp_solver="enumeration")
         assert any(r.P.max() > 0 for r in rec_l)
         for a, b in zip(rec_l, rec_p):
             assert b.state_next.q == pytest.approx(a.state_next.q, abs=1e-8)

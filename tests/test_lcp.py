@@ -5,12 +5,10 @@ import pytest
 
 from nscontact import (
     InconsistentSpec,
+    LcpFailure,
     LcpProblem,
-    NoSolutionFound,
-    ZeroDiagonal,
     solve_enumeration,
     solve_lemke,
-    solve_pgs,
 )
 
 
@@ -23,7 +21,6 @@ def random_pd_problem(rng, s):
 class TestHandValues:
     def test_nonnegative_offset_gives_zero(self):
         sol = solve_lemke(LcpProblem([[1.0]], [2.0]))
-        assert sol.solved
         assert sol.z == pytest.approx([0.0])
         assert sol.w_slack == pytest.approx([2.0])
 
@@ -39,14 +36,6 @@ class TestHandValues:
         assert oracle.z == pytest.approx([1.0, 1.0], abs=1e-12)
         sol = solve_lemke(problem)
         assert sol.z == pytest.approx(oracle.z, abs=1e-12)
-
-    def test_pgs_examples(self):
-        assert solve_pgs(LcpProblem([[1.0]], [-2.0])).z == pytest.approx([2.0])
-        sol = solve_pgs(LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, -3.0]))
-        assert sol.solved
-        assert sol.z == pytest.approx([1.0, 1.0], abs=1e-8)
-        decoupled = solve_pgs(LcpProblem(np.eye(2), [1.0, -1.0]))
-        assert decoupled.z == pytest.approx([0.0, 1.0])
 
     def test_psd_with_nonnegative_offset(self, rng):
         for _ in range(10):
@@ -68,7 +57,6 @@ class TestOracleAgreement:
             problem = random_pd_problem(rng, 4)
             a = solve_lemke(problem)
             b = solve_enumeration(problem)
-            assert a.solved and b.solved
             # positive definite W has a unique solution
             assert a.z == pytest.approx(b.z, abs=1e-9)
             scale = 1.0 + np.abs(problem.b).max()
@@ -81,9 +69,8 @@ class TestInvariants:
         for _ in range(60):
             s = int(rng.integers(1, 7))
             problem = random_pd_problem(rng, s)
-            for solver in (solve_lemke, solve_pgs, solve_enumeration):
+            for solver in (solve_lemke, solve_enumeration):
                 sol = solver(problem)
-                assert sol.solved
                 scale = 1.0 + np.abs(problem.b).max()
                 tol = 1e-9 * scale
                 assert sol.z.min(initial=0.0) >= -tol
@@ -102,23 +89,38 @@ class TestInvariants:
         # rank-one W: lexicographic tie-breaking must not cycle
         problem = LcpProblem([[1.0, 1.0], [1.0, 1.0]], [-1.0, -1.0])
         sol = solve_lemke(problem)
-        assert sol.solved
         assert sol.residual <= 1e-12
         assert sol.z.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_covering_variable_wins_a_near_tie(self):
+        # b = -W z* lies in the range of the rank-one W, so after the first
+        # pivot the covering variable's ratio ties z_1's up to roundoff;
+        # preferring it ends the solve there, not through the fallback
+        u = np.array([-1.04, 0.75])
+        W = np.outer(u, u)
+        problem = LcpProblem(W, -W @ np.array([0.0, 1.95]))
+        sol = solve_lemke(problem)
+        assert sol.iterations == 1
+        assert sol.w_slack == pytest.approx(solve_enumeration(problem).w_slack, abs=1e-12)
+
     def test_empty_problem(self):
         sol = solve_lemke(LcpProblem(np.zeros((0, 0)), np.zeros(0)))
-        assert sol.solved and sol.z.size == 0
+        assert sol.z.size == 0
 
 
 class TestFailureModes:
-    def test_pgs_zero_diagonal(self):
-        with pytest.raises(ZeroDiagonal):
-            solve_pgs(LcpProblem([[0.0]], [-1.0]))
-
     def test_enumeration_no_solution(self):
-        with pytest.raises(NoSolutionFound):
+        with pytest.raises(LcpFailure, match="no feasible active subset"):
             solve_enumeration(LcpProblem([[-1.0]], [-1.0]))
+
+    def test_lemke_ray_termination_raises(self):
+        with pytest.raises(LcpFailure, match="ray termination"):
+            solve_lemke(LcpProblem([[-1.0]], [-1.0]))
+
+    def test_lemke_pivot_limit_raises(self):
+        problem = LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, -3.0])
+        with pytest.raises(LcpFailure, match="pivot limit 1"):
+            solve_lemke(problem, max_pivots=1)
 
     def test_enumeration_size_cap(self):
         with pytest.raises(InconsistentSpec):

@@ -5,11 +5,14 @@ Configs are flat ``key = value`` files with dotted keys (``scenario.*``,
 are CSV with 17 significant digits so residual-level comparisons
 survive a round trip.  Exit codes: 0 success, 1 solver/run failure,
 2 identity-residual violation with auditing armed, 3 config error.
+The commands return their per-step ``identity_ok`` flags and raise on
+failure; ``main`` alone maps an outcome to an exit code and a stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -24,8 +27,6 @@ from .integrators import simulate
 from .model import THETA_FAMILY, SchemeSpec, SchemeVariant
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
 
-_SCHEME_KEYS = {"variant", "theta", "gamma", "beta", "alpha", "alpha_m", "alpha_f",
-                "rho_infinity", "beta_rule"}
 _RUN_KEYS = {"h", "t_end", "audit", "tol"}
 _GRID_AXES = ("theta", "gamma", "beta", "alpha", "rho_infinity", "e")
 
@@ -55,12 +56,9 @@ class RunConfig:
     def residual_tol(self) -> float:
         env = os.environ.get("NSC_TOL")
         if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as exc:
-                raise ConfigError(f"NSC_TOL is not a number: {env!r}") from exc
-            if not 0.0 <= tol < math.inf:
-                raise ConfigError(f"NSC_TOL must be finite and nonnegative, got {env!r}")
+            tol = _number(env, "NSC_TOL")
+            if tol < 0.0:
+                raise ConfigError(f"NSC_TOL must be nonnegative, got '{env}'")
             return tol
         if self.tol is not None:
             return self.tol
@@ -78,6 +76,7 @@ _VARIANT_KEYS = {
     SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA: _AVERAGING_KEYS,
     SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA: _AVERAGING_KEYS,
 }
+_SCHEME_KEYS = set().union(*_VARIANT_KEYS.values(), {"variant", "beta_rule"})
 
 
 def _build_scheme(params: dict) -> SchemeSpec:
@@ -164,9 +163,8 @@ def parse_config(path) -> RunConfig:
                 cfg.audit = value == "true"
             else:
                 number = _number(value, key, lineno)
-                if not math.isfinite(number) or (name == "tol" and number < 0.0):
-                    rule = "finite and nonnegative" if name == "tol" else "finite"
-                    raise ConfigError(f"{key} must be {rule}, got '{value}'", line=lineno)
+                if name == "tol" and number < 0.0:
+                    raise ConfigError(f"{key} must be nonnegative, got '{value}'", line=lineno)
                 setattr(cfg, name, number)
         else:
             raise ConfigError(f"unknown section '{section}'", line=lineno)
@@ -180,15 +178,19 @@ def parse_config(path) -> RunConfig:
 
 
 def _number(value: str, key: str, lineno: int | None = None) -> float:
+    """``value`` as a finite float: the one rule for every number the CLI reads."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got '{value}'", line=lineno) from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} expects a finite number, got '{value}'", line=lineno)
+    return number
 
 
 def _step_size(h: float, key: str, t_end: float) -> float:
-    """``h`` if it is positive and finite and gives a finite step count t_end / h."""
-    if not (0.0 < h < math.inf and math.isfinite(t_end / h)):
+    """``h`` if it is positive and gives a finite step count t_end / h."""
+    if not (h > 0.0 and math.isfinite(t_end / h)):
         raise ConfigError(f"{key} must be positive and finite with a finite "
                           f"step count t_end / h, got {h!r}")
     return h
@@ -206,6 +208,21 @@ def _run(cfg: RunConfig):
     return model, spec, records
 
 
+def _runs(labelled):
+    """Run each ``(label, RunConfig)`` pair in order; yield ``(label, records)``.
+
+    A failed run's error is re-raised carrying its label, which ``main``
+    prints for a run failure.
+    """
+    for label, cfg in labelled:
+        try:
+            _, _, records = _run(cfg)
+        except NscontactError as exc:
+            exc.label = label
+            raise
+        yield label, records
+
+
 def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
     """Write the header, then each row tuple through ``row_format`` as it is produced.
 
@@ -217,31 +234,9 @@ def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
             fh.write(row_format % row)
 
 
-def _audit_exit(cfg: RunConfig, identity_ok: list[bool]) -> int:
-    """Exit code of a finished command: 2 if the gate is armed and a step failed.
-
-    ``identity_ok`` holds one ``EnergyReport.identity_ok`` flag per
-    audited step of every run the command made.
-    """
-    violations = identity_ok.count(False)
-    if cfg.audit and violations:
-        print(f"audit: {violations} step(s) violate the identity residual tolerance",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_simulate(cfg: RunConfig, out_dir) -> int:
+def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
     """Run one simulation; write trajectory.csv and audit.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        model, spec, records = _run(cfg)
-    except ConfigError:
-        raise
-    except NscontactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model, spec, records = _run(cfg)
 
     n = model.n
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
@@ -282,11 +277,11 @@ def cmd_simulate(cfg: RunConfig, out_dir) -> int:
                 "condition_satisfied", "condition_satisfied_max_e",
                 "dissipation_satisfied", "identity_ok"],
                "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s\n", audit_rows())
-    return _audit_exit(cfg, ok)
+    return ok
 
 
-def _parse_grid(grid: str) -> list[tuple[str, list[float]]]:
-    axes = []
+def _parse_grid(grid: str) -> dict[str, list[float]]:
+    axes = {}
     for chunk in grid.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -296,11 +291,14 @@ def _parse_grid(grid: str) -> list[tuple[str, list[float]]]:
         name, values = (part.strip() for part in chunk.split("=", 1))
         if name not in _GRID_AXES:
             raise ConfigError(f"unknown grid axis '{name}' (expected one of {_GRID_AXES})")
+        if name in axes:
+            raise ConfigError(f"grid axis '{name}' is given twice")
+        key = f"grid axis '{name}'"
         if ":" in values:
             pieces = values.split(":")
             if len(pieces) != 3:
                 raise ConfigError(f"range axis is start:stop:count, got '{values}'")
-            start, stop = (_number(x, f"grid axis '{name}'") for x in pieces[:2])
+            start, stop = (_number(x, key) for x in pieces[:2])
             try:
                 count = int(pieces[2])
             except ValueError:
@@ -308,61 +306,40 @@ def _parse_grid(grid: str) -> list[tuple[str, list[float]]]:
             if count < 1:
                 raise ConfigError(f"range axis '{name}' count must be an integer of at "
                                   f"least 1, got '{pieces[2]}'")
-            axes.append((name, [float(x) for x in np.linspace(start, stop, count)]))
+            axes[name] = [float(x) for x in np.linspace(start, stop, count)]
         else:
-            axes.append((name, [_number(x, f"grid axis '{name}'") for x in values.split(",")]))
+            axes[name] = [_number(x, key) for x in values.split(",")]
     if not 1 <= len(axes) <= 2:
         raise ConfigError("sweep grids use one or two axes")
     return axes
 
 
-def _apply_axis(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    new = replace(cfg, scenario_params=dict(cfg.scenario_params),
-                  scheme_params=dict(cfg.scheme_params))
-    if name == "e":
-        new.scenario_params["restitution"] = value
-    elif name == "rho_infinity":
-        new.scheme_params.pop("alpha_m", None)
-        new.scheme_params.pop("alpha_f", None)
-        new.scheme_params[name] = value
-    else:
-        new.scheme_params[name] = value
-    return new
+def _grid_point(cfg: RunConfig, point: dict[str, float]) -> RunConfig:
+    """``cfg`` with one grid point's values; axis ``e`` is the scenario restitution."""
+    scenario, scheme = dict(cfg.scenario_params), dict(cfg.scheme_params)
+    for name, value in point.items():
+        if name == "e":
+            scenario["restitution"] = value
+            continue
+        if name == "rho_infinity":
+            scheme.pop("alpha_m", None)
+            scheme.pop("alpha_f", None)
+        scheme[name] = value
+    return replace(cfg, scenario_params=scenario, scheme_params=scheme)
 
 
-def cmd_sweep(cfg: RunConfig, grid: str, out_dir) -> int:
+def cmd_sweep(cfg: RunConfig, grid: str, out: Path) -> list[bool]:
     """Run the config over a 1- or 2-axis parameter grid; write sweep.csv.
 
     Grid points run sequentially and rows are written in grid order, so
     the output is deterministic.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        axes = _parse_grid(grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    names = [name for name, _ in axes]
-    points = [(v,) for v in axes[0][1]]
-    if len(axes) == 2:
-        points = [(v1, v2) for v1 in axes[0][1] for v2 in axes[1][1]]
-
+    axes = _parse_grid(grid)
+    points = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
     tol = cfg.residual_tol()
     rows = []
     ok = []
-    for point in points:
-        point_cfg = cfg
-        for name, value in zip(names, point):
-            point_cfg = _apply_axis(point_cfg, name, value)
-        try:
-            model, spec, records = _run(point_cfg)
-        except ConfigError:
-            raise
-        except NscontactError as exc:
-            print(f"error at {dict(zip(names, point))}: {exc}", file=sys.stderr)
-            return 1
+    for point, records in _runs((point, _grid_point(cfg, point)) for point in points):
         reports = [rec.report for rec in records]
         n_steps = max(len(reports), 1)
         frac = sum(rep.dissipation_satisfied for rep in reports) / n_steps
@@ -371,42 +348,32 @@ def cmd_sweep(cfg: RunConfig, grid: str, out_dir) -> int:
         max_gain = np.max([rep.energy_gain for rep in reports], initial=0.0) + 0.0
         condition = reports[0].condition_satisfied if reports else True
         ok += [rep.identity_ok(tol) for rep in reports]
-        rows.append((*point, _flag(condition), frac, max_gain))
+        rows.append((*point.values(), _flag(condition), frac, max_gain))
     _write_csv(out / "sweep.csv",
-               names + ["condition_satisfied", "dissipation_fraction",
-                        "max_energy_gain"],
-               "%.17g," * len(names) + "%s,%.17g,%.17g\n", rows)
-    return _audit_exit(cfg, ok)
+               [*axes, "condition_satisfied", "dissipation_fraction", "max_energy_gain"],
+               "%.17g," * len(axes) + "%s,%.17g,%.17g\n", rows)
+    return ok
 
 
-def cmd_convergence(cfg: RunConfig, h_values: list[float], out_dir) -> int:
+def cmd_convergence(cfg: RunConfig, h_list: str, out: Path) -> list[bool]:
     """Measure global error against the closed-form reference; fit the order."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    h_values = [_step_size(_number(x, "--h"), "--h", cfg.t_end)
+                for x in h_list.split(",") if x.strip()]
     if len(h_values) < 3:
-        print("error: convergence studies need at least 3 step sizes", file=sys.stderr)
-        return 3
+        raise ConfigError("convergence studies need at least 3 step sizes")
     errors = []
     ok = []
     tol = cfg.residual_tol()
     scenario = cfg.scenario_spec()
-    for h in h_values:
-        run_cfg = replace(cfg, h=h)
-        try:
-            model, spec, records = _run(run_cfg)
-            if not records:
-                raise InvalidSpec("empty trajectory; t_end too small for this h")
-            if scenario.kind != "bouncing_ball" and any(r.active_set for r in records):
-                # only the fully elastic ball reference survives contact
-                raise NotAvailable("the contact activated; the closed-form "
-                                   "reference is only valid while it stays open")
-            final = records[-1].state_next
-            q_ref, v_ref = reference_solution(scenario, final.t)
-        except ConfigError:
-            raise
-        except NscontactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    for _, records in _runs(({"h": h}, replace(cfg, h=h)) for h in h_values):
+        if not records:
+            raise InvalidSpec("empty trajectory; t_end too small for this h")
+        if scenario.kind != "bouncing_ball" and any(r.active_set for r in records):
+            # only the fully elastic ball reference survives contact
+            raise NotAvailable("the contact activated; the closed-form "
+                               "reference is only valid while it stays open")
+        final = records[-1].state_next
+        q_ref, v_ref = reference_solution(scenario, final.t)
         err = math.sqrt(float(np.sum((final.q - q_ref) ** 2))
                         + float(np.sum((final.v - v_ref) ** 2)))
         errors.append(err)
@@ -414,7 +381,7 @@ def cmd_convergence(cfg: RunConfig, h_values: list[float], out_dir) -> int:
     order = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
     _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"], "%.17g,%.17g,%.17g\n",
                ((h, err, order) for h, err in zip(h_values, errors)))
-    return _audit_exit(cfg, ok)
+    return ok
 
 
 def main(argv=None) -> int:
@@ -444,22 +411,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             cfg.audit = cfg.audit or args.audit
-            return cmd_simulate(cfg, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.grid, args.out)
-        h_values = [_step_size(_number(x, "--h"), "--h", cfg.t_end)
-                    for x in args.h_list.split(",") if x.strip()]
-        return cmd_convergence(cfg, h_values, args.out)
+            identity_ok = cmd_simulate(cfg, out)
+        elif args.command == "sweep":
+            identity_ok = cmd_sweep(cfg, args.grid, out)
+        else:
+            identity_ok = cmd_convergence(cfg, args.h_list, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except NscontactError as exc:
+        where = f" at {exc.label}" if hasattr(exc, "label") else ""
+        print(f"error{where}: {exc}", file=sys.stderr)
+        return 1
+
+    violations = identity_ok.count(False)
+    if cfg.audit and violations:
+        print(f"audit: {violations} step(s) violate the identity residual tolerance",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

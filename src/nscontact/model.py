@@ -138,6 +138,10 @@ class SchemeSpec:
     alpha_f: float = 0.0
 
     def __post_init__(self):
+        # inputs before the gamma and beta derived from them
+        for name in ("alpha_m", "alpha_f", "gamma", "beta", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InconsistentSpec(f"{name}={getattr(self, name)} is not finite")
         v = self.variant
         if v in THETA_FAMILY:
             if not 0.0 <= self.theta <= 1.0:

@@ -58,6 +58,8 @@ class ScenarioSpec:
             if key not in merged:
                 raise InvalidSpec(f"unknown parameter '{key}' for scenario '{self.kind}'")
             merged[key] = float(value)
+            if not math.isfinite(merged[key]):
+                raise InvalidSpec(f"scenario parameter '{key}' must be finite, got {value}")
         return merged
 
 

@@ -1,7 +1,11 @@
 """Config parsing, CSV outputs, exit codes, environment overrides."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,9 +411,92 @@ run.t_end = 1.0
         cfg = write_config(tmp_path, self.OSC)
         assert main(["convergence", cfg, "--h", "1e-2,5e-3", "--out", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("h_list", ["abc,1e-3,2e-3", "0,1e-3,2e-3", "1e-320,1e-3,2e-3"])
+    @pytest.mark.parametrize("h_list", ["abc,1e-3,2e-3", "0,1e-3,2e-3", "1e-320,1e-3,2e-3",
+                                        "inf,1e-3,2e-3"])
     def test_malformed_step_sizes_exit_three(self, tmp_path, capsys, h_list):
         cfg = write_config(tmp_path, self.OSC)
         assert main(["convergence", cfg, "--h", h_list, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "--h" in err and h_list.split(",")[0] in err
+
+
+def _ball_scheme(block):
+    """BALL_CONFIG with its scheme lines replaced by ``block``."""
+    return BALL_CONFIG.replace("scheme.variant = moreau_jean\nscheme.theta = 0.5\n", block)
+
+
+COMMAND_ARGS = {"simulate": ["--audit"], "sweep": ["--grid", "theta=0.5"],
+                "convergence": ["--h", "1e-2,5e-3,2.5e-3"]}
+
+# config values every command rejects before it runs: (id, config, stderr fragment)
+CONFIG_FAILURES = [
+    ("gamma_nan", _ball_scheme("scheme.variant = newmark\nscheme.gamma = nan\n"),
+     "line 8: scheme.gamma"),
+    ("alpha_m_nan", _ball_scheme("scheme.variant = generalized_alpha\nscheme.alpha_m = nan\n"),
+     "line 8: scheme.alpha_m"),
+    ("beta_inf", _ball_scheme("scheme.variant = hht\nscheme.beta = inf\n"),
+     "line 8: scheme.beta"),
+    ("n_masses_inf", BAR_CONFIG.replace("n_masses = 6", "n_masses = inf"),
+     "line 2: scenario.n_masses"),
+    ("n_masses_nan", BAR_CONFIG.replace("n_masses = 6", "n_masses = nan"),
+     "line 2: scenario.n_masses"),
+]
+
+# (command, config, extra arguments, NSC_TOL, exit code, stderr fragment)
+EXIT_CODES = [
+    *[pytest.param(command, config, args, None, 3, f"config error: {fragment}",
+                   id=f"{command}-{name}")
+      for name, config, fragment in CONFIG_FAILURES
+      for command, args in COMMAND_ARGS.items()],
+    *[pytest.param(command, BALL_CONFIG, args, None, 0, "", id=f"{command}-ok")
+      for command, args in COMMAND_ARGS.items()],
+    *[pytest.param(command, BALL_CONFIG, args, "1e-30", 2, "audit: ",
+                   id=f"{command}-identity")
+      for command, args in COMMAND_ARGS.items()],
+    pytest.param("simulate", BALL_CONFIG + "scenario.mass = -1\n", [], None, 1,
+                 "error: ball mass must be positive", id="simulate-run"),
+    pytest.param("sweep", BALL_CONFIG + "scenario.mass = -1\n", ["--grid", "theta=0.5;e=1"],
+                 None, 1, "error at {'theta': 0.5, 'e': 1.0}: ball mass must be positive",
+                 id="sweep-run"),
+    pytest.param("convergence", BALL_CONFIG + "scenario.mass = -1\n",
+                 ["--h", "1e-2,5e-3,2.5e-3"], None, 1,
+                 "error at {'h': 0.01}: ball mass must be positive", id="convergence-run"),
+    pytest.param("sweep", _ball_scheme("scheme.variant = newmark\n"), ["--grid", "gamma=nan"],
+                 None, 3, "config error: grid axis 'gamma'", id="sweep-grid-nan"),
+    pytest.param("sweep", BALL_CONFIG, ["--grid", "theta=0.5;theta=1.0"], None, 3,
+                 "config error: grid axis 'theta' is given twice", id="sweep-repeated-axis"),
+    pytest.param("convergence", BALL_CONFIG, ["--h", "1e-2,5e-3"], None, 3,
+                 "config error: convergence studies need at least 3", id="convergence-two-h"),
+]
+
+
+@pytest.mark.parametrize("command, config, args, tol, code, fragment", EXIT_CODES)
+def test_exit_code_map(tmp_path, monkeypatch, capsys, command, config, args, tol, code,
+                       fragment):
+    if tol is not None:
+        monkeypatch.setenv("NSC_TOL", tol)
+    path = write_config(tmp_path, config)
+    assert main([command, path, *args, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+    assert (err == "") == (code == 0)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("config, code, fragment", [
+    pytest.param(BALL_CONFIG, 0, "", id="ok"),
+    pytest.param(CONFIG_FAILURES[0][1], 3, "config error: line 8: scheme.gamma",
+                 id="gamma_nan"),
+])
+def test_module_entry_point_exit_code(tmp_path, config, code, fragment):
+    # the process exit status, which the installed console script relies on
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nscontact.cli", "simulate", write_config(tmp_path, config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code
+    assert fragment in proc.stderr and "Traceback" not in proc.stderr

@@ -233,6 +233,18 @@ class TestSchemeSpec:
         with pytest.raises(InconsistentSpec):
             SchemeSpec(SchemeVariant.NONSMOOTH_NEWMARK, alpha_f=0.1)
 
+    @pytest.mark.parametrize("name, build", [
+        ("theta", lambda: SchemeSpec.moreau_jean(math.nan)),
+        ("gamma", lambda: SchemeSpec.newmark(math.nan)),
+        ("beta", lambda: SchemeSpec.hht(0.1, beta=math.inf)),
+        ("alpha_m", lambda: SchemeSpec.generalized_alpha(math.nan, 0.3)),
+        ("alpha_f", lambda: SchemeSpec.kh_generalized_alpha(0.0, -math.inf)),
+    ])
+    def test_non_finite_parameter_named(self, name, build):
+        # a NaN gamma used to pass and fail later as a raw ValueError in build_cache
+        with pytest.raises(InconsistentSpec, match=rf"^{name}=\S+ is not finite"):
+            build()
+
 
 class TestInitialState:
     def test_consistent_acceleration(self, rng):

@@ -62,6 +62,15 @@ class TestBuilders:
         with pytest.raises(InvalidSpec):
             build_scenario(ScenarioSpec("elastic_bar_chain", {"n_masses": 0}))
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("elastic_bar_chain", "n_masses", math.inf),
+        ("elastic_bar_chain", "n_masses", math.nan),
+        ("bouncing_ball", "q0", math.nan),
+    ])
+    def test_non_finite_parameter_named(self, kind, name, value):
+        with pytest.raises(InvalidSpec, match=f"'{name}' must be finite"):
+            build_scenario(ScenarioSpec(kind, {name: value}))
+
 
 class TestReferenceSolutions:
     def test_ball_first_impact_time_and_speed(self):

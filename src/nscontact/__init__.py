@@ -38,7 +38,6 @@ from .lcp import (
 )
 from .integrators import (
     IterationMatrixCache,
-    active_set,
     build_cache,
     simulate,
     step,

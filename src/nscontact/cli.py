@@ -16,13 +16,14 @@ import itertools
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .energy import DEFAULT_AUDIT_TOL
-from .errors import ConfigError, InvalidSpec, NotAvailable, NscontactError
+from .errors import ConfigError, NotAvailable, NscontactError
 from .integrators import simulate
 from .model import THETA_FAMILY, SchemeSpec, SchemeVariant
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
@@ -189,10 +190,10 @@ def _number(value: str, key: str, lineno: int | None = None) -> float:
 
 
 def _step_size(h: float, key: str, t_end: float) -> float:
-    """``h`` if it is positive and gives a finite step count t_end / h."""
-    if not (h > 0.0 and math.isfinite(t_end / h)):
-        raise ConfigError(f"{key} must be positive and finite with a finite "
-                          f"step count t_end / h, got {h!r}")
+    """``h`` if 0 < h <= t_end, so a run takes at least one step, and t_end / h is finite."""
+    if not (0.0 < h <= t_end and math.isfinite(t_end / h)):
+        raise ConfigError(f"{key} must satisfy 0 < h <= run.t_end = {t_end!r} with a "
+                          f"finite step count t_end / h, got {h!r}")
     return h
 
 
@@ -208,19 +209,15 @@ def _run(cfg: RunConfig):
     return model, spec, records
 
 
-def _runs(labelled):
-    """Run each ``(label, RunConfig)`` pair in order; yield ``(label, records)``.
-
-    A failed run's error is re-raised carrying its label, which ``main``
-    prints for a run failure.
-    """
-    for label, cfg in labelled:
-        try:
-            _, _, records = _run(cfg)
-        except NscontactError as exc:
-            exc.label = label
-            raise
-        yield label, records
+@contextmanager
+def _labelled(label):
+    """Scope of one run of a sweep or study: an error raised in it is
+    re-raised carrying ``label``, which ``main`` prints for a run failure."""
+    try:
+        yield
+    except NscontactError as exc:
+        exc.label = label
+        raise
 
 
 def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
@@ -339,14 +336,15 @@ def cmd_sweep(cfg: RunConfig, grid: str, out: Path) -> list[bool]:
     tol = cfg.residual_tol()
     rows = []
     ok = []
-    for point, records in _runs((point, _grid_point(cfg, point)) for point in points):
+    for point in points:
+        with _labelled(point):
+            _, _, records = _run(_grid_point(cfg, point))
         reports = [rec.report for rec in records]
-        n_steps = max(len(reports), 1)
-        frac = sum(rep.dissipation_satisfied for rep in reports) / n_steps
+        frac = sum(rep.dissipation_satisfied for rep in reports) / len(reports)
         # np.max keeps a NaN gain; initial=0.0 clamps at zero and + 0.0
         # writes an all-zero maximum as 0, not -0
         max_gain = np.max([rep.energy_gain for rep in reports], initial=0.0) + 0.0
-        condition = reports[0].condition_satisfied if reports else True
+        condition = reports[0].condition_satisfied
         ok += [rep.identity_ok(tol) for rep in reports]
         rows.append((*point.values(), _flag(condition), frac, max_gain))
     _write_csv(out / "sweep.csv",
@@ -365,13 +363,15 @@ def cmd_convergence(cfg: RunConfig, h_list: str, out: Path) -> list[bool]:
     ok = []
     tol = cfg.residual_tol()
     scenario = cfg.scenario_spec()
-    for _, records in _runs(({"h": h}, replace(cfg, h=h)) for h in h_values):
-        if not records:
-            raise InvalidSpec("empty trajectory; t_end too small for this h")
-        if scenario.kind != "bouncing_ball" and any(r.active_set for r in records):
-            # only the fully elastic ball reference survives contact
-            raise NotAvailable("the contact activated; the closed-form "
-                               "reference is only valid while it stays open")
+    # whether a closed form exists depends on the parameters only, not on t
+    reference_solution(scenario, 0.0)
+    for h in h_values:
+        with _labelled({"h": h}):
+            _, _, records = _run(replace(cfg, h=h))
+            if scenario.kind != "bouncing_ball" and any(r.active_set for r in records):
+                # only the fully elastic ball reference survives contact
+                raise NotAvailable("the contact activated; the closed-form "
+                                   "reference is only valid while it stays open")
         final = records[-1].state_next
         q_ref, v_ref = reference_solution(scenario, final.t)
         err = math.sqrt(float(np.sum((final.q - q_ref) ** 2))
@@ -426,6 +426,10 @@ def main(argv=None) -> int:
     except NscontactError as exc:
         where = f" at {exc.label}" if hasattr(exc, "label") else ""
         print(f"error{where}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # reading the config is a config error; this is the output side
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
     violations = identity_ok.count(False)

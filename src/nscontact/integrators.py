@@ -4,12 +4,13 @@ Every scheme solves one weighted balance (see
 :class:`IterationMatrixCache`); the two families differ only in the
 per-run weights ``build_cache`` sets.  A step eliminates the smooth
 unknowns onto the contact impulses through a factorized iteration
-matrix, forecasts the active contact set, tries the free-flight step
-first, and only assembles and solves the complementarity problem when
-the free velocities violate the impact law.  The solver (Lemke's, or the
-enumeration oracle that tests swap in) returns a verified solution or
-raises ``LcpFailure``.  Impulses (not forces) are
-the contact unknowns, so the steps stay consistent when an impact
+matrix, then runs one contact stage (``_solve_contact``): it forecasts
+the active contact set, tries the free-flight step first, and only
+assembles and solves the complementarity problem when the free
+velocities violate the impact law.  Lemke's method, looked up in
+``lcp.SOLVERS`` (where tests swap in the enumeration oracle), returns
+a verified solution or raises ``LcpFailure``.  Impulses (not forces)
+are the contact unknowns, so the steps stay consistent when an impact
 happens inside the step.
 
 The iteration matrices are positive definite for every step size h > 0
@@ -44,19 +45,6 @@ from .model import (
 # Contacts count as non-separating when U_k is below this; admits
 # resting contacts sitting at numerical zero.
 ACTIVATION_TOL = 1e-12
-
-
-def active_set(model: LagrangianModel, state: SystemState, h: float) -> tuple[int, ...]:
-    """Contacts forecast to close within the step with non-separating velocity.
-
-    The forecast moves the gap by one explicit step of the current
-    velocity; a contact enters the set when that forecast gap is
-    nonpositive and the contact is not already separating.
-    """
-    forecast = gap(model, state.q + h * state.v)
-    u = local_velocity(model, state.v)
-    return tuple(int(a) for a in range(model.m)
-                 if forecast[a] <= 0.0 and u[a] <= ACTIVATION_TOL)
 
 
 @dataclass
@@ -141,29 +129,32 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v)
 
 
-def _solve_contact(model, state, h, cache, v_free, lcp_solver):
-    """Free flight first; assemble the LCP only when the impact law is violated.
+def _solve_contact(model, state, h, cache, v_free):
+    """The contact stage: forecast the active set, then solve the impact LCP on it.
 
-    Accepting the free step when the free local velocities are feasible
-    is exact, not an approximation: zero impulse solves that LCP, so the
-    outcome is bitwise identical to always solving it.  The solver is
-    looked up in ``SOLVERS`` at call time; it returns a verified
-    solution or raises ``LcpFailure``.
+    A contact enters the active set when its gap, forecast by one
+    explicit step of the current velocity, g(q_k + h v_k), is
+    nonpositive and it is not already separating (U_k <= ACTIVATION_TOL).
+    Free flight is tried first: the LCP on the active set is assembled
+    only when the free local velocities violate the impact law.
+    Accepting the free step when they are feasible is exact, not an
+    approximation: zero impulse solves that LCP, so the outcome is
+    bitwise identical to always solving it.  The solver is looked up in
+    ``SOLVERS`` at call time; it returns a verified solution or raises
+    ``LcpFailure``.  Returns the impulse P, the active set and U_k.
     """
-    m = model.m
     u_prev = local_velocity(model, state.v)
-    act = active_set(model, state, h)
-    P = np.zeros(m)
-    if act:
-        idx = list(act)
-        b = (model.contact_jacobian.T @ v_free)[idx] + model.restitution[idx] * u_prev[idx]
+    idx = np.flatnonzero((gap(model, state.q + h * state.v) <= 0.0)
+                         & (u_prev <= ACTIVATION_TOL))
+    P = np.zeros(model.m)
+    if idx.size:
+        b = local_velocity(model, v_free)[idx] + model.restitution[idx] * u_prev[idx]
         if b.min() < 0.0:
-            problem = LcpProblem(cache.delassus[np.ix_(idx, idx)], b)
-            P[idx] = SOLVERS[lcp_solver](problem).z
-    return P, act, u_prev
+            P[idx] = SOLVERS["lemke"](LcpProblem(cache.delassus[np.ix_(idx, idx)], b)).z
+    return P, tuple(idx.tolist()), u_prev
 
 
-def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", step_index=0):
+def step(model, state, h, spec, *, cache=None, step_index=0):
     """Advance one step with the scheme ``spec`` names.
 
     Every scheme solves the one weighted balance of
@@ -191,7 +182,7 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", step_index=0)
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 
-    P, act, u_prev = _solve_contact(model, state, h, cache, v1, lcp_solver)
+    P, act, u_prev = _solve_contact(model, state, h, cache, v1)
     if act:
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
@@ -213,17 +204,14 @@ def step(model, state, h, spec, *, cache=None, lcp_solver="lemke", step_index=0)
                                  active_set=act, penetration=pen)
 
 
-def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-10,
-             lcp_solver="lemke") -> list[StepRecord]:
+def simulate(model, initial_state, h, spec, t_end, *, audit=True,
+             audit_tol=1e-10) -> list[StepRecord]:
     """Run fixed steps from the initial state until t_end.
 
     Each record carries the step dynamics; with ``audit=True`` its
     ``report`` holds the energy audit (works, energies, identity
     residual, dissipation flags).  Identical inputs produce
     bitwise-identical trajectories.
-
-    ``lcp_solver`` names the contact solver in ``lcp.SOLVERS``:
-    ``"lemke"`` or the ``"enumeration"`` oracle.
 
     Raises:
         SimulationError: ``step_index = -1`` when h is not positive and
@@ -246,8 +234,7 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True, audit_tol=1e-1
     prev_energies = None
     for k in range(n_steps):
         try:
-            state, record = step(model, state, h, spec, cache=cache,
-                                 lcp_solver=lcp_solver, step_index=k)
+            state, record = step(model, state, h, spec, cache=cache, step_index=k)
             if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
                 raise NonFiniteValue("the new displacement or velocity is not finite")
             if audit:

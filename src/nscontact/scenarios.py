@@ -154,8 +154,8 @@ def reference_solution(spec: ScenarioSpec, t: float) -> tuple[np.ndarray, np.nda
             raise NotAvailable("closed-form oscillator requires zero damping")
         m, k = p["mass"], p["stiffness"]
         amp, omega, phase = p["amplitude"], p["omega"], p["phase"]
-        if k <= 0.0:
-            raise NotAvailable("closed-form oscillator requires positive stiffness")
+        if m <= 0.0 or k <= 0.0:
+            raise NotAvailable("closed-form oscillator requires positive mass and stiffness")
         denom = k - m * omega * omega
         if amp != 0.0 and abs(denom) < 1e-9 * k:
             raise NotAvailable("forcing frequency too close to resonance")

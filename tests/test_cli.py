@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nscontact.cli as cli
 import nscontact.energy as energy
 from nscontact import ConfigError
 from nscontact.cli import _run, main, parse_config
@@ -388,12 +389,14 @@ run.t_end = 1.0
         cfg = write_config(tmp_path, text)
         assert main(["convergence", cfg, "--h", "1e-2,5e-3,2.5e-3",
                      "--out", str(tmp_path)]) == 1
-        assert "contact activated" in capsys.readouterr().err
+        assert "error at {'h': 0.01}: the contact activated" in capsys.readouterr().err
 
-    def test_no_reference_exits_one(self, tmp_path, capsys):
+    def test_no_reference_exits_one(self, tmp_path, monkeypatch, capsys):
+        # whether a reference exists is known before any step size is simulated
         text = self.OSC.replace("forced_oscillator_contact", "elastic_bar_chain")
         text = text.replace("scenario.wall = -100\n", "")
         cfg = write_config(tmp_path, text)
+        monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("simulated"))
         assert main(["convergence", cfg, "--h", "1e-2,5e-3,2.5e-3",
                      "--out", str(tmp_path)]) == 1
         assert "reference" in capsys.readouterr().err
@@ -442,6 +445,11 @@ CONFIG_FAILURES = [
      "line 2: scenario.n_masses"),
 ]
 
+# run.h = 0.5 > run.t_end = 0.25 leaves no step to take
+NO_STEP_CONFIG = BALL_CONFIG.replace("run.h = 1e-3", "run.h = 0.5").replace(
+    "run.t_end = 0.5", "run.t_end = 0.25")
+NO_STEP = "must satisfy 0 < h <= run.t_end = 0.25"
+
 # (command, config, extra arguments, NSC_TOL, exit code, stderr fragment)
 EXIT_CODES = [
     *[pytest.param(command, config, args, None, 3, f"config error: {fragment}",
@@ -467,6 +475,19 @@ EXIT_CODES = [
                  "config error: grid axis 'theta' is given twice", id="sweep-repeated-axis"),
     pytest.param("convergence", BALL_CONFIG, ["--h", "1e-2,5e-3"], None, 3,
                  "config error: convergence studies need at least 3", id="convergence-two-h"),
+    *[pytest.param(command, NO_STEP_CONFIG, args, None, 3, f"config error: run.h {NO_STEP}",
+                   id=f"{command}-no-step")
+      for command, args in [("simulate", []), ("sweep", ["--grid", "theta=0.2,0.5"]),
+                            ("convergence", ["--h", "1e-2,5e-3,2.5e-3"])]],
+    pytest.param("convergence", NO_STEP_CONFIG.replace("run.h = 0.5", "run.h = 1e-2"),
+                 ["--h", "0.5,1e-2,5e-3"], None, 3, f"config error: --h {NO_STEP}",
+                 id="convergence-no-step-h"),
+    # the reference is checked before the run that would reject the mass
+    *[pytest.param("convergence", TestConvergenceCommand.OSC + f"scenario.mass = {mass}\n",
+                   ["--h", "1e-2,5e-3,2.5e-3"], None, 1,
+                   "error: closed-form oscillator requires positive mass",
+                   id=f"convergence-oscillator-mass-{mass}")
+      for mass in ("0", "-1")],
 ]
 
 
@@ -500,3 +521,14 @@ def test_module_entry_point_exit_code(tmp_path, config, code, fragment):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == code
     assert fragment in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("blocked", ["out_is_a_file", "csv_is_a_directory"])
+def test_unwritable_output_exits_one(tmp_path, capsys, blocked):
+    cfg = write_config(tmp_path)
+    out = Path(cfg) if blocked == "out_is_a_file" else tmp_path / "out"
+    if blocked == "csv_is_a_directory":
+        (out / "trajectory.csv").mkdir(parents=True)
+    assert main(["simulate", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and "Traceback" not in err

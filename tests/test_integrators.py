@@ -11,12 +11,12 @@ from nscontact import (
     SchemeSpec,
     SchemeVariant,
     SimulationError,
-    active_set,
     build_cache,
     build_model,
     initial_state,
     local_velocity,
     simulate,
+    solve_enumeration,
     solve_lemke,
     step,
 )
@@ -39,20 +39,44 @@ def oscillator(m=2.0, c=0.3, k=40.0, wall=-50.0, e=0.5, force_amp=1.5):
 
 
 class TestActiveSet:
+    """One step of h = 0.1 on three free particles, each with its own
+    contact g_a = q_a, that holds the three forecast cases at once."""
+
+    @staticmethod
+    def three_contact_step():
+        model = build_model(np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3),
+                            np.zeros(3), [0.5, 0.5, 0.5], ForcingTerm.zero(3))
+        state = initial_state(model, [0.05, 1.0, -0.2], [-1.0, -1.0, 1.0])
+        new, rec = step(model, state, 0.1, SchemeSpec.moreau_jean(0.5))
+        assert rec.active_set == (0,)
+        assert rec.U_prev == pytest.approx([-1.0, -1.0, 1.0])
+        return new, rec
+
     def test_forecast_closing(self):
-        model = free_particle()
-        state = initial_state(model, [0.05], [-1.0])
-        assert active_set(model, state, 0.1) == (0,)
+        # forecast gap 0.05 - 0.1 < 0 at U = -1; the hand LCP gives P = 1.5
+        new, rec = self.three_contact_step()
+        assert rec.P[0] == pytest.approx(1.5, abs=1e-14)
+        assert new.v[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_forecast_still_open(self):
-        model = free_particle()
-        state = initial_state(model, [1.0], [-1.0])
-        assert active_set(model, state, 0.1) == ()
+        # forecast gap 1.0 - 0.1 > 0
+        new, rec = self.three_contact_step()
+        assert rec.P[1] == 0.0 and new.v[1] == -1.0
 
     def test_separating_velocity_excluded(self):
-        model = free_particle()
-        state = initial_state(model, [0.0], [1.0])
-        assert active_set(model, state, 0.1) == ()
+        # penetrated, forecast gap -0.2 + 0.1 < 0, but U = 1 separates
+        new, rec = self.three_contact_step()
+        assert rec.P[2] == 0.0 and new.v[2] == 1.0
+
+    def test_resting_contact_included(self):
+        # gap and U exactly zero under a unit load: the contact holds the
+        # particle with the impulse h f of one step
+        model = free_particle(force=-1.0)
+        new, rec = step(model, initial_state(model, [0.0], [0.0]), 0.1,
+                        SchemeSpec.moreau_jean(0.5))
+        assert rec.active_set == (0,)
+        assert rec.P == pytest.approx([0.1], abs=1e-14)
+        assert new.v == pytest.approx([0.0], abs=1e-14)
 
 
 class TestMoreauJean:
@@ -414,12 +438,13 @@ class TestSimulate:
             simulate(model, state, h, SchemeSpec.moreau_jean(), t_end)
         assert info.value.step_index == -1
 
-    def test_enumeration_solver_matches_pivoting(self):
+    def test_enumeration_solver_matches_pivoting(self, monkeypatch):
         model = oscillator(e=0.6, wall=-0.05)
         state = initial_state(model, [0.05], [-1.0])
         spec = SchemeSpec.moreau_jean(0.5)
         rec_l = simulate(model, state.copy(), 1e-3, spec, 1.0)
-        rec_p = simulate(model, state.copy(), 1e-3, spec, 1.0, lcp_solver="enumeration")
+        monkeypatch.setitem(integrators.SOLVERS, "lemke", solve_enumeration)
+        rec_p = simulate(model, state.copy(), 1e-3, spec, 1.0)
         assert any(r.P.max() > 0 for r in rec_l)
         for a, b in zip(rec_l, rec_p):
             assert b.state_next.q == pytest.approx(a.state_next.q, abs=1e-8)

@@ -141,6 +141,11 @@ class TestReferenceSolutions:
                 ScenarioSpec("forced_oscillator_contact",
                              {"omega": 2 * math.pi, "stiffness": 4 * math.pi**2}), 0.1)
 
+    @pytest.mark.parametrize("mass", [0.0, -1.0])
+    def test_not_available_for_non_positive_oscillator_mass(self, mass):
+        with pytest.raises(NotAvailable, match="positive mass"):
+            reference_solution(ScenarioSpec("forced_oscillator_contact", {"mass": mass}), 0.0)
+
 
 class TestImpactTimeConvergence:
     def test_first_impact_time_converges_linearly(self):

@@ -190,10 +190,11 @@ def _number(value: str, key: str, lineno: int | None = None) -> float:
 
 
 def _step_size(h: float, key: str, t_end: float) -> float:
-    """``h`` if 0 < h <= t_end, so a run takes at least one step, and t_end / h is finite."""
-    if not (0.0 < h <= t_end and math.isfinite(t_end / h)):
-        raise ConfigError(f"{key} must satisfy 0 < h <= run.t_end = {t_end!r} with a "
-                          f"finite step count t_end / h, got {h!r}")
+    """``h`` if 0 < h <= t_end, so a run takes at least one step, and
+    t_end - h != t_end, so the time grid can tell its points apart."""
+    if not (0.0 < h <= t_end and t_end - h != t_end):
+        raise ConfigError(f"{key} must satisfy 0 < h <= run.t_end = {t_end!r} with "
+                          f"t_end - h != t_end, got {h!r}")
     return h
 
 

@@ -5,18 +5,22 @@ Every scheme solves one weighted balance (see
 per-run weights ``build_cache`` sets.  A step eliminates the smooth
 unknowns onto the contact impulses through a factorized iteration
 matrix, then runs one contact stage (``_solve_contact``): it forecasts
-the active contact set, tries the free-flight step first, and only
-assembles and solves the complementarity problem when the free
-velocities violate the impact law.  Lemke's method, looked up in
+the active contact set and, when the set is nonempty, solves the
+complementarity problem on it.  Lemke's method, looked up in
 ``lcp.SOLVERS`` (where tests swap in the enumeration oracle), returns
-a verified solution or raises ``LcpFailure``.  Impulses (not forces)
-are the contact unknowns, so the steps stay consistent when an impact
-happens inside the step.
+z = 0 at once when the free velocities already satisfy the impact law,
+and otherwise a verified solution or raises ``LcpFailure``.  Impulses
+(not forces) are the contact unknowns, so the steps stay consistent
+when an impact happens inside the step.
 
-The iteration matrices are positive definite for every step size h > 0
-because the model validator guarantees a positive definite mass matrix
-and positive semi-definite damping and stiffness; the Cholesky factor is
-cached per (model, scheme, h) and rebuilt whenever any of them changes.
+The iteration matrix M + c_C C + c_K K has nonnegative weights c_C and
+c_K that grow with h.  It is positive definite as long as M outweighs
+the negative eigenvalues the model validator lets through in C and K:
+semi-definite there means down to ``model.EIGENVALUE_RTOL`` times the
+largest eigenvalue, so a mass that is tiny in some direction can lose
+against that floor at a large h, and ``build_cache`` then raises
+``SingularIterationMatrix``.  The Cholesky factor is cached per
+(model, scheme, h) and rebuilt whenever any of them changes.
 A step never mutates its input state; trajectories are bitwise
 reproducible for identical inputs.
 """
@@ -135,13 +139,9 @@ def _solve_contact(model, state, h, cache, v_free):
     A contact enters the active set when its gap, forecast by one
     explicit step of the current velocity, g(q_k + h v_k), is
     nonpositive and it is not already separating (U_k <= ACTIVATION_TOL).
-    Free flight is tried first: the LCP on the active set is assembled
-    only when the free local velocities violate the impact law.
-    Accepting the free step when they are feasible is exact, not an
-    approximation: zero impulse solves that LCP, so the outcome is
-    bitwise identical to always solving it.  The solver is looked up in
-    ``SOLVERS`` at call time; it returns a verified solution or raises
-    ``LcpFailure``.  Returns the impulse P, the active set and U_k.
+    The solver is looked up in ``SOLVERS`` at call time; it returns a
+    verified solution or raises ``LcpFailure``.  Returns the impulse P,
+    the active set and U_k.
     """
     u_prev = local_velocity(model, state.v)
     idx = np.flatnonzero((gap(model, state.q + h * state.v) <= 0.0)
@@ -149,8 +149,7 @@ def _solve_contact(model, state, h, cache, v_free):
     P = np.zeros(model.m)
     if idx.size:
         b = local_velocity(model, v_free)[idx] + model.restitution[idx] * u_prev[idx]
-        if b.min() < 0.0:
-            P[idx] = SOLVERS["lemke"](LcpProblem(cache.delassus[np.ix_(idx, idx)], b)).z
+        P[idx] = SOLVERS["lemke"](LcpProblem(cache.delassus[np.ix_(idx, idx)], b)).z
     return P, tuple(idx.tolist()), u_prev
 
 
@@ -215,13 +214,17 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
 
     Raises:
         SimulationError: ``step_index = -1`` when h is not positive and
-            finite or the step count (t_end - t0) / h is not finite;
+            finite, too small to tell t_end - h from t_end or t0 + h
+            from t0, or the step count (t_end - t0) / h is not finite;
             otherwise wraps any step failure, an ``LcpFailure`` or a
             step whose new displacement or velocity is not finite
             included, with its step index.
     """
     if not 0.0 < h < math.inf:
         raise SimulationError("step size must be positive and finite", step_index=-1)
+    if t_end - h == t_end or initial_state.t + h == initial_state.t:
+        raise SimulationError(f"step size {h!r} is below the resolution of the time grid "
+                              f"[{initial_state.t!r}, {t_end!r}]", step_index=-1)
     span = (t_end - initial_state.t) / h
     if not math.isfinite(span):
         raise SimulationError(f"the step count (t_end - t0) / h = {span} is not finite",

@@ -80,8 +80,9 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
     of the covering variable whose ratio ties the least one (to within
     ``PIVOT_FLOOR`` relative) is preferred, so the solve ends there.
 
-    When no pivot is admissible, the current point is returned if it
-    solves the problem to tolerance.
+    b >= 0 returns z = 0 without pivoting.  Every other terminal point,
+    the covering variable leaving or no admissible pivot, returns
+    through one exit that verifies it to tolerance.
 
     Raises:
         LcpFailure: ray termination or only sub-floor pivots at a point
@@ -96,18 +97,19 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
     if max_pivots is None:
         max_pivots = 50 * s + 100
 
-    # Tableau columns: [w_0..w_{s-1} | z_0..z_{s-1} | z_aux | rhs].
+    # Tableau columns: [rhs | w_0..w_{s-1} | z_0..z_{s-1} | z_aux], so
+    # w_i is column 1 + i and z_i its complement, column 1 + s + i.
     # Rows always satisfy T.[w; z; z_aux] = rhs under pivoting; the w
-    # columns start as the identity and track the inverse basis, which
-    # is exactly what the lexicographic comparison needs.
-    zcol = lambda j: s + j
-    aux = 2 * s
-    T = np.empty((s, 2 * s + 2))
-    T[:, :s] = np.eye(s)
-    T[:, s:2 * s] = -problem.W
+    # columns start as the identity and track the inverse basis, so the
+    # lexicographic key of a row is its slice T[row, :s + 1] (reversed
+    # for np.lexsort, which sorts on its last key first).
+    aux = 2 * s + 1
+    T = np.empty((s, aux + 1))
+    T[:, 0] = problem.b
+    T[:, 1:s + 1] = np.eye(s)
+    T[:, s + 1:aux] = -problem.W
     T[:, aux] = -1.0
-    T[:, -1] = problem.b
-    basis = list(range(s))
+    basis = list(range(1, s + 1))
 
     def pivot(r: int, c: int) -> None:
         row = T[r] / T[r, c]
@@ -115,11 +117,20 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
         T[r] = row
         basis[r] = c
 
+    def finish(it: int, reason: str) -> LcpSolution:
+        # each basic variable takes its rhs, clamped at 0; the rest are 0
+        values = np.zeros(aux + 1)
+        values[basis] = np.where(T[:, 0] < 0.0, 0.0, T[:, 0])
+        sol = _candidate(problem, values[s + 1:aux], it)
+        if not sol.residual <= tol:     # a NaN residual fails too
+            raise LcpFailure(f"Lemke: {reason} after {it} pivots, residual "
+                             f"{sol.residual:.3e} exceeds tolerance {tol:.3e}")
+        return sol
+
     # First pivot: bring the covering variable in on the most negative
     # row (lexicographic tie-break on the inverse-basis columns).
-    keys = np.column_stack([T[:, -1], T[:, :s]])
-    r = int(np.lexsort(keys.T[::-1])[0])
-    entering = zcol(r)          # complement of the leaving w_r
+    r = int(np.lexsort(T[:, s::-1].T)[0])
+    entering = r + s + 1        # complement of the leaving w_r
     pivot(r, aux)
     aux_row = r                 # the covering variable stays here until it leaves
 
@@ -129,39 +140,22 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
         if not usable.any():
             # A degenerate tie can leave the covering variable basic at zero;
             # the ray (or roundoff-sized pivot) then starts from a solution.
-            sol = _candidate(problem, _extract_z(T, basis, s), it)
-            if sol.residual <= tol:
-                return sol
-            reason = (f"all candidate pivots below {PIVOT_FLOOR:g}" if (col > 0.0).any()
-                      else "ray termination")
-            raise LcpFailure(f"Lemke: {reason} after {it} pivots, residual "
-                             f"{sol.residual:.3e} exceeds tolerance {tol:.3e}")
+            return finish(it, f"all candidate pivots below {PIVOT_FLOOR:g}"
+                          if (col > 0.0).any() else "ray termination")
         cand = np.flatnonzero(usable)
-        ratios = np.column_stack([T[cand, -1], T[cand, :s]]) / col[cand, None]
-        r = int(cand[np.lexsort(ratios.T[::-1])[0]])
-        least = T[r, -1] / col[r]
-        if usable[aux_row] and (T[aux_row, -1] / col[aux_row]
+        ratios = T[cand, s::-1] / col[cand, None]
+        r = int(cand[np.lexsort(ratios.T)[0]])
+        least = T[r, 0] / col[r]
+        if usable[aux_row] and (T[aux_row, 0] / col[aux_row]
                                 <= least + PIVOT_FLOOR * (1.0 + abs(least))):
             r = aux_row
         leaving = basis[r]
         pivot(r, entering)
         if leaving == aux:
-            sol = _candidate(problem, _extract_z(T, basis, s), it)
-            if sol.residual > tol:
-                raise LcpFailure(f"Lemke: terminated after {it} pivots but residual "
-                                 f"{sol.residual:.3e} exceeds tolerance {tol:.3e}")
-            return sol
-        entering = zcol(leaving) if leaving < s else leaving - s
+            return finish(it, "terminal point failed the tolerance check")
+        entering = leaving + s if leaving <= s else leaving - s
 
     raise LcpFailure(f"Lemke: pivot limit {max_pivots} reached")
-
-
-def _extract_z(T: np.ndarray, basis: list[int], s: int) -> np.ndarray:
-    z = np.zeros(s)
-    for row, var in enumerate(basis):
-        if s <= var < 2 * s:
-            z[var - s] = max(T[row, -1], 0.0)
-    return z
 
 
 def solve_enumeration(problem: LcpProblem) -> LcpSolution:
@@ -195,7 +189,4 @@ def solve_enumeration(problem: LcpProblem) -> LcpSolution:
     raise LcpFailure(f"enumeration: no feasible active subset among {tried} candidates")
 
 
-SOLVERS = {
-    "lemke": solve_lemke,
-    "enumeration": solve_enumeration,
-}
+SOLVERS = {"lemke": solve_lemke}

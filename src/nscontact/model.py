@@ -329,6 +329,10 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
                 restitution, forcing: ForcingTerm) -> LagrangianModel:
     """Validate and assemble a model; caches the mass Cholesky factor.
 
+    The model owns copies of its matrices, offsets, restitution
+    coefficients and mass factor, all read-only: writing into one
+    raises ``ValueError``.  The forcing term is kept as given.
+
     Raises:
         DimensionMismatch: inconsistent array shapes (names the field).
         NonSymmetric: mass/damping/stiffness beyond the symmetry tolerance.
@@ -393,6 +397,11 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     if f0.shape != (n,):
         raise DimensionMismatch(f"forcing must evaluate to length {n}, got {f0.shape}")
 
+    # the model owns these copies; read-only, they cannot drift from a
+    # cache or factor built on them (the forcing may alias caller data)
+    for arr in (mass, damping, stiffness, contact_jacobian, gap_offset, restitution,
+                factor[0]):
+        arr.flags.writeable = False
     return LagrangianModel(n=n, m=m, mass=mass, damping=damping, stiffness=stiffness,
                            contact_jacobian=contact_jacobian, gap_offset=gap_offset,
                            restitution=restitution, forcing=forcing, mass_cho=factor)
@@ -442,11 +451,6 @@ class SystemState:
     y: np.ndarray
     f_prev: np.ndarray
     v_prev: np.ndarray
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.t, self.q.copy(), self.v.copy(), self.a.copy(),
-                           self.a_tilde.copy(), self.z.copy(), self.x.copy(),
-                           self.y.copy(), self.f_prev.copy(), self.v_prev.copy())
 
 
 def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemState:

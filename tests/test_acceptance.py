@@ -207,12 +207,12 @@ def test_c07_kh_identity_dissipation_equivalence():
                                         for r in records]))
     # no damping + constant load: trajectories match the standard scheme
     model, state = ball(q0=0.25, e=0.6)
-    rec_kh = simulate(model, state.copy(), 1e-3,
+    rec_kh = simulate(model, state, 1e-3,
                       SchemeSpec.from_rho_infinity(
                           0.9, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA), 2.0,
                       audit=False)
-    rec_ga = simulate(model, state.copy(), 1e-3,
-                      SchemeSpec.from_rho_infinity(0.9), 2.0, audit=False)
+    rec_ga = simulate(model, state, 1e-3, SchemeSpec.from_rho_infinity(0.9), 2.0,
+                      audit=False)
     diff = np.max([np.maximum(np.abs(a.state_next.q - b.state_next.q).max(),
                               np.abs(a.state_next.v - b.state_next.v).max())
                    for a, b in zip(rec_kh, rec_ga)])
@@ -265,16 +265,23 @@ def test_c09_convergence_orders():
 
 
 def test_c10_penetration_scales_with_step():
-    def max_pen(h):
-        model, state = ball(q0=0.05, e=0.9)
-        records = simulate(model, state, h, SchemeSpec.moreau_jean(0.5), 4.0,
-                           audit=False)
-        return np.max([r.penetration for r in records])
+    # Penetration at contact activation: the first impact's depth depends
+    # on where it falls within a step, so take the worst over 41 drop
+    # heights.  The ball (e = 0.9) lands near t = 0.1 and does not come
+    # back before t = 0.15.
+    def max_first_impact_pen(h):
+        worst = 0.0
+        for q0 in np.linspace(0.05, 0.0505, 41):
+            model, state = ball(q0=q0, e=0.9)
+            records = simulate(model, state, h, SchemeSpec.moreau_jean(0.5), 0.15,
+                               audit=False)
+            worst = max(worst, max(r.penetration for r in records))
+        return worst
 
-    pen_h = max_pen(1e-3)
-    pen_h2 = max_pen(5e-4)
+    pen_h = max_first_impact_pen(1e-3)
+    pen_h2 = max_first_impact_pen(5e-4)
     ratio = pen_h / pen_h2
-    _criterion(10, f"max penetration {pen_h:.2e} vs {pen_h2:.2e}, "
+    _criterion(10, f"worst first-impact penetration {pen_h:.3e} vs {pen_h2:.3e}, "
                    f"ratio {ratio:.3f} within [1.6, 2.4]",
                1.6 <= ratio <= 2.4)
 

@@ -12,6 +12,7 @@ import pytest
 
 import nscontact.cli as cli
 import nscontact.energy as energy
+import nscontact.integrators as integrators
 from nscontact import ConfigError
 from nscontact.cli import _run, main, parse_config
 
@@ -501,6 +502,28 @@ def test_exit_code_map(tmp_path, monkeypatch, capsys, command, config, args, tol
     err = capsys.readouterr().err
     assert fragment in err and "Traceback" not in err
     assert (err == "") == (code == 0)
+
+
+def _knocked_out_step(*args, **kwargs):
+    raise RuntimeError("no step may run")
+
+
+# t_end / h = 1e300 is finite, but t_end - h == t_end: such a run would loop
+# ~1e300 times, so it must be refused before any step
+@pytest.mark.parametrize("command, config, args, key", [
+    pytest.param("simulate", BALL_CONFIG.replace("run.h = 1e-3", "run.h = 1e-300"), [],
+                 "run.h", id="simulate"),
+    pytest.param("sweep", BALL_CONFIG.replace("run.h = 1e-3", "run.h = 1e-300"),
+                 ["--grid", "theta=0.5"], "run.h", id="sweep"),
+    pytest.param("convergence", BALL_CONFIG, ["--h", "1e-300,1e-3,2e-3"], "--h",
+                 id="convergence"),
+])
+def test_unresolvable_step_size_exits_three(tmp_path, monkeypatch, capsys, command, config,
+                                            args, key):
+    monkeypatch.setattr(integrators, "step", _knocked_out_step)
+    path = write_config(tmp_path, config)
+    assert main([command, path, *args, "--out", str(tmp_path / "out")]) == 3
+    assert f"config error: {key} must satisfy 0 < h <= run.t_end" in capsys.readouterr().err
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -245,7 +245,7 @@ class TestIdentityResidual:
         state = initial_state(model, [0.0], [0.0])
         for spec in (SchemeSpec.moreau_jean(0.7), SchemeSpec.newmark(0.6),
                      SchemeSpec.hht(0.1), SchemeSpec.from_rho_infinity(0.5)):
-            records = simulate(model, state.copy(), 1e-2, spec, 0.05)
+            records = simulate(model, state, 1e-2, spec, 0.05)
             for rec in records:
                 assert rec.report.identity_residual == 0.0
 
@@ -351,7 +351,7 @@ class TestPiecewiseForcingAudit:
         state = initial_state(model, [0.1], [-1.0])
         for spec in (SchemeSpec.hht(0.2), SchemeSpec.from_rho_infinity(0.7),
                      SchemeSpec.moreau_jean(0.8)):
-            records = simulate(model, state.copy(), 1e-3, spec, 0.2)
+            records = simulate(model, state, 1e-3, spec, 0.2)
             for rec in records:
                 assert abs(rec.report.identity_residual) <= 1e-10 * rec.report.residual_scale
 

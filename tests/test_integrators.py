@@ -1,5 +1,6 @@
 """Step maps against hand solutions, independent oracles, and each other."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -11,6 +12,8 @@ from nscontact import (
     SchemeSpec,
     SchemeVariant,
     SimulationError,
+    SingularIterationMatrix,
+    SystemState,
     build_cache,
     build_model,
     initial_state,
@@ -139,7 +142,7 @@ class TestMoreauJeanVariant:
     def test_coincides_with_moreau_jean_at_half(self):
         model = oscillator(e=0.8, wall=-0.1)
         state = initial_state(model, [0.05], [-1.2])
-        s_a, s_b = state, state.copy()
+        s_a = s_b = state
         for k in range(200):
             s_a, _ = step(model, s_a, 1e-3, SchemeSpec.moreau_jean(0.5))
             s_b, _ = step(model, s_b, 1e-3, SchemeSpec.moreau_jean_variant(0.5))
@@ -218,7 +221,7 @@ class TestGeneralizedAlpha:
     def test_newmark_trapezoidal_equals_moreau_jean_half(self):
         model = oscillator()
         state = initial_state(model, [0.7], [-0.4])
-        s_mj, s_nm = state, state.copy()
+        s_mj = s_nm = state
         spec = SchemeSpec.newmark(gamma=0.5, beta=0.25)
         for _ in range(100):
             s_mj, _ = step(model, s_mj, 1e-2, SchemeSpec.moreau_jean(0.5))
@@ -311,7 +314,7 @@ class TestKrenkHogsberg:
         state = initial_state(model, [0.1], [-1.5])
         spec_nm = SchemeSpec.newmark(gamma=0.6, beta=0.4)
         spec_kh = SchemeSpec.kh_generalized_alpha(0.0, 0.0, gamma=0.6, beta=0.4)
-        s_a, s_b = state, state.copy()
+        s_a = s_b = state
         for _ in range(300):
             s_a, _ = step(model, s_a, 1e-3, spec_nm)
             s_b, _ = step(model, s_b, 1e-3, spec_kh)
@@ -326,7 +329,7 @@ class TestKrenkHogsberg:
         spec_kh = SchemeSpec.from_rho_infinity(
             0.85, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)
         s_a = initial_state(model, rng.normal(size=3) * 0.02, rng.normal(size=3))
-        s_b = s_a.copy()
+        s_b = s_a
         for _ in range(500):
             s_a, _ = step(model, s_a, h, spec_ga)
             s_b, _ = step(model, s_b, h, spec_kh)
@@ -357,6 +360,35 @@ class TestKrenkHogsberg:
         assert new.q == pytest.approx([q_pred + h * h * b * a1], rel=1e-13)
 
 
+SIX_VARIANTS = [
+    SchemeSpec.moreau_jean(0.7), SchemeSpec.moreau_jean_variant(0.6),
+    SchemeSpec.newmark(0.6, 0.4), SchemeSpec.hht(0.1), SchemeSpec.from_rho_infinity(0.8),
+    SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)]
+
+
+@pytest.mark.parametrize("spec", SIX_VARIANTS, ids=lambda spec: spec.variant.value)
+def test_step_leaves_its_input_state_unchanged(spec):
+    # a contact step (gaps closed and closing) from nonzero filter states
+    rng = np.random.default_rng(11)
+    model = random_model(rng, n=4, m=2)
+    jac_t = model.contact_jacobian.T
+    q0 = -np.linalg.lstsq(jac_t, model.gap_offset, rcond=None)[0]
+    v0 = -np.linalg.lstsq(jac_t, np.ones(model.m), rcond=None)[0]
+    state = dataclasses.replace(initial_state(model, q0, v0, t0=0.5), z=rng.normal(size=4),
+                                x=rng.normal(size=4), y=rng.normal(size=4))
+    arrays = [f.name for f in dataclasses.fields(SystemState) if f.name != "t"]
+    before = {name: getattr(state, name).tobytes() for name in arrays}
+    t = state.t
+    _, rec = step(model, state, 1e-3, spec, step_index=1)
+    assert rec.P.max() > 0.0
+    assert {name: getattr(state, name).tobytes() for name in arrays} == before
+    assert state.t == t
+
+
+def broken_step(*args, **kwargs):
+    raise RuntimeError("step knocked out")
+
+
 class TestSimulate:
     def test_zero_steps(self):
         model = free_particle()
@@ -366,7 +398,7 @@ class TestSimulate:
     def test_determinism_bitwise(self):
         model = oscillator(e=0.7, wall=-0.05)
         state = initial_state(model, [0.05], [-1.0])
-        run = lambda: simulate(model, state.copy(), 1e-3, SchemeSpec.hht(0.1), 1.5)
+        run = lambda: simulate(model, state, 1e-3, SchemeSpec.hht(0.1), 1.5)
         a, b = run(), run()
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
@@ -438,13 +470,24 @@ class TestSimulate:
             simulate(model, state, h, SchemeSpec.moreau_jean(), t_end)
         assert info.value.step_index == -1
 
+    @pytest.mark.parametrize("h, t0, t_end", [(1e-300, 0.0, 1.0), (1e-11, -1e6, 0.0)])
+    def test_unresolvable_step_size_fails_before_stepping(self, monkeypatch, h, t0, t_end):
+        # (t_end - t0) / h is finite, but t_end - h == t_end or t0 + h == t0:
+        # the loop would take ~1e300 steps or never advance t; no step may run
+        monkeypatch.setattr(integrators, "step", broken_step)
+        model = free_particle()
+        state = initial_state(model, [1.0], [0.0], t0)
+        with pytest.raises(SimulationError, match="resolution of the time grid") as info:
+            simulate(model, state, h, SchemeSpec.moreau_jean(), t_end)
+        assert info.value.step_index == -1
+
     def test_enumeration_solver_matches_pivoting(self, monkeypatch):
         model = oscillator(e=0.6, wall=-0.05)
         state = initial_state(model, [0.05], [-1.0])
         spec = SchemeSpec.moreau_jean(0.5)
-        rec_l = simulate(model, state.copy(), 1e-3, spec, 1.0)
+        rec_l = simulate(model, state, 1e-3, spec, 1.0)
         monkeypatch.setitem(integrators.SOLVERS, "lemke", solve_enumeration)
-        rec_p = simulate(model, state.copy(), 1e-3, spec, 1.0)
+        rec_p = simulate(model, state, 1e-3, spec, 1.0)
         assert any(r.P.max() > 0 for r in rec_l)
         for a, b in zip(rec_l, rec_p):
             assert b.state_next.q == pytest.approx(a.state_next.q, abs=1e-8)
@@ -464,6 +507,18 @@ class TestIterationMatrixCache:
             assert not any(cache.matches(other, spec, 1e-3) for other in others)
             assert cache.matches(cache.model, spec, 1e-3)
 
+    def test_tiny_mass_loses_against_the_stiffness_floor(self):
+        # K's eigenvalue -1e-11 lies inside build_model's semi-definite
+        # floor (-1e-10 of its largest), but MJ(1/2) at h = 1 factors
+        # M + K / 4, whose second diagonal entry 1e-20 - 2.5e-12 is negative
+        model = build_model(np.diag([1.0, 1e-20]), np.zeros((2, 2)), np.diag([1.0, -1e-11]),
+                            [[1.0], [0.0]], [0.0], [0.5], ForcingTerm.zero(2))
+        spec = SchemeSpec.moreau_jean(0.5)
+        with pytest.raises(SingularIterationMatrix):
+            build_cache(model, spec, 1.0)
+        with pytest.raises(SingularIterationMatrix):
+            simulate(model, initial_state(model, [1.0, 0.0], [0.0, 0.0]), 1.0, spec, 2.0)
+
 
 class TestNonFiniteState:
     def test_non_finite_step_names_its_index(self, monkeypatch):
@@ -480,7 +535,7 @@ class TestNonFiniteState:
         monkeypatch.setattr(integrators, "step", overflowing_step)
         for audit in (True, False):
             with pytest.raises(SimulationError, match="step 3") as info:
-                simulate(model, state.copy(), 1e-3, SchemeSpec.hht(0.1), 0.1, audit=audit)
+                simulate(model, state, 1e-3, SchemeSpec.hht(0.1), 0.1, audit=audit)
             assert info.value.step_index == 3
             assert "not finite" in str(info.value)
 

@@ -117,6 +117,16 @@ class TestFailureModes:
         with pytest.raises(LcpFailure, match="ray termination"):
             solve_lemke(LcpProblem([[-1.0]], [-1.0]))
 
+    # a NaN residual must fail the verification at either terminal exit
+    @pytest.mark.parametrize("W, b", [
+        pytest.param([[1.0]], [np.nan], id="covering-exit"),
+        pytest.param([[1.0, 0.5], [0.5, 1.0]], [-1.0, np.nan], id="covering-exit-s2"),
+        pytest.param([[np.nan]], [-1.0], id="no-pivot-exit"),
+    ])
+    def test_lemke_rejects_a_nan_residual(self, W, b):
+        with pytest.raises(LcpFailure, match="residual nan exceeds tolerance"):
+            solve_lemke(LcpProblem(W, b))
+
     def test_lemke_pivot_limit_raises(self):
         problem = LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, -3.0])
         with pytest.raises(LcpFailure, match="pivot limit 1"):

@@ -91,6 +91,32 @@ class TestBuildModel:
         assert model.restitution.tolist() == [0.5, 0.5]
 
 
+class TestReadOnlyModel:
+    """A model's own arrays cannot change under a cache built on it: a
+    write into ``stiffness`` after ``build_cache`` used to leave the
+    cache matching and the step silently off by the old stiffness."""
+
+    @staticmethod
+    def oscillator():
+        return build_model([[2.0]], [[0.3]], [[40.0]], [[1.0]], [50.0], [0.5],
+                           ForcingTerm.sinusoidal([1.5], omega=2.0))
+
+    @pytest.mark.parametrize("name", ["mass", "damping", "stiffness", "contact_jacobian",
+                                      "gap_offset", "restitution", "mass factor"])
+    def test_in_place_write_raises(self, name):
+        model = self.oscillator()
+        array = model.mass_cho[0] if name == "mass factor" else getattr(model, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 80.0
+
+    def test_caller_arrays_stay_writable(self):
+        stiffness = np.array([[40.0]])
+        model = build_model([[2.0]], [[0.3]], stiffness, [[1.0]], [50.0], [0.5],
+                            ForcingTerm.zero(1))
+        stiffness[0, 0] = 80.0
+        assert model.stiffness[0, 0] == 40.0
+
+
 class TestNonFiniteInput:
     ARGS = dict(mass=[[1.0]], damping=[[0.0]], stiffness=[[0.0]], contact_jacobian=[[1.0]],
                 gap_offset=[0.0], restitution=[0.5], forcing=ForcingTerm.zero(1))

@@ -153,7 +153,6 @@ class TestImpactTimeConvergence:
         t_star = math.sqrt(2.0 / 9.81)
         model, state = build_scenario(spec)
         for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
-            records = simulate(model, state.copy(), h, SchemeSpec.moreau_jean(0.5), 1.0,
-                               audit=False)
+            records = simulate(model, state, h, SchemeSpec.moreau_jean(0.5), 1.0, audit=False)
             t_impact = next(rec.state_next.t for rec in records if rec.P.max() > 0.0)
             assert abs(t_impact - t_star) <= 2.0 * h

@@ -3,10 +3,12 @@
 Configs are flat ``key = value`` files with dotted keys (``scenario.*``,
 ``scheme.*``, ``run.*``): trivially parseable, diff-friendly.  Outputs
 are CSV with 17 significant digits so residual-level comparisons
-survive a round trip.  Exit codes: 0 success, 1 solver/run failure,
-2 identity-residual violation with auditing armed, 3 config error.
-The commands return their per-step ``identity_ok`` flags and raise on
-failure; ``main`` alone maps an outcome to an exit code and a stderr line.
+survive a round trip.  ``run.tol`` is the one identity-residual
+tolerance.  Exit codes: 0 success, 1 solver/run failure, 2 a step
+violates the identity residual tolerance, 3 config or command-line
+usage error.  The commands return their per-step ``identity_ok`` flags
+and raise on failure; ``main`` alone maps an outcome to an exit code
+and a stderr line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,7 @@ from .integrators import simulate
 from .model import THETA_FAMILY, SchemeSpec, SchemeVariant
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
 
-_RUN_KEYS = {"h", "t_end", "audit", "tol"}
+_RUN_KEYS = {"h", "t_end", "tol"}
 _GRID_AXES = ("theta", "gamma", "beta", "alpha", "rho_infinity", "e")
 
 
@@ -45,25 +46,13 @@ class RunConfig:
     scheme_params: dict = field(default_factory=dict)
     h: float = 1e-3
     t_end: float = 1.0
-    audit: bool = True
-    tol: float | None = None
+    tol: float = DEFAULT_AUDIT_TOL
 
     def scenario_spec(self) -> ScenarioSpec:
         return ScenarioSpec(self.scenario_kind, dict(self.scenario_params))
 
     def scheme_spec(self) -> SchemeSpec:
         return _build_scheme(self.scheme_params)
-
-    def residual_tol(self) -> float:
-        env = os.environ.get("NSC_TOL")
-        if env is not None:
-            tol = _number(env, "NSC_TOL")
-            if tol < 0.0:
-                raise ConfigError(f"NSC_TOL must be nonnegative, got '{env}'")
-            return tol
-        if self.tol is not None:
-            return self.tol
-        return DEFAULT_AUDIT_TOL
 
 
 # Scheme keys each variant accepts besides ``variant`` and ``beta_rule``;
@@ -157,16 +146,10 @@ def parse_config(path) -> RunConfig:
         elif section == "run":
             if name not in _RUN_KEYS:
                 raise ConfigError(f"unknown run key '{key}'", line=lineno)
-            if name == "audit":
-                if value not in ("true", "false"):
-                    raise ConfigError(f"run.audit must be true/false, got '{value}'",
-                                      line=lineno)
-                cfg.audit = value == "true"
-            else:
-                number = _number(value, key, lineno)
-                if name == "tol" and number < 0.0:
-                    raise ConfigError(f"{key} must be nonnegative, got '{value}'", line=lineno)
-                setattr(cfg, name, number)
+            number = _number(value, key, lineno)
+            if name == "tol" and number < 0.0:
+                raise ConfigError(f"{key} must be nonnegative, got '{value}'", line=lineno)
+            setattr(cfg, name, number)
         else:
             raise ConfigError(f"unknown section '{section}'", line=lineno)
 
@@ -205,8 +188,7 @@ def _step_size(h: float, key: str, t_end: float) -> float:
 def _run(cfg: RunConfig):
     model, state = build_scenario(cfg.scenario_spec())
     spec = cfg.scheme_spec()
-    records = simulate(model, state, cfg.h, spec, cfg.t_end, audit=True,
-                       audit_tol=cfg.residual_tol())
+    records = simulate(model, state, cfg.h, spec, cfg.t_end, audit=True, audit_tol=cfg.tol)
     return model, spec, records
 
 
@@ -257,8 +239,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
     _write_csv(out / "trajectory.csv", header,
                "%d" + ",%.17g" * (2 * n + 7) + ",%s,%.17g\n", trajectory_rows())
 
-    tol = cfg.residual_tol()
-    ok = [rec.report.identity_ok(tol) for rec in records]
+    ok = [rec.report.identity_ok(cfg.tol) for rec in records]
 
     def audit_rows():
         for rec, good in zip(records, ok):
@@ -334,7 +315,6 @@ def cmd_sweep(cfg: RunConfig, grid: str, out: Path) -> list[bool]:
     """
     axes = _parse_grid(grid)
     points = [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
-    tol = cfg.residual_tol()
     rows = []
     ok = []
     for point in points:
@@ -346,7 +326,7 @@ def cmd_sweep(cfg: RunConfig, grid: str, out: Path) -> list[bool]:
         # writes an all-zero maximum as 0, not -0
         max_gain = np.max([rep.energy_gain for rep in reports], initial=0.0) + 0.0
         condition = reports[0].condition_satisfied
-        ok += [rep.identity_ok(tol) for rep in reports]
+        ok += [rep.identity_ok(cfg.tol) for rep in reports]
         rows.append((*point.values(), _flag(condition), frac, max_gain))
     _write_csv(out / "sweep.csv",
                [*axes, "condition_satisfied", "dissipation_fraction", "max_energy_gain"],
@@ -362,7 +342,6 @@ def cmd_convergence(cfg: RunConfig, h_list: str, out: Path) -> list[bool]:
         raise ConfigError("convergence studies need at least 3 step sizes")
     errors = []
     ok = []
-    tol = cfg.residual_tol()
     scenario = cfg.scenario_spec()
     # whether a closed form exists depends on the parameters only, not on t
     reference_solution(scenario, 0.0)
@@ -378,7 +357,7 @@ def cmd_convergence(cfg: RunConfig, h_list: str, out: Path) -> list[bool]:
         err = math.sqrt(float(np.sum((final.q - q_ref) ** 2))
                         + float(np.sum((final.v - v_ref) ** 2)))
         errors.append(err)
-        ok += [rec.report.identity_ok(tol) for rec in records]
+        ok += [rec.report.identity_ok(cfg.tol) for rec in records]
     order = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
     _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"], "%.17g,%.17g,%.17g\n",
                ((h, err, order) for h, err in zip(h_values, errors)))
@@ -394,8 +373,6 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run one config, write trajectory + audit CSVs")
     p_sim.add_argument("config")
     p_sim.add_argument("--out", default=".", help="output directory")
-    p_sim.add_argument("--audit", action="store_true",
-                       help="arm exit code 2 on identity-residual violations")
 
     p_sweep = sub.add_parser("sweep", help="run a 1- or 2-axis parameter grid")
     p_sweep.add_argument("config")
@@ -409,13 +386,17 @@ def main(argv=None) -> int:
                         help="comma-separated step sizes, e.g. '1e-2,5e-3,2.5e-3'")
     p_conv.add_argument("--out", default=".", help="output directory")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage line to stderr, or the help to
+        # stdout for --help (code 0); a usage error is not an identity violation
+        return 3 if exc.code else 0
     try:
         cfg = parse_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            cfg.audit = cfg.audit or args.audit
             identity_ok = cmd_simulate(cfg, out)
         elif args.command == "sweep":
             identity_ok = cmd_sweep(cfg, args.grid, out)
@@ -434,7 +415,7 @@ def main(argv=None) -> int:
         return 1
 
     violations = identity_ok.count(False)
-    if cfg.audit and violations:
+    if violations:
         print(f"audit: {violations} step(s) violate the identity residual tolerance",
               file=sys.stderr)
         return 2

@@ -204,7 +204,7 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
 
 
 def simulate(model, initial_state, h, spec, t_end, *, audit=True,
-             audit_tol=1e-10) -> list[StepRecord]:
+             audit_tol=energy_audit.DEFAULT_AUDIT_TOL) -> list[StepRecord]:
     """Run fixed steps from the initial state until t_end.
 
     Each record carries the step dynamics; with ``audit=True`` its

@@ -64,18 +64,25 @@ class ForcingTerm:
     breakpoints: tuple[float, ...] = ()
     values: tuple[tuple[float, ...], ...] = ()  # len(breakpoints)+1 segments
 
+    def __post_init__(self):
+        # the term owns a read-only copy, so a write into the caller's
+        # array cannot change a model's load
+        amplitude = np.array(self.amplitude, dtype=float)
+        amplitude.flags.writeable = False
+        object.__setattr__(self, "amplitude", amplitude)
+
     @staticmethod
     def zero(n: int) -> "ForcingTerm":
         return ForcingTerm(ForcingKind.ZERO, np.zeros(n))
 
     @staticmethod
     def constant(amplitude) -> "ForcingTerm":
-        return ForcingTerm(ForcingKind.CONSTANT, np.asarray(amplitude, dtype=float))
+        return ForcingTerm(ForcingKind.CONSTANT, amplitude)
 
     @staticmethod
     def sinusoidal(amplitude, omega: float, phase: float = 0.0) -> "ForcingTerm":
-        return ForcingTerm(ForcingKind.SINUSOIDAL, np.asarray(amplitude, dtype=float),
-                           omega=float(omega), phase=float(phase))
+        return ForcingTerm(ForcingKind.SINUSOIDAL, amplitude, omega=float(omega),
+                           phase=float(phase))
 
     @staticmethod
     def piecewise_constant(breakpoints, values) -> "ForcingTerm":
@@ -87,9 +94,8 @@ class ForcingTerm:
         if len(vals) != len(bp) + 1:
             raise DimensionMismatch(
                 f"piecewise forcing needs {len(bp) + 1} segment values, got {len(vals)}")
-        return ForcingTerm(ForcingKind.PIECEWISE_CONSTANT,
-                           np.asarray(vals[0], dtype=float),
-                           breakpoints=bp, values=vals)
+        return ForcingTerm(ForcingKind.PIECEWISE_CONSTANT, vals[0], breakpoints=bp,
+                           values=vals)
 
     def evaluate(self, t: float) -> np.ndarray:
         if self.kind is ForcingKind.ZERO:
@@ -331,7 +337,7 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
 
     The model owns copies of its matrices, offsets, restitution
     coefficients and mass factor, all read-only: writing into one
-    raises ``ValueError``.  The forcing term is kept as given.
+    raises ``ValueError``.
 
     Raises:
         DimensionMismatch: inconsistent array shapes (names the field).
@@ -398,7 +404,7 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
         raise DimensionMismatch(f"forcing must evaluate to length {n}, got {f0.shape}")
 
     # the model owns these copies; read-only, they cannot drift from a
-    # cache or factor built on them (the forcing may alias caller data)
+    # cache or factor built on them
     for arr in (mass, damping, stiffness, contact_jacobian, gap_offset, restitution,
                 factor[0]):
         arr.flags.writeable = False

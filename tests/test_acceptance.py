@@ -297,8 +297,8 @@ def test_c11_byte_identical_reruns(tmp_path):
         "run.h = 1e-3\n"
         "run.t_end = 1.5\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", str(config), "--out", str(out1), "--audit"]) == 0
-    assert main(["simulate", str(config), "--out", str(out2), "--audit"]) == 0
+    assert main(["simulate", str(config), "--out", str(out1)]) == 0
+    assert main(["simulate", str(config), "--out", str(out2)]) == 0
     same = ((out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
             and (out1 / "audit.csv").read_bytes() == (out2 / "audit.csv").read_bytes())
     _criterion(11, "byte-identical trajectory.csv and audit.csv across reruns", same)

@@ -3,7 +3,8 @@
 Each case runs one scheme twice: once as it is, and once with a small
 defect injected into the step or into the audit's coefficient row.  The
 clean run must pass the identity gate on every step and the mutant must
-fail it on at least one.  The table runs in SI units:
+fail it on at least one.  The table runs in SI units and again in two
+rescaled unit systems:
 
 - ``impulse tail``: the impulse's velocity correction scaled by 1.01;
 - ``filter work``: the generalized-alpha and HHT filter works dropped;
@@ -12,9 +13,16 @@ fail it on at least one.  The table runs in SI units:
 The c_a mutant runs on Newmark(0.6, 0.4), not on generalized-alpha
 rho_inf = 0.8, whose c_a = (h^2/4)(2 beta - gamma) ~ 1.5e-9 at h = 1e-3
 puts a 1 % change of that term below the gate.
+
+Rescaled, every trajectory is the SI one in other units, but the gate's
+scale ``1 + max(|dE|, |dH|, |W_ext|)`` keeps an absolute floor: once the
+energies fall below ~1e-10 it passes every mutant.  Those rows are strict
+xfails (ROADMAP item 3, a unit-invariant gate); the clean twin must pass
+in every unit system all the same.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -77,6 +85,17 @@ def accel_coeff(monkeypatch):
     patch_row(monkeypatch, lambda row: row._replace(accel_coeff=1.01 * row.accel_coeff))
 
 
+def rescaled(build, length, mass):
+    """``build``'s run with lengths and masses in other units; time stays in s."""
+    model, state = build()
+    forcing = dataclasses.replace(model.forcing,
+                                  amplitude=mass * length * model.forcing.amplitude)
+    scaled = build_model(mass * model.mass, mass * model.damping, mass * model.stiffness,
+                         model.contact_jacobian, length * model.gap_offset,
+                         model.restitution, forcing)
+    return scaled, initial_state(scaled, length * state.q, length * state.v)
+
+
 # (id, run builder, scheme, t_end, mutant)
 CASES = [
     ("impulse-tail-mj-ball", ball, SchemeSpec.moreau_jean(0.5), 1.0, impulse_tail),
@@ -89,15 +108,31 @@ CASES = [
 ]
 
 
+# (id prefix, length factor, mass factor); SI runs keep the bare case id
+UNIT_SYSTEMS = [("", 1.0, 1.0), ("length-1e-5-", 1e-5, 1.0),
+                ("length-mass-1e-3-", 1e-3, 1e-3)]
+
+# measured: in both rescaled systems the gate flags none of the five
+# mutants (the 1 % impulse tail on the ball: 6 steps in SI, worst
+# |r|/scale 7.8e-4; 0 steps at lengths x 1e-5, worst 8.4e-14)
+MISSED = pytest.mark.xfail(strict=True, raises=AssertionError,
+                           reason="ROADMAP item 3: the gate's absolute floor passes "
+                                  "every mutant in small units")
+
+
 def gate_failures(build, spec, t_end):
     model, state = build()
     return sum(not rec.report.identity_ok() for rec in simulate(model, state, H, spec, t_end))
 
 
-@pytest.mark.parametrize("build, spec, t_end, mutant",
-                         [pytest.param(*case[1:], id=case[0]) for case in CASES])
+@pytest.mark.parametrize("build, spec, t_end, mutant", [
+    pytest.param(functools.partial(rescaled, build, length, mass), spec, t_end, mutant,
+                 id=prefix + name, marks=[MISSED] if prefix else [])
+    for prefix, length, mass in UNIT_SYSTEMS for name, build, spec, t_end, mutant in CASES])
 def test_audit_flags_the_mutant_and_passes_its_clean_twin(monkeypatch, build, spec, t_end,
                                                            mutant):
-    assert gate_failures(build, spec, t_end) == 0
+    if gate_failures(build, spec, t_end):
+        # not an assert: an xfail row may fail only on the mutant
+        pytest.fail("the clean run fails the identity gate")
     mutant(monkeypatch)
     assert gate_failures(build, spec, t_end) > 0

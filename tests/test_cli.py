@@ -1,4 +1,4 @@
-"""Config parsing, CSV outputs, exit codes, environment overrides."""
+"""Config parsing, CSV outputs, exit codes and the one residual tolerance."""
 
 import math
 import os
@@ -46,7 +46,6 @@ scheme.variant = moreau_jean
 scheme.theta = 0.9
 run.h = 1e-3
 run.t_end = 0.05
-run.audit = false
 """
 
 
@@ -153,7 +152,7 @@ class TestSimulateCommand:
     def test_writes_csvs_and_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--out", str(out), "--audit"]) == 0
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
         header, rows = read_csv(out / "trajectory.csv")
         assert header == ["step", "t", "q_0", "v_0", "E", "H", "W_ext_cum",
                           "W_damp_cum", "contact_work", "residual", "active_set",
@@ -190,24 +189,23 @@ class TestSimulateCommand:
         text = text.replace("scenario.restitution = 1.0", "scenario.restitution = 0.0")
         cfg = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--out", str(out), "--audit"]) == 0
+        assert main(["simulate", cfg, "--out", str(out)]) == 0
         _, rows = read_csv(out / "audit.csv")
         cond_col = 5
         assert all(row[cond_col] == "false" for row in rows)
 
-    def test_exit_two_when_tolerance_forced_to_zero(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NSC_TOL", "1e-30")
-        cfg = write_config(tmp_path)
+    def test_exit_two_when_tolerance_forced_to_zero(self, tmp_path):
+        cfg = write_config(tmp_path, BALL_CONFIG + "run.tol = 1e-30\n")
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--out", str(out), "--audit"]) == 2
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
 
-    def test_streamed_rows_match_per_field_formatting(self, tmp_path, monkeypatch):
+    def test_streamed_rows_match_per_field_formatting(self, tmp_path):
         # a tolerance inside the roundoff band puts both true and false in
-        # identity_ok; theta = 0.9 with e = 1 fails both conditions
-        monkeypatch.setenv("NSC_TOL", "1e-16")
-        cfg = write_config(tmp_path, BAR_CONFIG)
+        # identity_ok, so the run exits 2 after writing every row;
+        # theta = 0.9 with e = 1 fails both conditions
+        cfg = write_config(tmp_path, BAR_CONFIG + "run.tol = 1e-16\n")
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--out", str(out)]) == 0
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
         _, _, records = _run(parse_config(cfg))
         assert any(len(rec.active_set) > 0 for rec in records)
         trajectory, audit = reference_csvs(records, 1e-16)
@@ -228,7 +226,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(energy, "audit_step", poisoned_audit)
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["simulate", cfg, "--out", str(out), "--audit"]) == 2
+        assert main(["simulate", cfg, "--out", str(out)]) == 2
         _, rows = read_csv(out / "audit.csv")
         assert rows[3][2] == "nan" and rows[3][-1] == "false"
         assert sum(row[-1] == "false" for row in rows) == 1
@@ -246,12 +244,6 @@ class TestSimulateCommand:
         path = write_config(tmp_path, BALL_CONFIG + line + "\n")
         assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 3
         assert line.split(" = ")[0] in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-10"])
-    def test_exit_three_on_bad_tolerance_override(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("NSC_TOL", value)
-        assert main(["simulate", write_config(tmp_path), "--out", str(tmp_path / "out")]) == 3
-        assert "NSC_TOL" in capsys.readouterr().err
 
     def test_exit_three_on_solver_key(self, tmp_path, capsys):
         # Lemke is the one contact solver, so there is no run.solver key
@@ -402,9 +394,8 @@ run.t_end = 1.0
                      "--out", str(tmp_path)]) == 1
         assert "reference" in capsys.readouterr().err
 
-    def test_exit_two_when_tolerance_forced_to_zero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NSC_TOL", "0")
-        cfg = write_config(tmp_path, self.OSC)
+    def test_exit_two_when_tolerance_forced_to_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.OSC + "run.tol = 0\n")
         out = tmp_path / "conv0"
         assert main(["convergence", cfg, "--h", "1e-2,5e-3,2.5e-3", "--out", str(out)]) == 2
         assert "violate the identity residual tolerance" in capsys.readouterr().err
@@ -429,7 +420,7 @@ def _ball_scheme(block):
     return BALL_CONFIG.replace("scheme.variant = moreau_jean\nscheme.theta = 0.5\n", block)
 
 
-COMMAND_ARGS = {"simulate": ["--audit"], "sweep": ["--grid", "theta=0.5"],
+COMMAND_ARGS = {"simulate": [], "sweep": ["--grid", "theta=0.5"],
                 "convergence": ["--h", "1e-2,5e-3,2.5e-3"]}
 
 # config values every command rejects before it runs: (id, config, stderr fragment)
@@ -451,57 +442,98 @@ NO_STEP_CONFIG = BALL_CONFIG.replace("run.h = 1e-3", "run.h = 0.5").replace(
     "run.t_end = 0.5", "run.t_end = 0.25")
 NO_STEP = "must satisfy 0 < h <= run.t_end = 0.25"
 
-# (command, config, extra arguments, NSC_TOL, exit code, stderr fragment)
+# (command, config or None for none on the command line, extra arguments,
+#  exit code, stderr fragment)
 EXIT_CODES = [
-    *[pytest.param(command, config, args, None, 3, f"config error: {fragment}",
+    *[pytest.param(command, config, args, 3, f"config error: {fragment}",
                    id=f"{command}-{name}")
       for name, config, fragment in CONFIG_FAILURES
       for command, args in COMMAND_ARGS.items()],
-    *[pytest.param(command, BALL_CONFIG, args, None, 0, "", id=f"{command}-ok")
+    *[pytest.param(command, BALL_CONFIG, args, 0, "", id=f"{command}-ok")
       for command, args in COMMAND_ARGS.items()],
-    *[pytest.param(command, BALL_CONFIG, args, "1e-30", 2, "audit: ",
+    *[pytest.param(command, BALL_CONFIG + "run.tol = 1e-30\n", args, 2, "audit: ",
                    id=f"{command}-identity")
       for command, args in COMMAND_ARGS.items()],
-    pytest.param("simulate", BALL_CONFIG + "scenario.mass = -1\n", [], None, 1,
+    pytest.param("simulate", BALL_CONFIG + "scenario.mass = -1\n", [], 1,
                  "error: ball mass must be positive", id="simulate-run"),
     pytest.param("sweep", BALL_CONFIG + "scenario.mass = -1\n", ["--grid", "theta=0.5;e=1"],
-                 None, 1, "error at {'theta': 0.5, 'e': 1.0}: ball mass must be positive",
+                 1, "error at {'theta': 0.5, 'e': 1.0}: ball mass must be positive",
                  id="sweep-run"),
     pytest.param("convergence", BALL_CONFIG + "scenario.mass = -1\n",
-                 ["--h", "1e-2,5e-3,2.5e-3"], None, 1,
+                 ["--h", "1e-2,5e-3,2.5e-3"], 1,
                  "error at {'h': 0.01}: ball mass must be positive", id="convergence-run"),
     pytest.param("sweep", _ball_scheme("scheme.variant = newmark\n"), ["--grid", "gamma=nan"],
-                 None, 3, "config error: grid axis 'gamma'", id="sweep-grid-nan"),
-    pytest.param("sweep", BALL_CONFIG, ["--grid", "theta=0.5;theta=1.0"], None, 3,
+                 3, "config error: grid axis 'gamma'", id="sweep-grid-nan"),
+    pytest.param("sweep", BALL_CONFIG, ["--grid", "theta=0.5;theta=1.0"], 3,
                  "config error: grid axis 'theta' is given twice", id="sweep-repeated-axis"),
-    pytest.param("convergence", BALL_CONFIG, ["--h", "1e-2,5e-3"], None, 3,
+    pytest.param("convergence", BALL_CONFIG, ["--h", "1e-2,5e-3"], 3,
                  "config error: convergence studies need at least 3", id="convergence-two-h"),
-    *[pytest.param(command, NO_STEP_CONFIG, args, None, 3, f"config error: run.h {NO_STEP}",
+    *[pytest.param(command, NO_STEP_CONFIG, args, 3, f"config error: run.h {NO_STEP}",
                    id=f"{command}-no-step")
       for command, args in [("simulate", []), ("sweep", ["--grid", "theta=0.2,0.5"]),
                             ("convergence", ["--h", "1e-2,5e-3,2.5e-3"])]],
     pytest.param("convergence", NO_STEP_CONFIG.replace("run.h = 0.5", "run.h = 1e-2"),
-                 ["--h", "0.5,1e-2,5e-3"], None, 3, f"config error: --h {NO_STEP}",
+                 ["--h", "0.5,1e-2,5e-3"], 3, f"config error: --h {NO_STEP}",
                  id="convergence-no-step-h"),
     # the reference is checked before the run that would reject the mass
     *[pytest.param("convergence", TestConvergenceCommand.OSC + f"scenario.mass = {mass}\n",
-                   ["--h", "1e-2,5e-3,2.5e-3"], None, 1,
+                   ["--h", "1e-2,5e-3,2.5e-3"], 1,
                    "error: closed-form oscillator requires positive mass",
                    id=f"convergence-oscillator-mass-{mass}")
       for mass in ("0", "-1")],
+    # run.tol is the one tolerance and exit 2 is always armed
+    pytest.param("simulate", BALL_CONFIG + "run.audit = false\n", [], 3,
+                 "config error: line 11: unknown run key 'run.audit'", id="simulate-audit-key"),
+    # command-line usage errors are not identity violations
+    pytest.param("simulate", BALL_CONFIG, ["--audit"], 3,
+                 "nscontact: error: unrecognized arguments: --audit",
+                 id="simulate-audit-option"),
+    pytest.param("simulate", None, [], 3,
+                 "nscontact simulate: error: the following arguments are required: config",
+                 id="simulate-no-config"),
+    pytest.param("sweep", BALL_CONFIG, [], 3,
+                 "nscontact sweep: error: the following arguments are required: --grid",
+                 id="sweep-no-grid"),
+    pytest.param("run", BALL_CONFIG, [], 3,
+                 "nscontact: error: argument command: invalid choice: 'run'",
+                 id="unknown-command"),
+    pytest.param("simulate", BALL_CONFIG, ["--help"], 0, "", id="simulate-help"),
 ]
 
 
-@pytest.mark.parametrize("command, config, args, tol, code, fragment", EXIT_CODES)
-def test_exit_code_map(tmp_path, monkeypatch, capsys, command, config, args, tol, code,
-                       fragment):
-    if tol is not None:
-        monkeypatch.setenv("NSC_TOL", tol)
-    path = write_config(tmp_path, config)
-    assert main([command, path, *args, "--out", str(tmp_path / "out")]) == code
+@pytest.mark.parametrize("command, config, args, code, fragment", EXIT_CODES)
+def test_exit_code_map(tmp_path, capsys, command, config, args, code, fragment):
+    paths = [] if config is None else [write_config(tmp_path, config)]
+    assert main([command, *paths, *args, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert fragment in err and "Traceback" not in err
     assert (err == "") == (code == 0)
+    if fragment.startswith("nscontact"):
+        # argparse's own messages follow its usage line
+        assert err.startswith("usage: nscontact")
+
+
+# run.tol is the one tolerance: a stale NSC_TOL in the environment
+# changes no output byte and no exit code
+@pytest.mark.parametrize("command, config, args", [
+    pytest.param("simulate", BAR_CONFIG, [], id="simulate"),
+    pytest.param("sweep", BAR_CONFIG, ["--grid", "theta=0.5,0.9"], id="sweep"),
+    pytest.param("convergence", TestConvergenceCommand.OSC, ["--h", "1e-2,5e-3,2.5e-3"],
+                 id="convergence"),
+])
+def test_environment_leaves_the_outcome_unchanged(tmp_path, monkeypatch, capsys, command,
+                                                  config, args):
+    monkeypatch.delenv("NSC_TOL", raising=False)
+    path = write_config(tmp_path, config)
+    outcomes = []
+    for name in ("bare", "nsc_tol"):
+        if name == "nsc_tol":
+            monkeypatch.setenv("NSC_TOL", "1e-16")
+        out = tmp_path / name
+        code = main([command, path, *args, "--out", str(out)])
+        outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outcomes.append((code, outputs, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
 
 
 def _knocked_out_step(*args, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 
 from nscontact import (
     DimensionMismatch,
+    ForcingKind,
     ForcingTerm,
     InconsistentSpec,
     NonFiniteValue,
@@ -115,6 +116,22 @@ class TestReadOnlyModel:
                             ForcingTerm.zero(1))
         stiffness[0, 0] = 80.0
         assert model.stiffness[0, 0] == 40.0
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(ForcingTerm.constant, id="constant"),
+        pytest.param(lambda amp: ForcingTerm.sinusoidal(amp, omega=2.0), id="sinusoidal"),
+        pytest.param(lambda amp: ForcingTerm(ForcingKind.CONSTANT, amp), id="direct"),
+    ])
+    def test_forcing_owns_its_amplitude(self, make):
+        # the forcing used to keep the caller's array: amp[0] = 5 after
+        # build_model changed the load from 1.5 to 5 with no sign
+        amp = np.array([1.5])
+        model = build_model([[2.0]], [[0.3]], [[40.0]], [[1.0]], [50.0], [0.5], make(amp))
+        before = model.force(0.3)
+        amp[0] = 5.0
+        assert np.array_equal(model.force(0.3), before)
+        with pytest.raises(ValueError, match="read-only"):
+            model.forcing.amplitude[0] = 5.0
 
 
 class TestNonFiniteInput:

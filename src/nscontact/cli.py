@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import DEFAULT_AUDIT_TOL
-from .errors import ConfigError, NotAvailable, NscontactError
+from .errors import ConfigError, InvalidSpec, NotAvailable, NscontactError
 from .integrators import simulate
 from .model import THETA_FAMILY, SchemeSpec, SchemeVariant
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
@@ -107,8 +107,9 @@ def parse_config(path) -> RunConfig:
     """Parse a flat dotted-key config file.
 
     Raises:
-        ConfigError: unreadable file, malformed line, unknown or
-            ill-typed key (diagnostics carry the line number).
+        ConfigError: unreadable file, malformed line, unknown, repeated
+            or ill-typed key (diagnostics carry the line number), or an
+            unknown scenario kind or parameter.
     """
     try:
         text = Path(path).read_text()
@@ -116,7 +117,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     cfg = RunConfig(scenario_kind="")
-    seen_kind = False
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,7 +134,6 @@ def parse_config(path) -> RunConfig:
         if section == "scenario":
             if name == "kind":
                 cfg.scenario_kind = value
-                seen_kind = True
             else:
                 cfg.scenario_params[name] = _number(value, key, lineno)
         elif section == "scheme":
@@ -152,9 +152,18 @@ def parse_config(path) -> RunConfig:
             setattr(cfg, name, number)
         else:
             raise ConfigError(f"unknown section '{section}'", line=lineno)
+        # a line is checked on its own first, then against the earlier ones
+        if key in first_line:
+            raise ConfigError(f"'{key}' is given twice (first on line {first_line[key]})",
+                              line=lineno)
+        first_line[key] = lineno
 
-    if not seen_kind:
+    if "scenario.kind" not in first_line:
         raise ConfigError("scenario.kind is required")
+    try:
+        cfg.scenario_spec().resolved()
+    except InvalidSpec as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.t_end <= 0.0:
         raise ConfigError("run.t_end must be positive")
     _step_size(cfg.h, "run.h", cfg.t_end)

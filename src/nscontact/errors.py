@@ -41,7 +41,7 @@ class LcpFailure(NscontactError):
 
 
 class SingularIterationMatrix(NscontactError):
-    """The per-step iteration matrix admits no Cholesky factorization."""
+    """The per-step iteration matrix is not finite or admits no Cholesky factorization."""
 
 
 class NotAvailable(NscontactError):

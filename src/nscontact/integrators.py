@@ -19,8 +19,11 @@ the negative eigenvalues the model validator lets through in C and K:
 semi-definite there means down to ``model.EIGENVALUE_RTOL`` times the
 largest eigenvalue, so a mass that is tiny in some direction can lose
 against that floor at a large h, and ``build_cache`` then raises
-``SingularIterationMatrix``.  The Cholesky factor is cached per
-(model, scheme, h) and rebuilt whenever any of them changes.
+``SingularIterationMatrix``, as it does when an overflowing h leaves
+the matrix or its weights non-finite.  The cache built per (model,
+scheme, h), and rebuilt whenever any of them changes, holds L^-1 for
+the lower Cholesky factor L of the matrix; every solve applies
+L^-T (L^-1 x).
 A step never mutates its input state; trajectories are bitwise
 reproducible for identical inputs.
 """
@@ -31,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import energy as energy_audit
 from .errors import NonFiniteValue, SimulationError, SingularIterationMatrix
@@ -53,7 +55,7 @@ ACTIVATION_TOL = 1e-12
 
 @dataclass
 class IterationMatrixCache:
-    """Factorized iteration matrix and step weights, valid for one (model, spec, h).
+    """Inverse iteration-matrix factor and step weights, valid for one (model, spec, h).
 
     Both families solve one weighted balance for an unknown s,
 
@@ -74,12 +76,14 @@ class IterationMatrixCache:
     displacement by half a step of that, and s responds through the
     balance.  ``delassus`` is G^T times the velocity map, restricted to
     the active set when the complementarity matrix is assembled.
+    ``inv_chol`` is L^-1 for the iteration matrix A = L L^T, so
+    A^-1 x = L^-T (L^-1 x).
     """
 
     model: LagrangianModel = field(repr=False)
     spec: SchemeSpec
     h: float
-    iter_cho: tuple
+    inv_chol: np.ndarray
     minv_g: np.ndarray
     sigma: float
     alpha_c: float
@@ -99,12 +103,15 @@ class IterationMatrixCache:
         return self.model is model and self.spec == spec and self.h == h
 
 
-def _factor(matrix: np.ndarray) -> tuple:
+def _factor(matrix: np.ndarray) -> np.ndarray:
+    """L^-1 for the lower Cholesky factor L of ``matrix``."""
+    # numpy's cholesky passes inf and NaN through instead of raising
+    if not np.isfinite(matrix).all():
+        raise SingularIterationMatrix("iteration matrix is not finite")
     try:
-        factor = cho_factor(matrix)
+        return np.linalg.inv(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError as exc:
         raise SingularIterationMatrix(f"iteration matrix not factorizable: {exc}") from exc
-    return factor
 
 
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
@@ -119,17 +126,22 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     else:
         am, gamma, beta = spec.alpha_m, spec.gamma, spec.beta
         sigma, ac, af = 1.0, spec.load_weight, spec.alpha_f
-        g, b = h * gamma / (1 - am), h**2 * beta / (1 - am)
-        pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h**2 * (0.5 - beta) - b * am
+        # h * h, not h**2: a float ** raises OverflowError where * gives inf
+        g, b = h * gamma / (1 - am), h * h * beta / (1 - am)
+        pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h * h * (0.5 - beta) - b * am
         enters, direct_v, direct_q = 0.0, 1.0, 0.5 * h
-    iter_cho = _factor(M + sigma * (1 - ac) * g * C + sigma * (1 - af) * b * K)
+    # an overflowing h leaves weights or entries non-finite (inf * 0 = nan),
+    # which _factor rejects; the warnings on the way would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = M + sigma * (1 - ac) * g * C + sigma * (1 - af) * b * K
+    inv_chol = _factor(matrix)
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
     load = sigma * (1 - ac) * direct_v * C + sigma * (1 - af) * direct_q * K
-    to_s = cho_solve(iter_cho, enters * G - load @ minv_g)
+    to_s = inv_chol.T @ (inv_chol @ (enters * G - load @ minv_g))
     to_v = direct_v * minv_g + g * to_s
     to_q = direct_q * minv_g + b * to_s
-    return IterationMatrixCache(model, spec, h, iter_cho, minv_g, sigma, ac, af, g, b,
+    return IterationMatrixCache(model, spec, h, inv_chol, minv_g, sigma, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v)
 
 
@@ -177,7 +189,7 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     rhs = cache.sigma * ((1 - ac) * f_k1 + ac * f_k
                          - C @ ((1 - ac) * pred_v + ac * state.v)
                          - K @ ((1 - af) * pred_q + af * state.q))
-    s = cho_solve(cache.iter_cho, rhs, check_finite=False)
+    s = cache.inv_chol.T @ (cache.inv_chol @ rhs)
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DimensionMismatch,
@@ -294,11 +293,10 @@ class LagrangianModel:
     gap_offset: np.ndarray
     restitution: np.ndarray
     forcing: ForcingTerm
-    mass_cho: tuple = field(repr=False, compare=False, default=None)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs through the cached Cholesky factor."""
-        return cho_solve(self.mass_cho, rhs, check_finite=False)
+        """M^{-1} rhs; a run needs it twice, for a_0 and for M^{-1} G."""
+        return np.linalg.solve(self.mass, rhs)
 
     def force(self, t: float) -> np.ndarray:
         return self.forcing.evaluate(t)
@@ -333,11 +331,10 @@ def _check_psd(a: np.ndarray, name: str) -> None:
 
 def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
                 restitution, forcing: ForcingTerm) -> LagrangianModel:
-    """Validate and assemble a model; caches the mass Cholesky factor.
+    """Validate and assemble a model.
 
-    The model owns copies of its matrices, offsets, restitution
-    coefficients and mass factor, all read-only: writing into one
-    raises ``ValueError``.
+    The model owns copies of its matrices, offsets and restitution
+    coefficients, all read-only: writing into one raises ``ValueError``.
 
     Raises:
         DimensionMismatch: inconsistent array shapes (names the field).
@@ -384,11 +381,9 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     _check_symmetric(damping, "damping")
     _check_symmetric(stiffness, "stiffness")
     try:
-        factor = cho_factor(mass)
+        np.linalg.cholesky(mass)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"mass is not positive definite: {exc}") from exc
-    if np.any(np.diag(factor[0]) <= 0.0):
-        raise NotPositiveDefinite("mass is not positive definite")
     _check_psd(damping, "damping")
     _check_psd(stiffness, "stiffness")
 
@@ -404,13 +399,12 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
         raise DimensionMismatch(f"forcing must evaluate to length {n}, got {f0.shape}")
 
     # the model owns these copies; read-only, they cannot drift from a
-    # cache or factor built on them
-    for arr in (mass, damping, stiffness, contact_jacobian, gap_offset, restitution,
-                factor[0]):
+    # cache built on them
+    for arr in (mass, damping, stiffness, contact_jacobian, gap_offset, restitution):
         arr.flags.writeable = False
     return LagrangianModel(n=n, m=m, mass=mass, damping=damping, stiffness=stiffness,
                            contact_jacobian=contact_jacobian, gap_offset=gap_offset,
-                           restitution=restitution, forcing=forcing, mass_cho=factor)
+                           restitution=restitution, forcing=forcing)
 
 
 def gap(model: LagrangianModel, q: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Each case runs one scheme twice: once as it is, and once with a small
 defect injected into the step or into the audit's coefficient row.  The
 clean run must pass the identity gate on every step and the mutant must
-fail it on at least one.  The table runs in SI units and again in two
+fail it on at least one.  The table runs in SI units and again in three
 rescaled unit systems:
 
 - ``impulse tail``: the impulse's velocity correction scaled by 1.01;
@@ -16,9 +16,11 @@ puts a 1 % change of that term below the gate.
 
 Rescaled, every trajectory is the SI one in other units, but the gate's
 scale ``1 + max(|dE|, |dH|, |W_ext|)`` keeps an absolute floor: once the
-energies fall below ~1e-10 it passes every mutant.  Those rows are strict
-xfails (ROADMAP item 3, a unit-invariant gate); the clean twin must pass
-in every unit system all the same.
+energies fall below ~1e-10 it passes every mutant.  In millimetres the
+energies grow by 1e6 instead, and the gate fails the clean HHT and
+Newmark oscillators: a correct run exits 2.  The small-unit rows and
+those two are strict xfails (ROADMAP item 3, a unit-invariant gate); the
+clean twin must pass in every unit system all the same.
 """
 
 import dataclasses
@@ -110,14 +112,27 @@ CASES = [
 
 # (id prefix, length factor, mass factor); SI runs keep the bare case id
 UNIT_SYSTEMS = [("", 1.0, 1.0), ("length-1e-5-", 1e-5, 1.0),
-                ("length-mass-1e-3-", 1e-3, 1e-3)]
+                ("length-mass-1e-3-", 1e-3, 1e-3), ("length-1e3-", 1e3, 1.0)]
 
-# measured: in both rescaled systems the gate flags none of the five
+# measured: in both small-unit systems the gate flags none of the five
 # mutants (the 1 % impulse tail on the ball: 6 steps in SI, worst
 # |r|/scale 7.8e-4; 0 steps at lengths x 1e-5, worst 8.4e-14)
 MISSED = pytest.mark.xfail(strict=True, raises=AssertionError,
                            reason="ROADMAP item 3: the gate's absolute floor passes "
                                   "every mutant in small units")
+
+# measured: in millimetres the ball and GA rows pass clean and flag 6, 20
+# and 300 steps, but the gate fails the clean HHT oscillator on 13 of 2 000
+# steps and the clean Newmark oscillator on 12 of 2 000
+CLEAN_FAILS = pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                                reason="ROADMAP item 3: the gate fails correct steps "
+                                       "in large units")
+
+
+def marks(prefix, build):
+    if prefix == "length-1e3-":
+        return [CLEAN_FAILS] if build is oscillator else []
+    return [MISSED] if prefix else []
 
 
 def gate_failures(build, spec, t_end):
@@ -127,7 +142,7 @@ def gate_failures(build, spec, t_end):
 
 @pytest.mark.parametrize("build, spec, t_end, mutant", [
     pytest.param(functools.partial(rescaled, build, length, mass), spec, t_end, mutant,
-                 id=prefix + name, marks=[MISSED] if prefix else [])
+                 id=prefix + name, marks=marks(prefix, build))
     for prefix, length, mass in UNIT_SYSTEMS for name, build, spec, t_end, mutant in CASES])
 def test_audit_flags_the_mutant_and_passes_its_clean_twin(monkeypatch, build, spec, t_end,
                                                            mutant):

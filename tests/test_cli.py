@@ -442,6 +442,13 @@ NO_STEP_CONFIG = BALL_CONFIG.replace("run.h = 1e-3", "run.h = 0.5").replace(
     "run.t_end = 0.5", "run.t_end = 0.25")
 NO_STEP = "must satisfy 0 < h <= run.t_end = 0.25"
 
+OVERFLOW_OSC = """\
+scenario.kind = forced_oscillator_contact
+scheme.variant = {scheme}
+run.h = 1e200
+run.t_end = 1e200
+"""
+
 # (command, config or None for none on the command line, extra arguments,
 #  exit code, stderr fragment)
 EXIT_CODES = [
@@ -468,6 +475,23 @@ EXIT_CODES = [
                  "config error: grid axis 'theta' is given twice", id="sweep-repeated-axis"),
     pytest.param("convergence", BALL_CONFIG, ["--h", "1e-2,5e-3"], 3,
                  "config error: convergence studies need at least 3", id="convergence-two-h"),
+    # a repeated key used to take its last value silently
+    pytest.param("simulate", BALL_CONFIG + "scheme.theta = 0.2\n", [], 3,
+                 "config error: line 11: 'scheme.theta' is given twice (first on line 8)",
+                 id="simulate-repeated-key"),
+    # unknown scenario names are config errors, like unknown scheme and run keys
+    pytest.param("simulate", BALL_CONFIG + "scenario.radius = 2\n", [], 3,
+                 "config error: unknown parameter 'radius' for scenario 'bouncing_ball'",
+                 id="simulate-unknown-scenario-key"),
+    pytest.param("sweep", BALL_CONFIG.replace("= bouncing_ball", "= bouncing_balls"),
+                 ["--grid", "theta=0.5"], 3,
+                 "config error: unknown scenario kind 'bouncing_balls'",
+                 id="sweep-unknown-scenario-kind"),
+    # h * h overflows to inf: a run failure naming the iteration matrix
+    *[pytest.param("simulate", OVERFLOW_OSC.format(scheme=scheme), [], 1,
+                   "error: iteration matrix is not finite", id=f"simulate-overflow-{name}")
+      for name, scheme in [("newmark", "newmark"),
+                           ("moreau_jean", "moreau_jean\nscheme.theta = 0.5")]],
     *[pytest.param(command, NO_STEP_CONFIG, args, 3, f"config error: run.h {NO_STEP}",
                    id=f"{command}-no-step")
       for command, args in [("simulate", []), ("sweep", ["--grid", "theta=0.2,0.5"]),
@@ -561,6 +585,14 @@ def test_unresolvable_step_size_exits_three(tmp_path, monkeypatch, capsys, comma
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _run_python(*args):
+    """A fresh interpreter with ``src`` on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
 @pytest.mark.parametrize("config, code, fragment", [
     pytest.param(BALL_CONFIG, 0, "", id="ok"),
     pytest.param(CONFIG_FAILURES[0][1], 3, "config error: line 8: scheme.gamma",
@@ -568,14 +600,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ])
 def test_module_entry_point_exit_code(tmp_path, config, code, fragment):
     # the process exit status, which the installed console script relies on
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nscontact.cli", "simulate", write_config(tmp_path, config),
-         "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = _run_python("-m", "nscontact.cli", "simulate", write_config(tmp_path, config),
+                       "--out", str(tmp_path / "out"))
     assert proc.returncode == code
     assert fragment in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one numerical dependency
+    proc = _run_python("-c", "import sys, nscontact, nscontact.cli; print(sorted("
+                             "m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("blocked", ["out_is_a_file", "csv_is_a_directory"])

@@ -9,6 +9,7 @@ import pytest
 import nscontact.integrators as integrators
 from nscontact import (
     ForcingTerm,
+    ScenarioSpec,
     SchemeSpec,
     SchemeVariant,
     SimulationError,
@@ -16,6 +17,7 @@ from nscontact import (
     SystemState,
     build_cache,
     build_model,
+    build_scenario,
     initial_state,
     local_velocity,
     simulate,
@@ -546,6 +548,19 @@ class TestIterationMatrixCache:
             build_cache(model, spec, 1.0)
         with pytest.raises(SingularIterationMatrix):
             simulate(model, initial_state(model, [1.0, 0.0], [0.0, 0.0]), 1.0, spec, 2.0)
+
+    @pytest.mark.parametrize("spec, h", [
+        pytest.param(SchemeSpec.newmark(), 1e200, id="newmark"),
+        pytest.param(SchemeSpec.moreau_jean(0.5), 1e200, id="moreau_jean"),
+        # finite weights whose product with K overflows
+        pytest.param(SchemeSpec.newmark(), 1e154, id="newmark-finite-weights"),
+    ])
+    def test_overflowing_step_size_names_the_iteration_matrix(self, spec, h):
+        # these used to escape as a bare OverflowError from h**2 (Newmark)
+        # and a ValueError from the factorization of an infinite matrix (MJ)
+        model, state = build_scenario(ScenarioSpec("forced_oscillator_contact"))
+        with pytest.raises(SingularIterationMatrix, match="iteration matrix is not finite"):
+            simulate(model, state, h, spec, h)
 
 
 class TestNonFiniteState:

@@ -9,7 +9,9 @@ the active contact set and, when the set is nonempty, solves the
 complementarity problem on it.  Lemke's method, looked up in
 ``lcp.SOLVERS`` (where tests swap in the enumeration oracle), returns
 z = 0 at once when the free velocities already satisfy the impact law,
-and otherwise a verified solution or raises ``LcpFailure``.  Impulses
+tries the point where every forecast contact carries an impulse (one
+linear solve) next, and pivots only when that fails its check; it
+returns a verified solution or raises ``LcpFailure``.  Impulses
 (not forces) are the contact unknowns, so the steps stay consistent
 when an impact happens inside the step.
 

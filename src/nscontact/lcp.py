@@ -5,11 +5,13 @@ Every scheme in this package reduces its contact unknowns to
     find z >= 0  with  W z + b >= 0  and  z^T (W z + b) = 0
 
 on the active contact set, where W is the (near-)symmetric positive
-semi-definite Delassus matrix of the step.  Lemke's complementary
-pivoting solves it in the steps: it terminates in finitely many pivots
-for this problem class and handles simultaneous impacts through a
-lexicographic ratio test.  An exhaustive enumeration oracle cross-checks
-it in tests.
+semi-definite Delassus matrix of the step.  Lemke's method solves it in
+the steps and has three exits: z = 0 when b >= 0; the full-support
+point z = -W^-1 b (every contact carries an impulse), from one linear
+solve, when it passes the verification; and otherwise complementary
+pivoting, which terminates in finitely many pivots for this problem
+class and handles simultaneous impacts through a lexicographic ratio
+test.  An exhaustive enumeration oracle cross-checks it in tests.
 
 A solver returns only a solution it has verified to tolerance, and
 raises :class:`LcpFailure` otherwise.  All operations are stateless over
@@ -51,7 +53,11 @@ class LcpProblem:
 
 @dataclass(frozen=True)
 class LcpSolution:
-    """A verified solution: ``residual = max |min(z, w_slack)| <= TOL (1 + max |b|)``."""
+    """A verified solution: ``residual = max |min(z, w_slack)| <= TOL (1 + max |b|)``.
+
+    ``iterations`` counts Lemke's pivots, 0 on both pivot-free exits, or
+    the subsets the enumeration oracle tried.
+    """
 
     z: np.ndarray
     w_slack: np.ndarray
@@ -80,9 +86,13 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
     of the covering variable whose ratio ties the least one (to within
     ``PIVOT_FLOOR`` relative) is preferred, so the solve ends there.
 
-    b >= 0 returns z = 0 without pivoting.  Every other terminal point,
-    the covering variable leaving or no admissible pivot, returns
-    through one exit that verifies it to tolerance.
+    Two exits need no pivot: b >= 0 returns z = 0, and otherwise the
+    full-support point z = -W^-1 b (one ``np.linalg.solve``) returns if
+    it passes the same tolerance check as every other exit.  A singular
+    W, or a point that fails the check, goes on to pivoting.  The guess
+    keeps no state between solves.  Every terminal point of the pivot
+    sequence, the covering variable leaving or no admissible pivot,
+    returns through one exit that verifies it to tolerance.
 
     Raises:
         LcpFailure: ray termination or only sub-floor pivots at a point
@@ -94,6 +104,13 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
     if s == 0 or problem.b.min() >= 0.0:
         return _candidate(problem, np.zeros(s), 0)
     tol = _tol(problem)
+    try:
+        # every contact carries an impulse: w = 0, so W z = -b
+        sol = _candidate(problem, np.linalg.solve(problem.W, -problem.b), 0)
+        if sol.residual <= tol:
+            return sol
+    except np.linalg.LinAlgError:
+        pass
     if max_pivots is None:
         max_pivots = 50 * s + 100
 

@@ -429,7 +429,10 @@ class TestSimulate:
         (functools.partial(solve_lemke, max_pivots=0), "Lemke: pivot limit 0 reached")],
         ids=["broken_solver", "lemke_no_pivots"])
     def test_failing_step_reports_index(self, monkeypatch, solver, reason):
-        model = free_particle(e=0.5)
+        # two identical contacts make W singular, so Lemke's full-support
+        # guess cannot answer and the step has to pivot
+        model = build_model([[1.0]], [[0.0]], [[0.0]], [[1.0, 1.0]], [0.0, 0.0],
+                            [0.5, 0.5], ForcingTerm.zero(1))
         state = initial_state(model, [0.05], [-1.0])
         monkeypatch.setitem(integrators.SOLVERS, "lemke", solver)
         with pytest.raises(SimulationError) as info:
@@ -504,6 +507,26 @@ def ball_column(n=4, spacing=0.01, e=0.5, gravity=9.81):
                         np.eye(n) - np.eye(n, k=1), np.zeros(n), [e],
                         ForcingTerm.constant(np.full(n, -gravity)))
     return model, initial_state(model, spacing * np.arange(1, n + 1), np.zeros(n))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(SchemeSpec.moreau_jean(0.5), id="mj"),
+    pytest.param(SchemeSpec.from_rho_infinity(
+        0.8, variant=SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA), id="kh"),
+])
+def test_enumeration_solver_matches_lemke_on_a_column(monkeypatch, spec):
+    # several contacts share one LCP; the column's Delassus matrix is
+    # positive definite, so both solvers must find the same impulses
+    model, state = ball_column()
+    rec_l = simulate(model, state, 1e-3, spec, 1.0)
+    monkeypatch.setitem(integrators.SOLVERS, "lemke", solve_enumeration)
+    rec_e = simulate(model, state, 1e-3, spec, 1.0)
+    assert max(len(r.active_set) for r in rec_l) >= 2
+    assert len(rec_e) == len(rec_l)
+    for a, b in zip(rec_l, rec_e):
+        assert b.active_set == a.active_set
+        assert b.state_next.q == pytest.approx(a.state_next.q, abs=1e-8)
+        assert a.report.identity_ok() and b.report.identity_ok()
 
 
 # measured: both schemes end with contacts (0, 2) active, penetration

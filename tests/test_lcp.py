@@ -30,12 +30,24 @@ class TestHandValues:
         assert sol.w_slack == pytest.approx([0.0], abs=1e-14)
 
     def test_coupled_pair(self):
-        # enumeration oracle gives z = [1, 1]: W_AA z = -b on the full set
+        # enumeration oracle gives z = [1, 1]: W_AA z = -b on the full set,
+        # which Lemke answers with one linear solve and no pivot
         problem = LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, -3.0])
         oracle = solve_enumeration(problem)
         assert oracle.z == pytest.approx([1.0, 1.0], abs=1e-12)
         sol = solve_lemke(problem)
         assert sol.z == pytest.approx(oracle.z, abs=1e-12)
+        assert sol.iterations == 0
+
+    def test_mixed_support_pair_pivots(self):
+        # W^-1 (-b) = [7/3, -5/3] is infeasible, so the full-support guess
+        # misses and Lemke pivots to the oracle's z = [1.5, 0]
+        problem = LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, 1.0])
+        oracle = solve_enumeration(problem)
+        assert oracle.z == pytest.approx([1.5, 0.0], abs=1e-12)
+        sol = solve_lemke(problem)
+        assert sol.z == pytest.approx(oracle.z, abs=1e-12)
+        assert sol.iterations > 0
 
     def test_psd_with_nonnegative_offset(self, rng):
         for _ in range(10):
@@ -86,9 +98,12 @@ class TestInvariants:
                 assert scaled.z == pytest.approx(base.z, abs=1e-9 * (1 + np.abs(base.z).max()))
 
     def test_degenerate_duplicate_contacts_terminate(self):
-        # rank-one W: lexicographic tie-breaking must not cycle
+        # rank-one W: np.linalg.solve raises, so the full-support guess
+        # falls through (tier-1 turns any warning into an error) and
+        # lexicographic tie-breaking must not cycle
         problem = LcpProblem([[1.0, 1.0], [1.0, 1.0]], [-1.0, -1.0])
         sol = solve_lemke(problem)
+        assert sol.iterations > 0
         assert sol.residual <= 1e-12
         assert sol.z.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -117,7 +132,8 @@ class TestFailureModes:
         with pytest.raises(LcpFailure, match="ray termination"):
             solve_lemke(LcpProblem([[-1.0]], [-1.0]))
 
-    # a NaN residual must fail the verification at either terminal exit
+    # a NaN residual must fail the verification at either terminal exit;
+    # the full-support guess is NaN here too and falls through to pivoting
     @pytest.mark.parametrize("W, b", [
         pytest.param([[1.0]], [np.nan], id="covering-exit"),
         pytest.param([[1.0, 0.5], [0.5, 1.0]], [-1.0, np.nan], id="covering-exit-s2"),
@@ -128,9 +144,11 @@ class TestFailureModes:
             solve_lemke(LcpProblem(W, b))
 
     def test_lemke_pivot_limit_raises(self):
-        problem = LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, -3.0])
-        with pytest.raises(LcpFailure, match="pivot limit 1"):
-            solve_lemke(problem, max_pivots=1)
+        # the mixed-support pair: the full-support guess misses, so Lemke
+        # needs a pivot
+        problem = LcpProblem([[2.0, 1.0], [1.0, 2.0]], [-3.0, 1.0])
+        with pytest.raises(LcpFailure, match="pivot limit 0"):
+            solve_lemke(problem, max_pivots=0)
 
     def test_enumeration_size_cap(self):
         with pytest.raises(InconsistentSpec):

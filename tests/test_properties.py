@@ -1,6 +1,7 @@
 """Property tests: the per-step energy identity holds for every variant,
 schemes inside their parameter region dissipate on multi-contact models,
-and Lemke agrees with the enumeration oracle on singular Delassus matrices.
+and Lemke agrees with the enumeration oracle on singular and on regular
+Delassus matrices.
 
 For the identity, hypothesis draws the scheme parameters (including
 generalized-alpha, KH and HHT weights with gamma and beta off the
@@ -157,3 +158,37 @@ def test_lemke_slack_matches_enumeration(case):
     assert lemke.residual <= tol and oracle.residual <= tol
     assert np.abs(lemke.w_slack - oracle.w_slack).max() <= tol
     assert np.abs(lemke.w_slack - w_star).max() <= tol
+
+
+@st.composite
+def regular_lcps(draw):
+    """A solvable LCP on a full-rank, positive definite W of size s <= 8.
+
+    Each contact's role in the solution (z* > 0, w* > 0 or both zero) is
+    drawn, and on half the draws every contact carries an impulse.  As in
+    ``degenerate_lcps``, b = w* - W z*.  Returns the problem and z*.
+    """
+    s = draw(st.integers(1, 8))
+    roles = (["z"] * s if draw(st.booleans()) else
+             draw(st.lists(st.sampled_from(("z", "w", "both_zero")), min_size=s, max_size=s)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(s, s))
+    delassus = a @ a.T + 0.1 * np.eye(s)
+    z_star = np.array([rng.uniform(0.1, 2.0) if r == "z" else 0.0 for r in roles])
+    w_star = np.array([rng.uniform(0.1, 2.0) if r == "w" else 0.0 for r in roles])
+    return LcpProblem(delassus, w_star - delassus @ z_star), z_star
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=regular_lcps())
+def test_lemke_slack_matches_enumeration_on_regular_delassus(case):
+    # a full-support solution is answered by one linear solve, without pivoting;
+    # the guess keeps no state between solves, so it has no support to go stale
+    problem, z_star = case
+    lemke, oracle = solve_lemke(problem), solve_enumeration(problem)
+    tol = 1e-8 * (1.0 + np.abs(problem.b).max() + np.abs(problem.W).max())
+    assert lemke.residual <= tol and oracle.residual <= tol
+    assert np.abs(lemke.w_slack - oracle.w_slack).max() <= tol
+    assert np.abs(lemke.z - z_star).max() <= tol * (1.0 + np.abs(z_star).max())
+    if z_star.min() > 0.0:
+        assert lemke.iterations == 0

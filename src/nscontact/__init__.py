@@ -4,16 +4,10 @@ that evaluates the schemes' exact discrete energy identities."""
 
 from .errors import (
     ConfigError,
-    DimensionMismatch,
-    InconsistentSpec,
-    InvalidSpec,
+    InvalidInput,
     LcpFailure,
-    NonFiniteValue,
-    NonSymmetric,
     NotAvailable,
-    NotPositiveDefinite,
     NscontactError,
-    RestitutionOutOfRange,
     SimulationError,
     SingularIterationMatrix,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import DEFAULT_AUDIT_TOL
-from .errors import ConfigError, InvalidSpec, NotAvailable, NscontactError
+from .errors import ConfigError, InvalidInput, NotAvailable, NscontactError
 from .integrators import simulate
 from .model import THETA_FAMILY, SchemeSpec, SchemeVariant
 from .scenarios import ScenarioSpec, build_scenario, reference_solution
@@ -162,7 +162,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("scenario.kind is required")
     try:
         cfg.scenario_spec().resolved()
-    except InvalidSpec as exc:
+    except InvalidInput as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.t_end <= 0.0:
         raise ConfigError("run.t_end must be positive")

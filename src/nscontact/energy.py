@@ -54,6 +54,7 @@ import numpy as np
 
 from .model import (
     THETA_FAMILY,
+    ForcingKind,
     LagrangianModel,
     SchemeSpec,
     SchemeVariant,
@@ -204,7 +205,7 @@ def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> bool:
         # The full averaging scheme only inherits the guarantee when the
         # load/velocity filter terms vanish: no damping, constant loading.
         region = (region and not model.damping.any()
-                  and model.forcing.kind.value in ("zero", "constant"))
+                  and model.forcing.kind is ForcingKind.CONSTANT)
     return region
 
 

@@ -12,28 +12,11 @@ class NscontactError(Exception):
     """Base class for all nscontact errors."""
 
 
-class DimensionMismatch(NscontactError):
-    """An array does not have the dimensions required by the model."""
+class InvalidInput(NscontactError):
+    """A model, scheme, scenario or LCP input is malformed or out of range.
 
-
-class NonSymmetric(NscontactError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
-class NotPositiveDefinite(NscontactError):
-    """A matrix fails its (semi-)definiteness requirement."""
-
-
-class NonFiniteValue(NscontactError):
-    """An input or a computed state holds NaN or infinity."""
-
-
-class RestitutionOutOfRange(NscontactError):
-    """A restitution coefficient lies outside [0, 1]."""
-
-
-class InconsistentSpec(NscontactError):
-    """Scheme parameters violate the constraints of the chosen variant."""
+    The message names the field.
+    """
 
 
 class LcpFailure(NscontactError):
@@ -46,10 +29,6 @@ class SingularIterationMatrix(NscontactError):
 
 class NotAvailable(NscontactError):
     """No closed-form reference solution exists for this scenario."""
-
-
-class InvalidSpec(NscontactError):
-    """A scenario definition is malformed or out of range."""
 
 
 class ConfigError(NscontactError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energy as energy_audit
-from .errors import NonFiniteValue, SimulationError, SingularIterationMatrix
+from .errors import SimulationError, SingularIterationMatrix
 from .lcp import LcpProblem, SOLVERS
 from .model import (
     THETA_FAMILY,
@@ -50,8 +50,9 @@ from .model import (
     local_velocity,
 )
 
-# Contacts count as non-separating when U_k is below this; admits
-# resting contacts sitting at numerical zero.
+# A forecast contact with U_k at most this is closing and takes the
+# Newton law (resting contacts sit at numerical zero); above it, it is
+# opening and takes the weighted law of ``_solve_contact``.
 ACTIVATION_TOL = 1e-12
 
 
@@ -152,17 +153,27 @@ def _solve_contact(model, state, h, cache, v_free):
 
     A contact enters the active set when its gap, forecast by one
     explicit step of the current velocity, g(q_k + h v_k), is
-    nonpositive and it is not already separating (U_k <= ACTIVATION_TOL).
-    The solver is looked up in ``SOLVERS`` at call time; it returns a
-    verified solution or raises ``LcpFailure``.  Returns the impulse P,
-    the active set and U_k.
+    nonpositive.  A closing contact (U_k <= ACTIVATION_TOL) takes the
+    Newton law U_{k+1} + e U_k >= 0 _|_ P.  An opening one penetrates
+    while it separates, and takes the weighted law
+    U_w = (1 - w) U_k + w U_{k+1} >= 0 _|_ P with w the scheme's
+    ``displacement_weight``, which makes its share of the energy
+    identity's contact work U_w P zero: the same Delassus rows with
+    (1 - w) / w in place of e.  With w = 0 (Moreau-Jean at theta = 0)
+    opening contacts stay out of the set.  The solver is looked up in
+    ``SOLVERS`` at call time; it returns a verified solution or raises
+    ``LcpFailure``.  Returns the impulse P, the active set and U_k.
     """
     u_prev = local_velocity(model, state.v)
-    idx = np.flatnonzero((gap(model, state.q + h * state.v) <= 0.0)
-                         & (u_prev <= ACTIVATION_TOL))
+    w = cache.spec.displacement_weight
+    closing = u_prev <= ACTIVATION_TOL
+    forecast = gap(model, state.q + h * state.v) <= 0.0
+    idx = np.flatnonzero(forecast if w > 0.0 else forecast & closing)
     P = np.zeros(model.m)
     if idx.size:
-        b = local_velocity(model, v_free)[idx] + model.restitution[idx] * u_prev[idx]
+        # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
+        coeff = np.where(closing, model.restitution, (1.0 - w) / w if w > 0.0 else 0.0)
+        b = local_velocity(model, v_free)[idx] + coeff[idx] * u_prev[idx]
         P[idx] = SOLVERS["lemke"](LcpProblem(cache.delassus[np.ix_(idx, idx)], b)).z
     return P, tuple(idx.tolist()), u_prev
 
@@ -253,7 +264,7 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
         try:
             state, record = step(model, state, h, spec, cache=cache, step_index=k)
             if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
-                raise NonFiniteValue("the new displacement or velocity is not finite")
+                raise FloatingPointError("the new displacement or velocity is not finite")
             if audit:
                 record.report = report = energy_audit.audit_step(
                     model, spec, h, record, tol=audit_tol, constants=constants,

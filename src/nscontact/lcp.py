@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentSpec, LcpFailure
+from .errors import InvalidInput, LcpFailure
 
 PIVOT_FLOOR = 1e-12
 # complementarity tolerance, relative to 1 + max |b|
@@ -45,7 +45,7 @@ class LcpProblem:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         s = b.shape[0]
         if W.shape != (s, s):
-            raise InconsistentSpec(f"W must be {s}x{s} to match b, got {W.shape}")
+            raise InvalidInput(f"W must be {s}x{s} to match b, got {W.shape}")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "size", s)
@@ -186,7 +186,7 @@ def solve_enumeration(problem: LcpProblem) -> LcpSolution:
     """
     s = problem.size
     if s > 12:
-        raise InconsistentSpec(f"enumeration oracle limited to 12 contacts, got {s}")
+        raise InvalidInput(f"enumeration oracle limited to 12 contacts, got {s}")
     W, b = problem.W, problem.b
     tol = _tol(problem)
     tried = 0

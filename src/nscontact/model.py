@@ -17,14 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentSpec,
-    NonFiniteValue,
-    NonSymmetric,
-    NotPositiveDefinite,
-    RestitutionOutOfRange,
-)
+from .errors import InvalidInput
 
 if TYPE_CHECKING:
     from .energy import EnergyReport
@@ -41,7 +34,6 @@ EIGENVALUE_RTOL = 1e-10
 # ----------------------------------------------------------------------
 
 class ForcingKind(str, enum.Enum):
-    ZERO = "zero"
     CONSTANT = "constant"
     SINUSOIDAL = "sinusoidal"
     PIECEWISE_CONSTANT = "piecewise_constant"
@@ -72,7 +64,7 @@ class ForcingTerm:
 
     @staticmethod
     def zero(n: int) -> "ForcingTerm":
-        return ForcingTerm(ForcingKind.ZERO, np.zeros(n))
+        return ForcingTerm.constant(np.zeros(n))
 
     @staticmethod
     def constant(amplitude) -> "ForcingTerm":
@@ -88,17 +80,15 @@ class ForcingTerm:
         """Segment ``i`` holds on [breakpoints[i-1], breakpoints[i])."""
         bp = tuple(float(b) for b in breakpoints)
         if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
-            raise InconsistentSpec("piecewise breakpoints must be strictly increasing")
+            raise InvalidInput("piecewise breakpoints must be strictly increasing")
         vals = tuple(tuple(float(x) for x in np.atleast_1d(v)) for v in values)
         if len(vals) != len(bp) + 1:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"piecewise forcing needs {len(bp) + 1} segment values, got {len(vals)}")
         return ForcingTerm(ForcingKind.PIECEWISE_CONSTANT, vals[0], breakpoints=bp,
                            values=vals)
 
     def evaluate(self, t: float) -> np.ndarray:
-        if self.kind is ForcingKind.ZERO:
-            return np.zeros_like(self.amplitude)
         if self.kind is ForcingKind.CONSTANT:
             return self.amplitude.copy()
         if self.kind is ForcingKind.SINUSOIDAL:
@@ -146,23 +136,23 @@ class SchemeSpec:
         # inputs before the gamma and beta derived from them
         for name in ("alpha_m", "alpha_f", "gamma", "beta", "theta"):
             if not math.isfinite(getattr(self, name)):
-                raise InconsistentSpec(f"{name}={getattr(self, name)} is not finite")
+                raise InvalidInput(f"{name}={getattr(self, name)} is not finite")
         v = self.variant
         if v in THETA_FAMILY:
             if not 0.0 <= self.theta <= 1.0:
-                raise InconsistentSpec(f"theta={self.theta} outside [0, 1]")
+                raise InvalidInput(f"theta={self.theta} outside [0, 1]")
             return
         if self.alpha_m >= 1.0 or self.alpha_f >= 1.0:
-            raise InconsistentSpec("averaging weights must stay below 1")
+            raise InvalidInput("averaging weights must stay below 1")
         if self.beta < 0.0 or self.gamma < 0.0:
-            raise InconsistentSpec("gamma and beta must be nonnegative")
+            raise InvalidInput("gamma and beta must be nonnegative")
         if v is SchemeVariant.NONSMOOTH_NEWMARK and (self.alpha_m or self.alpha_f):
-            raise InconsistentSpec("Newmark requires alpha_m = alpha_f = 0")
+            raise InvalidInput("Newmark requires alpha_m = alpha_f = 0")
         if v is SchemeVariant.NONSMOOTH_HHT:
             if self.alpha_m != 0.0:
-                raise InconsistentSpec("HHT requires alpha_m = 0")
+                raise InvalidInput("HHT requires alpha_m = 0")
             if not 0.0 <= self.alpha_f <= 1.0 / 3.0 + 1e-15:
-                raise InconsistentSpec(f"HHT weight alpha={self.alpha_f} outside [0, 1/3]")
+                raise InvalidInput(f"HHT weight alpha={self.alpha_f} outside [0, 1/3]")
 
     @property
     def displacement_weight(self) -> float:
@@ -259,7 +249,7 @@ class SchemeSpec:
         """High-frequency damping knob: rho = 1 none, rho = 0 maximal."""
         rho = float(rho)
         if not 0.0 <= rho <= 1.0:
-            raise InconsistentSpec(f"spectral radius {rho} outside [0, 1]")
+            raise InvalidInput(f"spectral radius {rho} outside [0, 1]")
         alpha_m = (2.0 * rho - 1.0) / (rho + 1.0)
         alpha_f = rho / (rho + 1.0)
         return SchemeSpec.generalized_alpha(alpha_m, alpha_f, variant=variant)
@@ -304,7 +294,7 @@ class LagrangianModel:
 
 def _check_finite(a, name: str) -> None:
     if not np.isfinite(a).all():
-        raise NonFiniteValue(f"{name} contains NaN or infinity")
+        raise InvalidInput(f"{name} contains NaN or infinity")
 
 
 def _check_forcing_finite(forcing: ForcingTerm) -> None:
@@ -318,14 +308,14 @@ def _check_forcing_finite(forcing: ForcingTerm) -> None:
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     skew = np.abs(a - a.T).max(initial=0.0)
     if skew > SYMMETRY_RTOL * (1.0 + np.abs(a).max(initial=0.0)):
-        raise NonSymmetric(f"{name} is not symmetric (max skew {skew:.3e})")
+        raise InvalidInput(f"{name} is not symmetric (max skew {skew:.3e})")
 
 
 def _check_psd(a: np.ndarray, name: str) -> None:
     eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
     floor = -EIGENVALUE_RTOL * max(np.abs(eigs).max(initial=0.0), 1e-300)
     if eigs.min(initial=0.0) < floor:
-        raise NotPositiveDefinite(
+        raise InvalidInput(
             f"{name} has eigenvalue {eigs.min():.3e} below the semi-definite floor")
 
 
@@ -337,13 +327,13 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     coefficients, all read-only: writing into one raises ``ValueError``.
 
     Raises:
-        DimensionMismatch: inconsistent array shapes (names the field).
-        NonSymmetric: mass/damping/stiffness beyond the symmetry tolerance.
-        NotPositiveDefinite: mass not positive definite, or damping or
-            stiffness with an eigenvalue below the semi-definite floor.
-        RestitutionOutOfRange: a coefficient outside [0, 1].
-        NonFiniteValue: NaN or infinity in any matrix, offset,
-            restitution coefficient or forcing datum (names the field).
+        InvalidInput: naming the field, for inconsistent array shapes;
+            NaN or infinity in any matrix, offset, restitution
+            coefficient or forcing datum; mass, damping or stiffness
+            beyond the symmetry tolerance; a mass that is not positive
+            definite, or damping or stiffness with an eigenvalue below
+            the semi-definite floor; or a restitution coefficient
+            outside [0, 1].
     """
     mass = np.array(mass, dtype=float)
     damping = np.array(damping, dtype=float)
@@ -353,23 +343,23 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     restitution = np.atleast_1d(np.array(restitution, dtype=float))
 
     if mass.ndim != 2 or mass.shape[0] != mass.shape[1] or mass.shape[0] < 1:
-        raise DimensionMismatch(f"mass must be square and nonempty, got {mass.shape}")
+        raise InvalidInput(f"mass must be square and nonempty, got {mass.shape}")
     n = mass.shape[0]
     for name, mat in (("damping", damping), ("stiffness", stiffness)):
         if mat.shape != (n, n):
-            raise DimensionMismatch(f"{name} must be {n}x{n}, got {mat.shape}")
+            raise InvalidInput(f"{name} must be {n}x{n}, got {mat.shape}")
     if contact_jacobian.ndim != 2 or contact_jacobian.shape[0] != n:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"contact_jacobian must have {n} rows, got {contact_jacobian.shape}")
     m = contact_jacobian.shape[1]
     if m < 1:
-        raise DimensionMismatch("at least one unilateral constraint is required")
+        raise InvalidInput("at least one unilateral constraint is required")
     if gap_offset.shape != (m,):
-        raise DimensionMismatch(f"gap_offset must have length {m}, got {gap_offset.shape}")
+        raise InvalidInput(f"gap_offset must have length {m}, got {gap_offset.shape}")
     if restitution.shape == (1,) and m > 1:
         restitution = np.full(m, restitution[0])
     if restitution.shape != (m,):
-        raise DimensionMismatch(f"restitution must have length {m}, got {restitution.shape}")
+        raise InvalidInput(f"restitution must have length {m}, got {restitution.shape}")
 
     for name, arr in (("mass", mass), ("damping", damping), ("stiffness", stiffness),
                       ("contact_jacobian", contact_jacobian), ("gap_offset", gap_offset),
@@ -383,20 +373,20 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     try:
         np.linalg.cholesky(mass)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"mass is not positive definite: {exc}") from exc
+        raise InvalidInput(f"mass is not positive definite: {exc}") from exc
     _check_psd(damping, "damping")
     _check_psd(stiffness, "stiffness")
 
     if np.any(restitution < 0.0) or np.any(restitution > 1.0):
-        raise RestitutionOutOfRange(f"restitution {restitution} outside [0, 1]")
+        raise InvalidInput(f"restitution {restitution} outside [0, 1]")
 
     for i, segment in enumerate(forcing.values):
         if len(segment) != n:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"forcing segment {i} must have length {n}, got {len(segment)}")
     f0 = np.atleast_1d(np.asarray(forcing.evaluate(0.0), dtype=float))
     if f0.shape != (n,):
-        raise DimensionMismatch(f"forcing must evaluate to length {n}, got {f0.shape}")
+        raise InvalidInput(f"forcing must evaluate to length {n}, got {f0.shape}")
 
     # the model owns these copies; read-only, they cannot drift from a
     # cache built on them
@@ -411,7 +401,7 @@ def gap(model: LagrangianModel, q: np.ndarray) -> np.ndarray:
     """Contact gaps g(q) = G^T q + w; nonnegative means separated."""
     q = np.asarray(q, dtype=float)
     if q.shape != (model.n,):
-        raise DimensionMismatch(f"q must have length {model.n}, got {q.shape}")
+        raise InvalidInput(f"q must have length {model.n}, got {q.shape}")
     return model.contact_jacobian.T @ q + model.gap_offset
 
 
@@ -419,7 +409,7 @@ def local_velocity(model: LagrangianModel, v: np.ndarray) -> np.ndarray:
     """Normal relative velocities at the contacts, U = G^T v."""
     v = np.asarray(v, dtype=float)
     if v.shape != (model.n,):
-        raise DimensionMismatch(f"v must have length {model.n}, got {v.shape}")
+        raise InvalidInput(f"v must have length {model.n}, got {v.shape}")
     return model.contact_jacobian.T @ v
 
 
@@ -459,15 +449,15 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
     Filter states start at zero.
 
     Raises:
-        DimensionMismatch: q0 or v0 of the wrong length.
-        NonFiniteValue: NaN or infinity in q0, v0 or t0.
+        InvalidInput: q0 or v0 of the wrong length, or NaN or infinity
+            in q0, v0 or t0.
     """
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if q0.shape != (model.n,):
-        raise DimensionMismatch(f"q0 must have length {model.n}, got {q0.shape}")
+        raise InvalidInput(f"q0 must have length {model.n}, got {q0.shape}")
     if v0.shape != (model.n,):
-        raise DimensionMismatch(f"v0 must have length {model.n}, got {v0.shape}")
+        raise InvalidInput(f"v0 must have length {model.n}, got {v0.shape}")
     _check_finite(q0, "q0")
     _check_finite(v0, "v0")
     _check_finite(t0, "t0")

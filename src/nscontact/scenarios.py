@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec, NotAvailable
+from .errors import InvalidInput, NotAvailable
 from .model import ForcingTerm, LagrangianModel, SystemState, build_model, initial_state
 
 _DEFAULTS: dict[str, dict[str, float]] = {
@@ -43,7 +43,7 @@ class ScenarioSpec:
     """A scenario family plus its physical parameters.
 
     Unspecified parameters take the family defaults; unknown names or
-    out-of-range values raise InvalidSpec at build time.
+    out-of-range values raise InvalidInput at build time.
     """
 
     kind: str
@@ -51,15 +51,15 @@ class ScenarioSpec:
 
     def resolved(self) -> dict[str, float]:
         if self.kind not in _DEFAULTS:
-            raise InvalidSpec(f"unknown scenario kind '{self.kind}' "
+            raise InvalidInput(f"unknown scenario kind '{self.kind}' "
                               f"(expected one of {sorted(_DEFAULTS)})")
         merged = dict(_DEFAULTS[self.kind])
         for key, value in self.params.items():
             if key not in merged:
-                raise InvalidSpec(f"unknown parameter '{key}' for scenario '{self.kind}'")
+                raise InvalidInput(f"unknown parameter '{key}' for scenario '{self.kind}'")
             merged[key] = float(value)
             if not math.isfinite(merged[key]):
-                raise InvalidSpec(f"scenario parameter '{key}' must be finite, got {value}")
+                raise InvalidInput(f"scenario parameter '{key}' must be finite, got {value}")
         return merged
 
 
@@ -68,7 +68,7 @@ def build_scenario(spec: ScenarioSpec) -> tuple[LagrangianModel, SystemState]:
     p = spec.resolved()
     if spec.kind == "bouncing_ball":
         if p["mass"] <= 0.0:
-            raise InvalidSpec("ball mass must be positive")
+            raise InvalidInput("ball mass must be positive")
         model = build_model(
             mass=[[p["mass"]]], damping=[[0.0]], stiffness=[[0.0]],
             contact_jacobian=[[1.0]], gap_offset=[0.0],
@@ -78,9 +78,9 @@ def build_scenario(spec: ScenarioSpec) -> tuple[LagrangianModel, SystemState]:
 
     if spec.kind == "two_ball_impact":
         if p["m1"] <= 0.0 or p["m2"] <= 0.0:
-            raise InvalidSpec("ball masses must be positive")
+            raise InvalidInput("ball masses must be positive")
         if p["separation"] < 0.0:
-            raise InvalidSpec("initial separation must be nonnegative")
+            raise InvalidInput("initial separation must be nonnegative")
         model = build_model(
             mass=np.diag([p["m1"], p["m2"]]), damping=np.zeros((2, 2)),
             stiffness=np.zeros((2, 2)),
@@ -92,9 +92,9 @@ def build_scenario(spec: ScenarioSpec) -> tuple[LagrangianModel, SystemState]:
     if spec.kind == "elastic_bar_chain":
         n = int(round(p["n_masses"]))
         if n < 1:
-            raise InvalidSpec("chain needs at least one mass")
+            raise InvalidInput("chain needs at least one mass")
         if p["m_total"] <= 0.0 or p["k"] < 0.0 or p["standoff"] < 0.0:
-            raise InvalidSpec("chain requires positive mass, k >= 0, standoff >= 0")
+            raise InvalidInput("chain requires positive mass, k >= 0, standoff >= 0")
         mass = np.eye(n) * (p["m_total"] / n)
         stiffness = np.zeros((n, n))
         for i in range(n - 1):
@@ -113,7 +113,7 @@ def build_scenario(spec: ScenarioSpec) -> tuple[LagrangianModel, SystemState]:
 
     # forced_oscillator_contact
     if p["mass"] <= 0.0 or p["stiffness"] < 0.0 or p["damping"] < 0.0:
-        raise InvalidSpec("oscillator requires positive mass and nonnegative k, c")
+        raise InvalidInput("oscillator requires positive mass and nonnegative k, c")
     model = build_model(
         mass=[[p["mass"]]], damping=[[p["damping"]]], stiffness=[[p["stiffness"]]],
         contact_jacobian=[[1.0]], gap_offset=[-p["wall"]],

@@ -415,7 +415,7 @@ def reference_conditions(model, spec):
     if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
         return region, region
     cond = bool(region and not model.damping.any()
-                and model.forcing.kind.value in ("zero", "constant"))
+                and model.forcing.kind.value == "constant")
     return cond, cond
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nscontact import (
-    InconsistentSpec,
+    InvalidInput,
     LcpFailure,
     LcpProblem,
     solve_enumeration,
@@ -151,9 +151,9 @@ class TestFailureModes:
             solve_lemke(problem, max_pivots=0)
 
     def test_enumeration_size_cap(self):
-        with pytest.raises(InconsistentSpec):
+        with pytest.raises(InvalidInput, match="limited to 12 contacts, got 13"):
             solve_enumeration(LcpProblem(np.eye(13), np.ones(13)))
 
     def test_problem_shape_check(self):
-        with pytest.raises(InconsistentSpec):
+        with pytest.raises(InvalidInput, match=r"W must be 2x2 to match b, got \(3, 3\)"):
             LcpProblem(np.eye(3), np.ones(2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nscontact import (
-    InvalidSpec,
+    InvalidInput,
     NotAvailable,
     ScenarioSpec,
     SchemeSpec,
@@ -53,13 +53,13 @@ class TestBuilders:
             assert p_total.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="unknown scenario kind 'wobbly_bridge'"):
             build_scenario(ScenarioSpec("wobbly_bridge"))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="ball mass must be positive"):
             build_scenario(ScenarioSpec("bouncing_ball", {"mass": -1.0}))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="unknown parameter 'spin'"):
             build_scenario(ScenarioSpec("bouncing_ball", {"spin": 3.0}))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="chain needs at least one mass"):
             build_scenario(ScenarioSpec("elastic_bar_chain", {"n_masses": 0}))
 
     @pytest.mark.parametrize("kind, name, value", [
@@ -68,7 +68,7 @@ class TestBuilders:
         ("bouncing_ball", "q0", math.nan),
     ])
     def test_non_finite_parameter_named(self, kind, name, value):
-        with pytest.raises(InvalidSpec, match=f"'{name}' must be finite"):
+        with pytest.raises(InvalidInput, match=f"'{name}' must be finite"):
             build_scenario(ScenarioSpec(kind, {name: value}))
 
 

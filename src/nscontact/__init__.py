@@ -12,7 +12,6 @@ from .errors import (
     SingularIterationMatrix,
 )
 from .model import (
-    ForcingKind,
     ForcingTerm,
     LagrangianModel,
     SchemeSpec,
@@ -27,7 +26,6 @@ from .model import (
 from .lcp import (
     LcpProblem,
     LcpSolution,
-    solve_enumeration,
     solve_lemke,
 )
 from .integrators import (

@@ -54,7 +54,6 @@ import numpy as np
 
 from .model import (
     THETA_FAMILY,
-    ForcingKind,
     LagrangianModel,
     SchemeSpec,
     SchemeVariant,
@@ -205,7 +204,7 @@ def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> bool:
         # The full averaging scheme only inherits the guarantee when the
         # load/velocity filter terms vanish: no damping, constant loading.
         region = (region and not model.damping.any()
-                  and model.forcing.kind is ForcingKind.CONSTANT)
+                  and model.forcing.omega == 0.0)
     return region
 
 

@@ -260,20 +260,24 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
     cache = build_cache(model, spec, h)
     constants = energy_audit.audit_constants(model, spec, h) if audit else None
     prev_energies = None
-    for k in range(n_steps):
-        try:
-            state, record = step(model, state, h, spec, cache=cache, step_index=k)
-            if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
-                raise FloatingPointError("the new displacement or velocity is not finite")
-            if audit:
-                record.report = report = energy_audit.audit_step(
-                    model, spec, h, record, tol=audit_tol, constants=constants,
-                    prev_energies=prev_energies)
-                prev_energies = (report.E, report.H_alg)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(f"step {k} (t={initial_state.t + k * h:g}) failed: {exc}",
-                                  step_index=k) from exc
-        records.append(record)
+    # an overflowing step is reported by the finiteness check below (and a
+    # NaN residual fails the audit gate), so numpy's warnings would only
+    # repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            try:
+                state, record = step(model, state, h, spec, cache=cache, step_index=k)
+                if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
+                    raise FloatingPointError("the new displacement or velocity is not finite")
+                if audit:
+                    record.report = report = energy_audit.audit_step(
+                        model, spec, h, record, tol=audit_tol, constants=constants,
+                        prev_energies=prev_energies)
+                    prev_energies = (report.E, report.H_alg)
+            except SimulationError:
+                raise
+            except Exception as exc:
+                raise SimulationError(f"step {k} (t={initial_state.t + k * h:g}) failed: "
+                                      f"{exc}", step_index=k) from exc
+            records.append(record)
     return records

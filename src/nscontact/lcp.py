@@ -20,7 +20,6 @@ immutable problem data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,37 +172,6 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
         entering = leaving + s if leaving <= s else leaving - s
 
     raise LcpFailure(f"Lemke: pivot limit {max_pivots} reached")
-
-
-def solve_enumeration(problem: LcpProblem) -> LcpSolution:
-    """Exhaustive oracle: try every active subset, accept the first that
-    is primal and dual feasible.  Intended for cross-checking the pivot
-    solver on small problems (at most 12 contacts).
-
-    Raises:
-        LcpFailure: no subset works, which for positive semi-definite W
-            indicates an assembly bug upstream.
-    """
-    s = problem.size
-    if s > 12:
-        raise InvalidInput(f"enumeration oracle limited to 12 contacts, got {s}")
-    W, b = problem.W, problem.b
-    tol = _tol(problem)
-    tried = 0
-    for r in range(s + 1):
-        for subset in itertools.combinations(range(s), r):
-            tried += 1
-            z = np.zeros(s)
-            if subset:
-                idx = list(subset)
-                try:
-                    z[idx] = np.linalg.solve(W[np.ix_(idx, idx)], -b[idx])
-                except np.linalg.LinAlgError:
-                    continue
-            sol = _candidate(problem, z, tried)
-            if sol.residual <= tol:
-                return sol
-    raise LcpFailure(f"enumeration: no feasible active subset among {tried} candidates")
 
 
 SOLVERS = {"lemke": solve_lemke}

@@ -33,32 +33,25 @@ EIGENVALUE_RTOL = 1e-10
 # external forcing
 # ----------------------------------------------------------------------
 
-class ForcingKind(str, enum.Enum):
-    CONSTANT = "constant"
-    SINUSOIDAL = "sinusoidal"
-    PIECEWISE_CONSTANT = "piecewise_constant"
-
-
 @dataclass(frozen=True)
 class ForcingTerm:
-    """External force ``F(t)``, restricted to analytic forms.
+    """External force ``F(t) = amplitude * sin(omega t + phase)``.
 
-    Only point evaluations are ever needed (the load filter of the
-    energy audit consumes force increments between grid points), so no
-    derivative interface exists.
+    A constant load is the zero-frequency case with phase pi/2, where
+    ``math.sin(math.pi / 2)`` is exactly 1.0, so it evaluates to its
+    amplitude bit for bit.  Only point evaluations are ever needed (the
+    load filter of the energy audit consumes force increments between
+    grid points), so no derivative interface exists.
     """
 
-    kind: ForcingKind
     amplitude: np.ndarray                      # n-vector
-    omega: float = 0.0
-    phase: float = 0.0
-    breakpoints: tuple[float, ...] = ()
-    values: tuple[tuple[float, ...], ...] = ()  # len(breakpoints)+1 segments
+    omega: float
+    phase: float
 
     def __post_init__(self):
         # the term owns a read-only copy, so a write into the caller's
-        # array cannot change a model's load
-        amplitude = np.array(self.amplitude, dtype=float)
+        # array cannot change a model's load; a scalar is a 1-vector
+        amplitude = np.array(self.amplitude, dtype=float, ndmin=1)
         amplitude.flags.writeable = False
         object.__setattr__(self, "amplitude", amplitude)
 
@@ -68,33 +61,14 @@ class ForcingTerm:
 
     @staticmethod
     def constant(amplitude) -> "ForcingTerm":
-        return ForcingTerm(ForcingKind.CONSTANT, amplitude)
+        return ForcingTerm(amplitude, 0.0, 0.5 * math.pi)
 
     @staticmethod
     def sinusoidal(amplitude, omega: float, phase: float = 0.0) -> "ForcingTerm":
-        return ForcingTerm(ForcingKind.SINUSOIDAL, amplitude, omega=float(omega),
-                           phase=float(phase))
-
-    @staticmethod
-    def piecewise_constant(breakpoints, values) -> "ForcingTerm":
-        """Segment ``i`` holds on [breakpoints[i-1], breakpoints[i])."""
-        bp = tuple(float(b) for b in breakpoints)
-        if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
-            raise InvalidInput("piecewise breakpoints must be strictly increasing")
-        vals = tuple(tuple(float(x) for x in np.atleast_1d(v)) for v in values)
-        if len(vals) != len(bp) + 1:
-            raise InvalidInput(
-                f"piecewise forcing needs {len(bp) + 1} segment values, got {len(vals)}")
-        return ForcingTerm(ForcingKind.PIECEWISE_CONSTANT, vals[0], breakpoints=bp,
-                           values=vals)
+        return ForcingTerm(amplitude, float(omega), float(phase))
 
     def evaluate(self, t: float) -> np.ndarray:
-        if self.kind is ForcingKind.CONSTANT:
-            return self.amplitude.copy()
-        if self.kind is ForcingKind.SINUSOIDAL:
-            return self.amplitude * math.sin(self.omega * t + self.phase)
-        seg = int(np.searchsorted(np.asarray(self.breakpoints), t, side="right"))
-        return np.asarray(self.values[seg], dtype=float)
+        return self.amplitude * math.sin(self.omega * t + self.phase)
 
 
 # ----------------------------------------------------------------------
@@ -297,14 +271,6 @@ def _check_finite(a, name: str) -> None:
         raise InvalidInput(f"{name} contains NaN or infinity")
 
 
-def _check_forcing_finite(forcing: ForcingTerm) -> None:
-    _check_finite(forcing.amplitude, "forcing amplitude")
-    _check_finite([forcing.omega, forcing.phase], "forcing omega/phase")
-    _check_finite(forcing.breakpoints, "forcing breakpoints")
-    for segment in forcing.values:
-        _check_finite(segment, "forcing values")
-
-
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     skew = np.abs(a - a.T).max(initial=0.0)
     if skew > SYMMETRY_RTOL * (1.0 + np.abs(a).max(initial=0.0)):
@@ -365,7 +331,8 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
                       ("contact_jacobian", contact_jacobian), ("gap_offset", gap_offset),
                       ("restitution", restitution)):
         _check_finite(arr, name)
-    _check_forcing_finite(forcing)
+    _check_finite(forcing.amplitude, "forcing amplitude")
+    _check_finite([forcing.omega, forcing.phase], "forcing omega/phase")
 
     _check_symmetric(mass, "mass")
     _check_symmetric(damping, "damping")
@@ -380,13 +347,9 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     if np.any(restitution < 0.0) or np.any(restitution > 1.0):
         raise InvalidInput(f"restitution {restitution} outside [0, 1]")
 
-    for i, segment in enumerate(forcing.values):
-        if len(segment) != n:
-            raise InvalidInput(
-                f"forcing segment {i} must have length {n}, got {len(segment)}")
-    f0 = np.atleast_1d(np.asarray(forcing.evaluate(0.0), dtype=float))
-    if f0.shape != (n,):
-        raise InvalidInput(f"forcing must evaluate to length {n}, got {f0.shape}")
+    if forcing.amplitude.shape != (n,):
+        raise InvalidInput(
+            f"forcing amplitude must have length {n}, got {forcing.amplitude.shape}")
 
     # the model owns these copies; read-only, they cannot drift from a
     # cache built on them

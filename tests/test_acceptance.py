@@ -18,11 +18,11 @@ from nscontact import (
     initial_state,
     reference_solution,
     simulate,
-    solve_enumeration,
     solve_lemke,
 )
 from nscontact.cli import main
 from conftest import random_model
+from oracles import solve_enumeration
 
 
 def _criterion(number: int, description: str, passed: bool) -> None:

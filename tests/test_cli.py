@@ -315,7 +315,6 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "theta" in err and value in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nan_energy_gain_is_written(self, tmp_path):
         # q^T K q overflows, so every step's energy gain is inf - inf = NaN
         cfg = write_config(tmp_path, "scenario.kind = forced_oscillator_contact\n"

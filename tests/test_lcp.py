@@ -7,9 +7,9 @@ from nscontact import (
     InvalidInput,
     LcpFailure,
     LcpProblem,
-    solve_enumeration,
     solve_lemke,
 )
+from oracles import solve_enumeration
 
 
 def random_pd_problem(rng, s):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nscontact import (
-    ForcingKind,
     ForcingTerm,
     InvalidInput,
     SchemeSpec,
@@ -52,13 +51,10 @@ class TestBuildModel:
         with pytest.raises(InvalidInput, match="contact_jacobian must have 2 rows"):
             build_model(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
                         [[1.0]], [0.0], [0.5], ForcingTerm.zero(2))
-
-    def test_every_piecewise_segment_is_checked(self):
-        # the first segment fits, the second does not: rejected at build
-        # time, not when the run reaches it
-        forcing = ForcingTerm.piecewise_constant([0.01], [[1.0], [2.0, 3.0]])
-        with pytest.raises(InvalidInput, match="forcing segment 1 must have length 1"):
-            build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [0.0], [0.5], forcing)
+        with pytest.raises(InvalidInput, match=r"forcing amplitude must have length 1, "
+                                               r"got \(2,\)"):
+            build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [0.0], [0.5],
+                        ForcingTerm.sinusoidal([1.0, 2.0], omega=3.0))
 
     def test_asymmetric_mass_rejected(self, rng):
         # every asymmetric perturbation above tolerance must be rejected
@@ -114,7 +110,7 @@ class TestReadOnlyModel:
     @pytest.mark.parametrize("make", [
         pytest.param(ForcingTerm.constant, id="constant"),
         pytest.param(lambda amp: ForcingTerm.sinusoidal(amp, omega=2.0), id="sinusoidal"),
-        pytest.param(lambda amp: ForcingTerm(ForcingKind.CONSTANT, amp), id="direct"),
+        pytest.param(lambda amp: ForcingTerm(amp, 0.0, 0.5 * math.pi), id="direct"),
     ])
     def test_forcing_owns_its_amplitude(self, make):
         # the forcing used to keep the caller's array: amp[0] = 5 after
@@ -141,7 +137,6 @@ class TestNonFiniteInput:
         ("restitution", [math.nan]),
         ("forcing", ForcingTerm.constant([math.inf])),
         ("forcing", ForcingTerm.sinusoidal([1.0], omega=math.nan)),
-        ("forcing", ForcingTerm.piecewise_constant([0.5], [[0.0], [math.nan]])),
     ])
     def test_build_model_rejects(self, field, value):
         name = "forcing" if field == "forcing" else field
@@ -212,15 +207,12 @@ class TestForcingTerm:
         sin = ForcingTerm.sinusoidal([2.0], omega=3.0, phase=0.5)
         assert sin.evaluate(0.7) == pytest.approx([2.0 * math.sin(3.0 * 0.7 + 0.5)])
 
-    def test_piecewise(self):
-        pw = ForcingTerm.piecewise_constant([1.0, 2.0], [[0.0], [5.0], [-1.0]])
-        assert pw.evaluate(0.5) == pytest.approx([0.0])
-        assert pw.evaluate(1.5) == pytest.approx([5.0])
-        assert pw.evaluate(2.0) == pytest.approx([-1.0])
-
-    def test_piecewise_breakpoints_strictly_increasing(self):
-        with pytest.raises(InvalidInput, match="strictly increasing"):
-            ForcingTerm.piecewise_constant([1.0, 1.0], [[0.0], [1.0], [2.0]])
+    @pytest.mark.parametrize("t", [0.0, -3.5, 1e6])
+    def test_constant_load_is_its_amplitude(self, t):
+        # sin(0 t + pi/2) is exactly 1.0, so the product keeps every bit,
+        # the sign of a zero included
+        amp = np.array([-0.0, 0.0, -9.81, 5e-324, 1e308])
+        assert ForcingTerm.constant(amp).evaluate(t).tobytes() == amp.tobytes()
 
 
 class TestSchemeSpec:

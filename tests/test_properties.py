@@ -23,10 +23,10 @@ from nscontact import (
     build_model,
     initial_state,
     simulate,
-    solve_enumeration,
     solve_lemke,
 )
 from conftest import random_model
+from oracles import solve_enumeration
 
 H = 1e-3
 STEPS = 60

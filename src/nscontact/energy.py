@@ -103,10 +103,13 @@ class AuditConstants(NamedTuple):
     ``filter_coeff`` are c_a and c_z, ``work_weight`` is c, the ``d*``
     fields are k_v, k_a, k_q and k_z, ``filter_left`` is phi, and
     ``filter_works`` is the filter-work weight HHT's works absorb.
-    Unset weights are zero.
+    Unset weights are zero.  ``damped`` and ``stiff`` say whether C and
+    K have a nonzero entry; the audit never multiplies a zero one.
     """
 
     condition: bool
+    damped: bool
+    stiff: bool
     work_weight: float
     accel_coeff: float = 0.0
     filter_coeff: float = 0.0
@@ -121,14 +124,15 @@ class AuditConstants(NamedTuple):
 def audit_constants(model: LagrangianModel, spec: SchemeSpec, h: float) -> AuditConstants:
     """The parameter condition and coefficient row shared by every step of a run."""
     cond = _parameter_conditions(model, spec)
+    damped, stiff = bool(model.damping.any()), bool(model.stiffness.any())
     if spec.variant in THETA_FAMILY:
         th = spec.theta
-        return AuditConstants(cond, work_weight=th, dv_coeff=0.5 - spec.displacement_weight,
-                              dq_coeff=0.5 - th)
+        return AuditConstants(cond, damped, stiff, work_weight=th,
+                              dv_coeff=0.5 - spec.displacement_weight, dq_coeff=0.5 - th)
     nu, eta, gamma, r = spec.nu, spec.eta, spec.gamma, spec.eta_over_nu
     accel = 2.0 * spec.beta - gamma
     return AuditConstants(
-        cond, work_weight=gamma, accel_coeff=0.25 * h**2 * accel,
+        cond, damped, stiff, work_weight=gamma, accel_coeff=0.25 * h**2 * accel,
         # the filter state is identically zero for nu = 0, so nothing is lost
         filter_coeff=(0.0 if eta == 0.0 or nu == 0.0
                       else eta / (2.0 * nu**2) * (nu - (gamma - 0.5))),
@@ -138,19 +142,20 @@ def audit_constants(model: LagrangianModel, spec: SchemeSpec, h: float) -> Audit
         filter_works=r if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0)
 
 
-def _energy(model: LagrangianModel, q: np.ndarray, v: np.ndarray) -> float:
-    return 0.5 * float(v @ model.mass @ v) + 0.5 * float(q @ model.stiffness @ q)
+def _forms(mat: np.ndarray, weights, vectors) -> list[float]:
+    """weight |vector|_mat^2 for each pair, from one product of the stacked rows with mat.
 
-
-def _quad(coeff: float, mat: np.ndarray, vec: np.ndarray) -> float:
-    """coeff |vec|_mat^2; a zero weight skips the matrix product."""
-    return coeff * float(vec @ mat @ vec) if coeff else 0.0
-
-
-def _algorithmic(model: LagrangianModel, state: SystemState, energy: float,
-                 row: AuditConstants) -> float:
-    return (energy + _quad(row.accel_coeff, model.mass, state.a)
-            + _quad(row.filter_coeff, model.stiffness, state.z))
+    Rows with a zero weight are left out of the product and read 0.  A
+    row's form depends only on the row, its position and the row count,
+    so a vector gives bitwise the same form in every call of one shape.
+    """
+    keep = [i for i, weight in enumerate(weights) if weight]
+    out = [0.0] * len(weights)
+    if keep:
+        rows = np.array([vectors[i] for i in keep])
+        for i, form in zip(keep, (rows @ mat * rows).sum(axis=1).tolist()):
+            out[i] = weights[i] * form
+    return out
 
 
 def advance_filters(spec: SchemeSpec, state_prev: SystemState,
@@ -219,44 +224,57 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
     energy gain dH - W_ext - W_damping, its audit scale
     1 + max(|dE|, |dH|, |W_ext|) and the dissipation flag.  The residual
     is zero up to roundoff for a correct step; this is the primary
-    correctness oracle of the package.
+    correctness oracle of the package.  Every quadratic form comes from
+    one product per matrix: the rows [v_{k+1}, a_{k+1}, dv, da] against M
+    and [q_{k+1}, z_{k+1}, dq, dz] against K, each keeping only the rows
+    with a nonzero weight.  A zero K, and a zero C in the damping work,
+    are not multiplied.
 
     A run passes ``constants`` from :func:`audit_constants` and
     ``prev_energies``, the (E, H) of ``record.state_prev``, which the
     previous step's report holds as ``E``/``H_alg``.  Without them both
-    are computed here.  The record is not modified; the caller attaches
-    the returned report.
+    are computed here, from products of the same shape as the end
+    state's, so carried and fresh energies are bitwise equal.  The
+    record is not modified; the caller attaches the returned report.
     """
     row = audit_constants(model, spec, h) if constants is None else constants
     sp, sn = record.state_prev, record.state_next
-    M, K = model.mass, model.stiffness
     c = row.work_weight
+    dq, dv, da, dz = sn.q - sp.q, sn.v - sp.v, sn.a - sp.a, sn.z - sp.z
+    m_weights = (0.5, row.accel_coeff, row.dv_coeff, row.da_coeff)
+    k_weights = ((0.5, row.filter_coeff, row.dq_coeff, row.dz_coeff) if row.stiff
+                 else (0.0,) * 4)
 
-    e_next = _energy(model, sn.q, sn.v)
-    h_next = _algorithmic(model, sn, e_next, row)
+    def forms(state):
+        # E and H - E of ``state``, and the k-weighted forms of the right side
+        m = _forms(model.mass, m_weights, (state.v, state.a, dv, da))
+        k = _forms(model.stiffness, k_weights, (state.q, state.z, dq, dz))
+        return m[0] + k[0], m[1] + k[1], m[2] + m[3] + k[2] + k[3]
+
+    e_next, h_extra, dissipated = forms(sn)
+    h_next = e_next + h_extra
     if prev_energies is None:
-        e_prev = _energy(model, sp.q, sp.v)
-        h_prev = _algorithmic(model, sp, e_prev, row)
+        e_prev, h_extra, _ = forms(sp)
+        h_prev = e_prev + h_extra
     else:
         e_prev, h_prev = prev_energies
 
-    dq = sn.q - sp.q
-    dq_c = dq @ model.damping
-    filter_y = filter_x = 0.0
-    if row.filter_left or row.filter_works:
-        filter_y = float(dq @ _mix(sp.y, sn.y, c))
-        filter_x = float(dq_c @ _mix(sp.x, sn.x, c))
+    filters = bool(row.filter_left or row.filter_works)
+    filter_y = float(dq @ _mix(sp.y, sn.y, c)) if filters else 0.0
+    filter_x = w_damp = 0.0
+    if row.damped:
+        dq_c = dq @ model.damping
+        if filters:
+            filter_x = float(dq_c @ _mix(sp.x, sn.x, c))
+        w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + row.filter_works * filter_x
     f_c = _mix(model.force(sp.t), model.force(sn.t), c)
     w_ext = float(dq @ f_c) - row.filter_works * filter_y
-    w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + row.filter_works * filter_x
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
     w_contact = _mix(up, un, spec.displacement_weight)
     dH = h_next - h_prev
     gain = dH - w_ext - w_damp
-    residual = gain + row.filter_left * (filter_y - filter_x) - (
-        w_contact + _quad(row.dv_coeff, M, sn.v - sp.v) + _quad(row.da_coeff, M, sn.a - sp.a)
-        + _quad(row.dq_coeff, K, dq) + _quad(row.dz_coeff, K, sn.z - sp.z))
+    residual = gain + row.filter_left * (filter_y - filter_x) - (w_contact + dissipated)
     scale = 1.0 + max(abs(e_next - e_prev), abs(dH), abs(w_ext))
     return EnergyReport(E_prev=e_prev, H_prev=h_prev, E=e_next, H_alg=h_next,
                         W_ext=w_ext, W_damping=w_damp,

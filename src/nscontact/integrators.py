@@ -3,31 +3,35 @@
 Every scheme solves one weighted balance (see
 :class:`IterationMatrixCache`); the two families differ only in the
 per-run weights ``build_cache`` sets.  A step eliminates the smooth
-unknowns onto the contact impulses through a factorized iteration
+unknowns onto the contact impulses through the inverse iteration
 matrix, then runs one contact stage (``_solve_contact``): it forecasts
 the active contact set and, when the set is nonempty, solves the
 complementarity problem on it.  Lemke's method, looked up in
 ``lcp.SOLVERS`` (where tests swap in the enumeration oracle), returns
 z = 0 at once when the free velocities already satisfy the impact law,
 tries the point where every forecast contact carries an impulse (one
-linear solve) next, and pivots only when that fails its check; it
-returns a verified solution or raises ``LcpFailure``.  Impulses
-(not forces) are the contact unknowns, so the steps stay consistent
-when an impact happens inside the step.
+product with the inverse of the Delassus block) next, and pivots only
+when that fails its check; it returns a verified solution or raises
+``LcpFailure``.  Impulses (not forces) are the contact unknowns, so
+the steps stay consistent when an impact happens inside the step.
 
-The iteration matrix M + c_C C + c_K K has nonnegative weights c_C and
-c_K that grow with h.  It is positive definite as long as M outweighs
-the negative eigenvalues the model validator lets through in C and K:
-semi-definite there means down to ``model.EIGENVALUE_RTOL`` times the
-largest eigenvalue, so a mass that is tiny in some direction can lose
-against that floor at a large h, and ``build_cache`` then raises
-``SingularIterationMatrix``, as it does when an overflowing h leaves
-the matrix or its weights non-finite.  The cache built per (model,
-scheme, h), and rebuilt whenever any of them changes, holds L^-1 for
-the lower Cholesky factor L of the matrix; every solve applies
-L^-T (L^-1 x).
-A step never mutates its input state; trajectories are bitwise
-reproducible for identical inputs.
+The iteration matrix A = M + c_C C + c_K K has nonnegative weights
+c_C and c_K that grow with h.  It is positive definite as long as M
+outweighs the negative eigenvalues the model validator lets through in
+C and K: semi-definite there means down to ``model.EIGENVALUE_RTOL``
+times the largest eigenvalue, so a mass that is tiny in some direction
+can lose against that floor at a large h, and ``build_cache`` then
+raises ``SingularIterationMatrix`` (its Cholesky factorization fails),
+as it does when an overflowing h leaves the matrix or its weights
+non-finite.  The cache built per (model, scheme, h), and rebuilt
+whenever any of them changes, holds sigma A^-1, so the free step is one
+product with it.  An all-zero C or K is never multiplied in a step;
+``build_cache`` decides that once per run.  The cache also keeps one
+entry for the contact stage: the last active set's Delassus block and
+its inverse, replaced when the set changes; Lemke takes the inverse as a
+hint and verifies its answer like any other.  A step never mutates
+its input state; trajectories are bitwise reproducible for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ ACTIVATION_TOL = 1e-12
 
 @dataclass
 class IterationMatrixCache:
-    """Inverse iteration-matrix factor and step weights, valid for one (model, spec, h).
+    """Solve matrix and step weights, valid for one (model, spec, h).
 
     Both families solve one weighted balance for an unknown s,
 
@@ -79,16 +83,23 @@ class IterationMatrixCache:
     displacement by half a step of that, and s responds through the
     balance.  ``delassus`` is G^T times the velocity map, restricted to
     the active set when the complementarity matrix is assembled.
-    ``inv_chol`` is L^-1 for the iteration matrix A = L L^T, so
-    A^-1 x = L^-T (L^-1 x).
+    ``solve`` is sigma A^-1 for the iteration matrix A, so the free step
+    is s = solve @ r with r the bracket above at the predictors.
+    ``damped`` and ``stiff`` say whether C and K have a nonzero entry; a
+    step skips the product with a zero one.
+
+    ``block`` is the contact stage's one memo entry: (active set, its
+    Delassus block W, W^-1 or None when W is singular), replaced when
+    the set changes.  The inverse is only a hint to Lemke's full-support
+    exit, which verifies its answer, so a wrong entry costs pivots and
+    never gives a wrong impulse.
     """
 
     model: LagrangianModel = field(repr=False)
     spec: SchemeSpec
     h: float
-    inv_chol: np.ndarray
+    solve: np.ndarray
     minv_g: np.ndarray
-    sigma: float
     alpha_c: float
     alpha_f: float
     g: float
@@ -99,6 +110,9 @@ class IterationMatrixCache:
     impulse_to_velocity: np.ndarray
     impulse_to_displacement: np.ndarray
     delassus: np.ndarray
+    damped: bool
+    stiff: bool
+    block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def matches(self, model: LagrangianModel, spec: SchemeSpec, h: float) -> bool:
         # identity, not id(): holding the model keeps its id from being
@@ -106,15 +120,23 @@ class IterationMatrixCache:
         return self.model is model and self.spec == spec and self.h == h
 
 
-def _factor(matrix: np.ndarray) -> np.ndarray:
-    """L^-1 for the lower Cholesky factor L of ``matrix``."""
+def _scaled_inverse(matrix: np.ndarray, scale: float) -> np.ndarray:
+    """scale * matrix^-1, from the Cholesky factor that checks it is positive definite."""
     # numpy's cholesky passes inf and NaN through instead of raising
     if not np.isfinite(matrix).all():
         raise SingularIterationMatrix("iteration matrix is not finite")
     try:
-        return np.linalg.inv(np.linalg.cholesky(matrix))
+        inv_chol = np.linalg.inv(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError as exc:
         raise SingularIterationMatrix(f"iteration matrix not factorizable: {exc}") from exc
+    out = inv_chol.T @ inv_chol
+    out *= scale
+    # The inverse of a banded matrix decays away from its band, down to
+    # subnormal entries, and a product with subnormal operands runs several
+    # times slower (5x for a 200-mass bar).  Zeroing them changes a product
+    # only where its result is itself near the smallest normal float.
+    out[np.abs(out) < np.finfo(float).tiny] = 0.0
+    return out
 
 
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
@@ -134,18 +156,19 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h * h * (0.5 - beta) - b * am
         enters, direct_v, direct_q = 0.0, 1.0, 0.5 * h
     # an overflowing h leaves weights or entries non-finite (inf * 0 = nan),
-    # which _factor rejects; the warnings on the way would only repeat that
+    # which _scaled_inverse rejects; the warnings on the way would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = M + sigma * (1 - ac) * g * C + sigma * (1 - af) * b * K
-    inv_chol = _factor(matrix)
+        solve = _scaled_inverse(matrix, sigma)
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
-    load = sigma * (1 - ac) * direct_v * C + sigma * (1 - af) * direct_q * K
-    to_s = inv_chol.T @ (inv_chol @ (enters * G - load @ minv_g))
+    load = (1 - ac) * direct_v * C + (1 - af) * direct_q * K
+    to_s = solve @ (enters / sigma * G - load @ minv_g)
     to_v = direct_v * minv_g + g * to_s
     to_q = direct_q * minv_g + b * to_s
-    return IterationMatrixCache(model, spec, h, inv_chol, minv_g, sigma, ac, af, g, b,
-                                pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v)
+    return IterationMatrixCache(model, spec, h, solve, minv_g, ac, af, g, b,
+                                pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v,
+                                bool(C.any()), bool(K.any()))
 
 
 def _solve_contact(model, state, h, cache, v_free):
@@ -160,22 +183,34 @@ def _solve_contact(model, state, h, cache, v_free):
     ``displacement_weight``, which makes its share of the energy
     identity's contact work U_w P zero: the same Delassus rows with
     (1 - w) / w in place of e.  With w = 0 (Moreau-Jean at theta = 0)
-    opening contacts stay out of the set.  The solver is looked up in
-    ``SOLVERS`` at call time; it returns a verified solution or raises
-    ``LcpFailure``.  Returns the impulse P, the active set and U_k.
+    opening contacts stay out of the set.  The Delassus block of the set
+    and its inverse come from ``cache.block`` while the set is the one
+    of the last solve, and replace it otherwise.  The solver is looked
+    up in ``SOLVERS`` at call time; it returns a verified solution or
+    raises ``LcpFailure``.  Returns the impulse P, the active set and U_k.
     """
     u_prev = local_velocity(model, state.v)
     w = cache.spec.displacement_weight
     closing = u_prev <= ACTIVATION_TOL
     forecast = gap(model, state.q + h * state.v) <= 0.0
     idx = np.flatnonzero(forecast if w > 0.0 else forecast & closing)
+    act = tuple(idx.tolist())
     P = np.zeros(model.m)
-    if idx.size:
+    if act:
+        memo = cache.block
+        if memo is None or memo[0] != act:
+            block = cache.delassus[np.ix_(idx, idx)]
+            try:
+                inverse = np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                inverse = None
+            memo = cache.block = (act, block, inverse)
+        _, block, inverse = memo
         # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
         coeff = np.where(closing, model.restitution, (1.0 - w) / w if w > 0.0 else 0.0)
         b = local_velocity(model, v_free)[idx] + coeff[idx] * u_prev[idx]
-        P[idx] = SOLVERS["lemke"](LcpProblem(cache.delassus[np.ix_(idx, idx)], b)).z
-    return P, tuple(idx.tolist()), u_prev
+        P[idx] = SOLVERS["lemke"](LcpProblem(block, b, inverse)).z
+    return P, act, u_prev
 
 
 def step(model, state, h, spec, *, cache=None, step_index=0):
@@ -184,25 +219,29 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     Every scheme solves the one weighted balance of
     :class:`IterationMatrixCache` with the weights ``build_cache`` set
     for its family: a free step, then, when the active set is nonempty,
-    the impulse tail v += V P, q += Q P, s += S P.  Theta schemes carry
-    ``a`` and the filters over from the start state; averaging steps
-    recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m) and advance the
-    filters.
+    the impulse tail v += V P, q += Q P.  Theta schemes carry ``a`` and
+    the filters over from the start state; averaging steps add the
+    impulse share S P to s, recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m)
+    and advance the filters.
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
-    C, K = model.damping, model.stiffness
     ac, af = cache.alpha_c, cache.alpha_f
     t0 = state.t
     f_k = model.force(t0)
     f_k1 = model.force(t0 + h)
 
-    pred_v = state.v + cache.pred_v_a * state.a
-    pred_q = state.q + h * state.v + cache.pred_q_a * state.a
-    rhs = cache.sigma * ((1 - ac) * f_k1 + ac * f_k
-                         - C @ ((1 - ac) * pred_v + ac * state.v)
-                         - K @ ((1 - af) * pred_q + af * state.q))
-    s = cache.inv_chol.T @ (cache.inv_chol @ rhs)
+    # theta predictors carry no ``a`` terms: their weights are zero
+    pred_v = state.v + cache.pred_v_a * state.a if cache.pred_v_a else state.v
+    pred_q = state.q + h * state.v
+    if cache.pred_q_a:
+        pred_q += cache.pred_q_a * state.a
+    rhs = (1 - ac) * f_k1 + ac * f_k
+    if cache.damped:
+        rhs -= model.damping @ ((1 - ac) * pred_v + ac * state.v)
+    if cache.stiff:
+        rhs -= model.stiffness @ ((1 - af) * pred_q + af * state.q)
+    s = cache.solve @ rhs
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 
@@ -210,13 +249,14 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     if act:
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
-        s += cache.impulse_to_s @ P
     # a_tilde, f_prev and v_prev are never advanced; a theta step carries
     # a and the filters over as well
     new_state = SystemState(t=t0 + h, q=q1, v=v1, a=state.a, a_tilde=state.a_tilde,
                             z=state.z, x=state.x, y=state.y,
                             f_prev=state.f_prev, v_prev=state.v_prev)
     if spec.variant not in THETA_FAMILY:
+        if act:
+            s += cache.impulse_to_s @ P
         new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
             spec, state, new_state, f_k1 - f_k)

@@ -8,14 +8,16 @@ on the active contact set, where W is the (near-)symmetric positive
 semi-definite Delassus matrix of the step.  Lemke's method solves it in
 the steps and has three exits: z = 0 when b >= 0; the full-support
 point z = -W^-1 b (every contact carries an impulse), from one linear
-solve, when it passes the verification; and otherwise complementary
-pivoting, which terminates in finitely many pivots for this problem
-class and handles simultaneous impacts through a lexicographic ratio
-test.  An exhaustive enumeration oracle cross-checks it in tests.
+solve or from the inverse the problem may carry, when it passes the
+verification; and otherwise complementary pivoting, which terminates
+in finitely many pivots for this problem class and handles
+simultaneous impacts through a lexicographic ratio test.  An
+exhaustive enumeration oracle cross-checks it in tests.
 
 A solver returns only a solution it has verified to tolerance, and
-raises :class:`LcpFailure` otherwise.  All operations are stateless over
-immutable problem data.
+raises :class:`LcpFailure` otherwise, so a problem's inverse is a hint:
+a wrong one costs pivots, never a wrong answer.  All operations are
+stateless over immutable problem data.
 """
 
 from __future__ import annotations
@@ -33,10 +35,17 @@ TOL = 1e-10
 
 @dataclass(frozen=True)
 class LcpProblem:
-    """One complementarity problem: matrix W (s x s) and offset b (s)."""
+    """One complementarity problem: matrix W (s x s) and offset b (s).
+
+    ``inverse``, when given, is taken as W^-1 by the full-support exit in
+    place of a linear solve.  Only its shape is checked here, and it
+    takes no part in equality: like every exit, that one returns only a
+    verified point.
+    """
 
     W: np.ndarray
     b: np.ndarray
+    inverse: np.ndarray | None = field(default=None, repr=False, compare=False)
     size: int = field(init=False)
 
     def __post_init__(self):
@@ -45,6 +54,8 @@ class LcpProblem:
         s = b.shape[0]
         if W.shape != (s, s):
             raise InvalidInput(f"W must be {s}x{s} to match b, got {W.shape}")
+        if self.inverse is not None and np.shape(self.inverse) != (s, s):
+            raise InvalidInput(f"inverse must be {s}x{s} like W, got {np.shape(self.inverse)}")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "size", s)
@@ -86,7 +97,8 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
     ``PIVOT_FLOOR`` relative) is preferred, so the solve ends there.
 
     Two exits need no pivot: b >= 0 returns z = 0, and otherwise the
-    full-support point z = -W^-1 b (one ``np.linalg.solve``) returns if
+    full-support point z = -W^-1 b (``-(problem.inverse @ b)`` when the
+    problem carries an inverse, else one ``np.linalg.solve``) returns if
     it passes the same tolerance check as every other exit.  A singular
     W, or a point that fails the check, goes on to pivoting.  The guess
     keeps no state between solves.  Every terminal point of the pivot
@@ -105,7 +117,9 @@ def solve_lemke(problem: LcpProblem, max_pivots: int | None = None) -> LcpSoluti
     tol = _tol(problem)
     try:
         # every contact carries an impulse: w = 0, so W z = -b
-        sol = _candidate(problem, np.linalg.solve(problem.W, -problem.b), 0)
+        z = (-(problem.inverse @ problem.b) if problem.inverse is not None
+             else np.linalg.solve(problem.W, -problem.b))
+        sol = _candidate(problem, z, 0)
         if sol.residual <= tol:
             return sol
     except np.linalg.LinAlgError:

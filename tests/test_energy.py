@@ -315,6 +315,52 @@ class TestAuditStep:
             assert rec.report.identity_ok()
 
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
+    def test_stacked_forms_match_separate_products(self, rng, spec):
+        # the identity of the module docstring, term by term, with one
+        # matrix product per quadratic form
+        model, records = self.simultaneous_impact_run(rng, spec)
+        M, C, K, h = model.mass, model.damping, model.stiffness, self.H
+        w = spec.displacement_weight
+        if spec.variant in THETA_FAMILY:
+            c, c_a, c_z, k_v, k_a, k_q, k_z = (spec.theta, 0.0, 0.0, 0.5 - w, 0.0,
+                                              0.5 - spec.theta, 0.0)
+            phi = filter_works = 0.0
+        else:
+            nu, eta, gamma, beta = spec.nu, spec.eta, spec.gamma, spec.beta
+            c, k_v, k_q = gamma, 0.0, eta + 0.5 - gamma
+            c_a = h * h / 4 * (2 * beta - gamma)
+            k_a = -(h * h / 2) * (gamma - 0.5) * (2 * beta - gamma)
+            c_z = 0.0 if eta == 0.0 or nu == 0.0 else eta / (2 * nu * nu) * (nu - (gamma - 0.5))
+            k_z = 0.0 if eta == 0.0 else eta / nu * (gamma - nu - 0.5)
+            ga = spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA
+            phi = eta / nu if ga else 0.0
+            filter_works = eta / nu if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0
+
+        def norm(mat, x):
+            return float(x @ (mat @ x))
+
+        def mix(prev, next_, weight):
+            return (1 - weight) * prev + weight * next_
+
+        def algorithmic(s):
+            return (0.5 * norm(M, s.v) + 0.5 * norm(K, s.q)
+                    + c_a * norm(M, s.a) + c_z * norm(K, s.z))
+
+        for rec in records:
+            sp, sn = rec.state_prev, rec.state_next
+            dq = sn.q - sp.q
+            y_c, x_c = mix(sp.y, sn.y, c), mix(sp.x, sn.x, c)
+            w_ext = dq @ (mix(model.force(sp.t), model.force(sn.t), c) - filter_works * y_c)
+            w_damp = -dq @ (C @ (mix(sp.v, sn.v, c) - filter_works * x_c))
+            contact = mix(rec.U_prev @ rec.P, rec.U_next @ rec.P, w)
+            reference = (algorithmic(sn) - algorithmic(sp) - w_ext - w_damp
+                         + phi * dq @ (y_c - C @ x_c)
+                         - (contact + k_v * norm(M, sn.v - sp.v) + k_a * norm(M, sn.a - sp.a)
+                            + k_q * norm(K, dq) + k_z * norm(K, sn.z - sp.z)))
+            report = rec.report
+            assert abs(report.identity_residual - reference) <= 1e-13 * report.residual_scale
+
+    @pytest.mark.parametrize("spec", SIX_VARIANTS)
     def test_audit_step_is_pure(self, rng, spec):
         model, audited = self.simultaneous_impact_run(rng, spec)
         bare = simulate(model, audited[0].state_prev, self.H, spec, 0.3, audit=False)

@@ -43,6 +43,13 @@ def oscillator(m=2.0, c=0.3, k=40.0, wall=-50.0, e=0.5, force_amp=1.5):
                        ForcingTerm.sinusoidal([force_amp], omega=2.0))
 
 
+def with_bare_models(specs):
+    """(spec, loaded) params: each spec on a damped, stiff model under its
+    own id, and on a model with C = K = 0 under ``<id>-bare``."""
+    return [pytest.param(spec, loaded, id=name if loaded else f"{name}-bare")
+            for name, spec in specs.items() for loaded in (True, False)]
+
+
 class TestActiveSet:
     """One step of h = 0.1 on three free particles, each with its own
     contact g_a = q_a, that holds the three forecast cases at once."""
@@ -187,14 +194,14 @@ class TestMoreauJeanVariant:
 
 
 class TestThetaFamily:
-    @pytest.mark.parametrize("spec", [
-        SchemeSpec.moreau_jean(0.3), SchemeSpec.moreau_jean(0.7),
-        SchemeSpec.moreau_jean_variant(0.8),
-    ], ids=["mj0.3", "mj0.7", "mjv0.8"])
-    def test_step_relations_hold(self, rng, spec):
+    @pytest.mark.parametrize("spec, loaded", with_bare_models({
+        "mj0.3": SchemeSpec.moreau_jean(0.3), "mj0.7": SchemeSpec.moreau_jean(0.7),
+        "mjv0.8": SchemeSpec.moreau_jean_variant(0.8)}))
+    def test_step_relations_hold(self, rng, spec, loaded):
         # every defining relation of the theta step, checked per step on a
-        # run whose impulses act
-        model = random_model(rng, n=4, m=2)
+        # run whose impulses act; the bare model has C = K = 0, which the
+        # step does not multiply
+        model = random_model(rng, n=4, m=2, damped=loaded, stiff=loaded)
         h = 1e-3
         col = model.contact_jacobian[:, 0]
         v0 = -2.0 * col / (col @ col)
@@ -240,14 +247,14 @@ class TestGeneralizedAlpha:
             assert s_nm.q == pytest.approx(s_mj.q, abs=1e-12)
             assert s_nm.v == pytest.approx(s_mj.v, abs=1e-12)
 
-    @pytest.mark.parametrize("spec", [
-        SchemeSpec.newmark(0.6, 0.35), SchemeSpec.hht(0.2, gamma=0.8, beta=0.5),
-        SchemeSpec.from_rho_infinity(0.8),
-        SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA),
-    ], ids=["newmark", "hht", "ga", "kh"])
-    def test_step_relations_hold(self, rng, spec):
-        # every defining relation of the averaging step, checked per step
-        model = random_model(rng, n=4, m=2)
+    @pytest.mark.parametrize("spec, loaded", with_bare_models({
+        "newmark": SchemeSpec.newmark(0.6, 0.35), "hht": SchemeSpec.hht(0.2, gamma=0.8, beta=0.5),
+        "ga": SchemeSpec.from_rho_infinity(0.8),
+        "kh": SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)}))
+    def test_step_relations_hold(self, rng, spec, loaded):
+        # every defining relation of the averaging step, checked per step;
+        # the bare model has C = K = 0, which the step does not multiply
+        model = random_model(rng, n=4, m=2, damped=loaded, stiff=loaded)
         h = 1e-3
         # drive the first contact so the run actually produces impacts
         col = model.contact_jacobian[:, 0]
@@ -600,6 +607,78 @@ class TestIterationMatrixCache:
             others = [oscillator(k=41.0 + k) for k in range(20)]
             assert not any(cache.matches(other, spec, 1e-3) for other in others)
             assert cache.matches(cache.model, spec, 1e-3)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(SchemeSpec.moreau_jean(0.5), id="mj"),
+        pytest.param(SchemeSpec.from_rho_infinity(0.8), id="ga"),
+    ])
+    def test_solve_matrix_is_the_scaled_inverse_without_subnormals(self, spec):
+        # the inverse of a long chain's banded iteration matrix decays into
+        # the subnormal range, which slows every product with it
+        model, _ = build_scenario(ScenarioSpec("elastic_bar_chain", {"n_masses": 200}))
+        h = 1e-4
+        cache = build_cache(model, spec, h)
+        sigma, ac, af = ((h, 1 - spec.theta, 1 - spec.theta) if spec.variant in THETA_FAMILY
+                         else (1.0, spec.load_weight, spec.alpha_f))
+        matrix = (model.mass + sigma * (1 - ac) * cache.g * model.damping
+                  + sigma * (1 - af) * cache.b * model.stiffness)
+        assert cache.solve @ matrix == pytest.approx(sigma * np.eye(model.n), abs=1e-12 * sigma)
+        magnitudes = np.abs(cache.solve)
+        assert not ((magnitudes > 0.0) & (magnitudes < np.finfo(float).tiny)).any()
+        assert (magnitudes == 0.0).any()
+
+    def test_block_memo_holds_the_last_active_set(self):
+        # one entry: kept while the active set holds, replaced when it changes
+        model, state = ball_column()
+        spec, h = SchemeSpec.moreau_jean(0.5), 1e-3
+        cache = build_cache(model, spec, h)
+        sets = []
+        for _ in range(1000):
+            before = cache.block
+            state, rec = step(model, state, h, spec, cache=cache)
+            if not rec.active_set:
+                assert cache.block is before
+                continue
+            act, block, inverse = cache.block
+            assert act == rec.active_set
+            assert np.array_equal(block, cache.delassus[np.ix_(act, act)])
+            assert inverse @ block == pytest.approx(np.eye(len(act)), abs=1e-12)
+            assert (cache.block is before) == (before is not None and before[0] == act)
+            sets.append(act)
+        assert sum(a != b for a, b in zip(sets, sets[1:])) >= 10
+        assert sets[-1] == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(SchemeSpec.moreau_jean(0.5), id="mj"),
+        pytest.param(SchemeSpec.from_rho_infinity(
+            0.8, variant=SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA), id="kh"),
+    ])
+    def test_wrong_block_inverse_falls_back_to_pivoting(self, monkeypatch, spec):
+        # the column at rest carries an impulse on all four contacts, which
+        # the full-support exit answers; a memo whose inverse is off by a
+        # factor 2 must cost pivots, not give a wrong impulse
+        model, state = ball_column()
+        h = 1e-3
+        cache = build_cache(model, spec, h)
+        for _ in range(1000):
+            state, _ = step(model, state, h, spec, cache=cache)
+        act, block, inverse = cache.block
+        assert act == (0, 1, 2, 3)
+        cache.block = (act, block, 2.0 * inverse)
+        pivots = []
+
+        def recording(problem):
+            sol = solve_lemke(problem)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setitem(integrators.SOLVERS, "lemke", recording)
+        _, fresh = step(model, state, h, spec, cache=build_cache(model, spec, h))
+        _, poisoned = step(model, state, h, spec, cache=cache)
+        assert pivots[0] == 0 < pivots[1]
+        assert fresh.P.min() > 0.0
+        assert np.abs(poisoned.P - fresh.P).max() <= 1e-12 * np.abs(fresh.P).max()
+        assert cache.block[0] == act
 
     def test_tiny_mass_loses_against_the_stiffness_floor(self):
         # K's eigenvalue -1e-11 lies inside build_model's semi-definite

@@ -39,6 +39,17 @@ class TestHandValues:
         assert sol.z == pytest.approx(oracle.z, abs=1e-12)
         assert sol.iterations == 0
 
+    def test_inverse_is_a_verified_hint(self):
+        # the coupled pair again: its inverse answers without a pivot, and a
+        # wrong one falls through to pivoting, to the same point
+        W, b = np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-3.0, -3.0])
+        right = solve_lemke(LcpProblem(W, b, np.linalg.inv(W)))
+        wrong = solve_lemke(LcpProblem(W, b, 2.0 * np.linalg.inv(W)))
+        assert right.iterations == 0 < wrong.iterations
+        for sol in (right, wrong):
+            assert sol.z == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert LcpProblem(W, b, np.eye(2)) == LcpProblem(W, b)
+
     def test_mixed_support_pair_pivots(self):
         # W^-1 (-b) = [7/3, -5/3] is infeasible, so the full-support guess
         # misses and Lemke pivots to the oracle's z = [1.5, 0]
@@ -157,3 +168,5 @@ class TestFailureModes:
     def test_problem_shape_check(self):
         with pytest.raises(InvalidInput, match=r"W must be 2x2 to match b, got \(3, 3\)"):
             LcpProblem(np.eye(3), np.ones(2))
+        with pytest.raises(InvalidInput, match=r"inverse must be 2x2 like W, got \(3, 3\)"):
+            LcpProblem(np.eye(2), np.ones(2), np.eye(3))

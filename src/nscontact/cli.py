@@ -253,18 +253,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
     def audit_rows():
         for rec, good in zip(records, ok):
             rep = rec.report
-            # both condition columns carry the one flag; the worst-restitution
-            # form of the condition equals the per-contact one
-            cond = _flag(rep.condition_satisfied)
             yield (rec.step_index + 1, rec.state_next.t, rep.identity_residual,
-                   rep.residual_scale, rep.energy_gain, cond, cond,
+                   rep.residual_scale, rep.energy_gain, _flag(rep.condition_satisfied),
                    _flag(rep.dissipation_satisfied), _flag(good))
 
     _write_csv(out / "audit.csv",
                ["step", "t", "identity_residual", "residual_scale", "energy_gain",
-                "condition_satisfied", "condition_satisfied_max_e",
-                "dissipation_satisfied", "identity_ok"],
-               "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s\n", audit_rows())
+                "condition_satisfied", "dissipation_satisfied", "identity_ok"],
+               "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n", audit_rows())
     return ok
 
 

@@ -158,7 +158,17 @@ def _forms(mat: np.ndarray, weights, vectors) -> list[float]:
     return out
 
 
-def advance_filters(spec: SchemeSpec, state_prev: SystemState,
+def filter_coefficients(spec: SchemeSpec) -> tuple[float, float]:
+    """The gain nu/(1/2 + nu) and lag (1/2 - nu)/(1/2 + nu) of the midpoint filter rule.
+
+    1/2 + nu = 1 - alpha_m is positive for every valid averaging scheme.
+    """
+    nu = spec.nu
+    denom = 0.5 + nu
+    return nu / denom, (0.5 - nu) / denom
+
+
+def advance_filters(gain: float, lag: float, state_prev: SystemState,
                     state_next: SystemState, df: np.ndarray):
     """Advance the three first-order filter states by one midpoint step.
 
@@ -167,16 +177,19 @@ def advance_filters(spec: SchemeSpec, state_prev: SystemState,
 
         (1/2 + nu) s_next + (1/2 - nu) s_prev = nu * (signal increment)
 
-    For nu = 1/2 this collapses to 2 s_next = increment, and for nu = 0
-    a zero-started filter stays at zero.
+    solved as s_next = gain * increment - lag * s_prev with the
+    coefficients of :func:`filter_coefficients`, which a run computes
+    once.  For nu = 1/2 the lag is zero and s_next = increment / 2, and
+    for nu = 0 the gain is zero and a zero-started filter stays at zero.
     """
-    nu = spec.nu
-    denom = 0.5 + nu
-    dq = state_next.q - state_prev.q
-    dv = state_next.v - state_prev.v
-    z = (nu * dq - (0.5 - nu) * state_prev.z) / denom
-    x = (nu * dv - (0.5 - nu) * state_prev.x) / denom
-    y = (nu * df - (0.5 - nu) * state_prev.y) / denom
+    z = state_next.q - state_prev.q
+    x = state_next.v - state_prev.v
+    z *= gain
+    x *= gain
+    y = gain * df
+    z -= lag * state_prev.z
+    x -= lag * state_prev.x
+    y -= lag * state_prev.y
     return z, x, y
 
 

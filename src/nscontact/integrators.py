@@ -24,14 +24,19 @@ can lose against that floor at a large h, and ``build_cache`` then
 raises ``SingularIterationMatrix`` (its Cholesky factorization fails),
 as it does when an overflowing h leaves the matrix or its weights
 non-finite.  The cache built per (model, scheme, h), and rebuilt
-whenever any of them changes, holds sigma A^-1, so the free step is one
-product with it.  An all-zero C or K is never multiplied in a step;
-``build_cache`` decides that once per run.  The cache also keeps one
-entry for the contact stage: the last active set's Delassus block and
-its inverse, replaced when the set changes; Lemke takes the inverse as a
-hint and verifies its answer like any other.  A step never mutates
-its input state; trajectories are bitwise reproducible for identical
-inputs.
+whenever any of them changes, holds every product and coefficient that
+is fixed for the run: sigma A^-1 and its products with C and K, so the
+free step is one product per nonzero term (load, damping, stiffness);
+the filter gain and lag of the averaging family; and the contact law's
+opening coefficient.  An all-zero load, C or K is never multiplied in a
+step; ``build_cache`` decides that once per run.  The contact stage
+works in contact space, on the rows of G^T the cache keeps: it
+forecasts the gaps as g(q_k) + h U_k from U_k = G^T v_k.  The cache
+also keeps one entry for the contact stage: the last active set's
+Delassus block and its inverse, replaced when the set changes; Lemke
+takes the inverse as a hint and verifies its answer like any other.  A
+step never mutates its input state; trajectories are bitwise
+reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ from .model import (
     SchemeSpec,
     StepRecord,
     SystemState,
-    gap,
-    local_velocity,
 )
 
 # A forecast contact with U_k at most this is closing and takes the
@@ -62,7 +65,7 @@ ACTIVATION_TOL = 1e-12
 
 @dataclass
 class IterationMatrixCache:
-    """Solve matrix and step weights, valid for one (model, spec, h).
+    """Every product and coefficient a step needs, valid for one (model, spec, h).
 
     Both families solve one weighted balance for an unknown s,
 
@@ -76,6 +79,18 @@ class IterationMatrixCache:
     s = (1 - alpha_m) a_{k+1} + alpha_m a_k, sigma = 1 and the gains
     g = h gamma / (1 - alpha_m), b = h^2 beta / (1 - alpha_m).
 
+    ``solve`` is sigma A^-1 for the iteration matrix A, and
+    ``damping_map`` and ``stiffness_map`` are sigma A^-1 C and
+    sigma A^-1 K, each None when its matrix is all zero; all three have
+    their subnormal entries set to zero.  The free step is
+
+        s = solve F_mix - damping_map v_c - stiffness_map x_c
+
+    with F_mix, v_c and x_c the bracket's load, velocity and
+    displacement mixes at the predictors.  ``loaded`` says whether the
+    load has a nonzero amplitude; a step skips the product with a zero
+    load, C or K.
+
     ``impulse_to_s``, ``impulse_to_velocity`` and
     ``impulse_to_displacement`` map the full impulse vector to its share
     of s, v_{k+1} and q_{k+1}.  A theta impulse enters the balance; an
@@ -83,10 +98,14 @@ class IterationMatrixCache:
     displacement by half a step of that, and s responds through the
     balance.  ``delassus`` is G^T times the velocity map, restricted to
     the active set when the complementarity matrix is assembled.
-    ``solve`` is sigma A^-1 for the iteration matrix A, so the free step
-    is s = solve @ r with r the bracket above at the predictors.
-    ``damped`` and ``stiff`` say whether C and K have a nonzero entry; a
-    step skips the product with a zero one.
+    ``contact_rows`` is G^T as contiguous rows, which gives the contact
+    stage its local velocities U = G^T v and gaps g(q) = G^T q + w.
+
+    The per-run coefficients: ``filter_gain`` nu/(1/2 + nu) and
+    ``filter_lag`` (1/2 - nu)/(1/2 + nu) of the averaging family's
+    filters (zero in the theta family); ``opening_coeff`` (1 - w)/w of
+    the contact law of an opening contact, and ``opening_enters``,
+    whether opening contacts join the active set at all (w > 0).
 
     ``block`` is the contact stage's one memo entry: (active set, its
     Delassus block W, W^-1 or None when W is singular), replaced when
@@ -99,6 +118,9 @@ class IterationMatrixCache:
     spec: SchemeSpec
     h: float
     solve: np.ndarray
+    damping_map: np.ndarray | None
+    stiffness_map: np.ndarray | None
+    loaded: bool
     minv_g: np.ndarray
     alpha_c: float
     alpha_f: float
@@ -110,14 +132,26 @@ class IterationMatrixCache:
     impulse_to_velocity: np.ndarray
     impulse_to_displacement: np.ndarray
     delassus: np.ndarray
-    damped: bool
-    stiff: bool
+    contact_rows: np.ndarray
+    filter_gain: float
+    filter_lag: float
+    opening_coeff: float
+    opening_enters: bool
     block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def matches(self, model: LagrangianModel, spec: SchemeSpec, h: float) -> bool:
         # identity, not id(): holding the model keeps its id from being
         # reused by a different model while this cache is alive
         return self.model is model and self.spec == spec and self.h == h
+
+
+def _flush_subnormals(out: np.ndarray) -> np.ndarray:
+    # The inverse of a banded matrix decays away from its band, down to
+    # subnormal entries, and a product with subnormal operands runs several
+    # times slower (5x for a 200-mass bar).  Zeroing them changes a product
+    # only where its result is itself near the smallest normal float.
+    out[np.abs(out) < np.finfo(float).tiny] = 0.0
+    return out
 
 
 def _scaled_inverse(matrix: np.ndarray, scale: float) -> np.ndarray:
@@ -131,23 +165,20 @@ def _scaled_inverse(matrix: np.ndarray, scale: float) -> np.ndarray:
         raise SingularIterationMatrix(f"iteration matrix not factorizable: {exc}") from exc
     out = inv_chol.T @ inv_chol
     out *= scale
-    # The inverse of a banded matrix decays away from its band, down to
-    # subnormal entries, and a product with subnormal operands runs several
-    # times slower (5x for a 200-mass bar).  Zeroing them changes a product
-    # only where its result is itself near the smallest normal float.
-    out[np.abs(out) < np.finfo(float).tiny] = 0.0
-    return out
+    return _flush_subnormals(out)
 
 
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
     M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
     minv_g = model.solve_mass(G)
+    w = spec.displacement_weight
     if spec.variant in THETA_FAMILY:
         sigma, ac = h, 1.0 - spec.theta
-        af, g, b = ac, 1.0, h * spec.displacement_weight
+        af, g, b = ac, 1.0, h * w
         pred_v_a = pred_q_a = 0.0
         # the impulse enters the balance and moves v and q only through s
         enters, direct_v, direct_q = 1.0, 0.0, 0.0
+        gain = lag = 0.0
     else:
         am, gamma, beta = spec.alpha_m, spec.gamma, spec.beta
         sigma, ac, af = 1.0, spec.load_weight, spec.alpha_f
@@ -155,45 +186,55 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         g, b = h * gamma / (1 - am), h * h * beta / (1 - am)
         pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h * h * (0.5 - beta) - b * am
         enters, direct_v, direct_q = 0.0, 1.0, 0.5 * h
+        gain, lag = energy_audit.filter_coefficients(spec)
     # an overflowing h leaves weights or entries non-finite (inf * 0 = nan),
     # which _scaled_inverse rejects; the warnings on the way would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = M + sigma * (1 - ac) * g * C + sigma * (1 - af) * b * K
         solve = _scaled_inverse(matrix, sigma)
+    damping_map = _flush_subnormals(solve @ C) if C.any() else None
+    stiffness_map = _flush_subnormals(solve @ K) if K.any() else None
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
     load = (1 - ac) * direct_v * C + (1 - af) * direct_q * K
     to_s = solve @ (enters / sigma * G - load @ minv_g)
     to_v = direct_v * minv_g + g * to_s
     to_q = direct_q * minv_g + b * to_s
-    return IterationMatrixCache(model, spec, h, solve, minv_g, ac, af, g, b,
-                                pred_v_a, pred_q_a, to_s, to_v, to_q, G.T @ to_v,
-                                bool(C.any()), bool(K.any()))
+    rows = np.ascontiguousarray(G.T)
+    # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
+    opening = (1.0 - w) / w if w > 0.0 else 0.0
+    return IterationMatrixCache(model, spec, h, solve, damping_map, stiffness_map,
+                                bool(model.forcing.amplitude.any()), minv_g, ac, af, g, b,
+                                pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
+                                gain, lag, opening, w > 0.0)
 
 
 def _solve_contact(model, state, h, cache, v_free):
     """The contact stage: forecast the active set, then solve the impact LCP on it.
 
-    A contact enters the active set when its gap, forecast by one
-    explicit step of the current velocity, g(q_k + h v_k), is
-    nonpositive.  A closing contact (U_k <= ACTIVATION_TOL) takes the
-    Newton law U_{k+1} + e U_k >= 0 _|_ P.  An opening one penetrates
-    while it separates, and takes the weighted law
+    It works on contact-space (m-length) vectors, from products with
+    ``cache.contact_rows``.  A contact enters the active set when its
+    gap, forecast by one explicit step of the current velocity,
+    g(q_k) + h U_k (equal to g(q_k + h v_k)), is nonpositive.  A closing
+    contact (U_k <= ACTIVATION_TOL) takes the Newton law
+    U_{k+1} + e U_k >= 0 _|_ P.  An opening one penetrates while it
+    separates, and takes the weighted law
     U_w = (1 - w) U_k + w U_{k+1} >= 0 _|_ P with w the scheme's
     ``displacement_weight``, which makes its share of the energy
-    identity's contact work U_w P zero: the same Delassus rows with
-    (1 - w) / w in place of e.  With w = 0 (Moreau-Jean at theta = 0)
-    opening contacts stay out of the set.  The Delassus block of the set
-    and its inverse come from ``cache.block`` while the set is the one
-    of the last solve, and replace it otherwise.  The solver is looked
-    up in ``SOLVERS`` at call time; it returns a verified solution or
-    raises ``LcpFailure``.  Returns the impulse P, the active set and U_k.
+    identity's contact work U_w P zero: the same Delassus rows with the
+    cache's ``opening_coeff`` (1 - w) / w in place of e.  With w = 0
+    (Moreau-Jean at theta = 0) opening contacts stay out of the set.
+    The Delassus block of the set and its inverse come from
+    ``cache.block`` while the set is the one of the last solve, and
+    replace it otherwise.  The solver is looked up in ``SOLVERS`` at
+    call time; it returns a verified solution or raises ``LcpFailure``.
+    Returns the impulse P, the active set and U_k.
     """
-    u_prev = local_velocity(model, state.v)
-    w = cache.spec.displacement_weight
+    rows = cache.contact_rows
+    u_prev = rows @ state.v
     closing = u_prev <= ACTIVATION_TOL
-    forecast = gap(model, state.q + h * state.v) <= 0.0
-    idx = np.flatnonzero(forecast if w > 0.0 else forecast & closing)
+    forecast = rows @ state.q + model.gap_offset + h * u_prev <= 0.0
+    idx = (forecast if cache.opening_enters else forecast & closing).nonzero()[0]
     act = tuple(idx.tolist())
     P = np.zeros(model.m)
     if act:
@@ -206,9 +247,8 @@ def _solve_contact(model, state, h, cache, v_free):
                 inverse = None
             memo = cache.block = (act, block, inverse)
         _, block, inverse = memo
-        # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
-        coeff = np.where(closing, model.restitution, (1.0 - w) / w if w > 0.0 else 0.0)
-        b = local_velocity(model, v_free)[idx] + coeff[idx] * u_prev[idx]
+        coeff = np.where(closing, model.restitution, cache.opening_coeff)
+        b = (rows @ v_free + coeff * u_prev)[idx]
         P[idx] = SOLVERS["lemke"](LcpProblem(block, b, inverse)).z
     return P, act, u_prev
 
@@ -228,20 +268,23 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
         cache = build_cache(model, spec, h)
     ac, af = cache.alpha_c, cache.alpha_f
     t0 = state.t
-    f_k = model.force(t0)
-    f_k1 = model.force(t0 + h)
+    if cache.loaded:
+        f_k, f_k1 = model.force(t0), model.force(t0 + h)
+        s = cache.solve @ ((1 - ac) * f_k1 + ac * f_k)
+    else:
+        # a zero load is neither evaluated nor multiplied
+        f_k = f_k1 = np.zeros(model.n)
+        s = np.zeros(model.n)
 
     # theta predictors carry no ``a`` terms: their weights are zero
     pred_v = state.v + cache.pred_v_a * state.a if cache.pred_v_a else state.v
     pred_q = state.q + h * state.v
     if cache.pred_q_a:
         pred_q += cache.pred_q_a * state.a
-    rhs = (1 - ac) * f_k1 + ac * f_k
-    if cache.damped:
-        rhs -= model.damping @ ((1 - ac) * pred_v + ac * state.v)
-    if cache.stiff:
-        rhs -= model.stiffness @ ((1 - af) * pred_q + af * state.q)
-    s = cache.solve @ rhs
+    if cache.damping_map is not None:
+        s -= cache.damping_map @ ((1 - ac) * pred_v + ac * state.v)
+    if cache.stiffness_map is not None:
+        s -= cache.stiffness_map @ ((1 - af) * pred_q + af * state.q)
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 
@@ -259,12 +302,13 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
             s += cache.impulse_to_s @ P
         new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
-            spec, state, new_state, f_k1 - f_k)
+            cache.filter_gain, cache.filter_lag, state, new_state, f_k1 - f_k)
 
-    pen = float(max(0.0, -gap(model, q1).min(initial=0.0)))
+    rows = cache.contact_rows
+    pen = float(max(0.0, -(rows @ q1 + model.gap_offset).min(initial=0.0)))
     return new_state, StepRecord(step_index=step_index, state_prev=state,
                                  state_next=new_state, P=P, U_prev=u_prev,
-                                 U_next=local_velocity(model, v1), w_corr=cache.minv_g @ P,
+                                 U_next=rows @ v1, w_corr=cache.minv_g @ P,
                                  active_set=act, penetration=pen)
 
 

@@ -122,7 +122,7 @@ MISSED = pytest.mark.xfail(strict=True, raises=AssertionError,
                                   "every mutant in small units")
 
 # measured: in millimetres the ball and GA rows pass clean and flag 6, 20
-# and 300 steps, but the gate fails the clean HHT oscillator on 13 of 2 000
+# and 300 steps, but the gate fails the clean HHT oscillator on 16 of 2 000
 # steps and the clean Newmark oscillator on 12 of 2 000
 CLEAN_FAILS = pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
                                 reason="ROADMAP item 3: the gate fails correct steps "

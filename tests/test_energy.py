@@ -18,7 +18,7 @@ from nscontact import (
     initial_state,
     simulate,
 )
-from nscontact.energy import advance_filters, audit_constants
+from nscontact.energy import advance_filters, audit_constants, filter_coefficients
 from nscontact.model import THETA_FAMILY
 from conftest import random_model
 
@@ -125,7 +125,7 @@ class TestUpdateFilters:
         spec = SchemeSpec.generalized_alpha(0.5, 0.5)   # nu = 0
         s0 = make_state(model, [0.0], [0.0])
         s1 = make_state(model, [3.0], [1.0], t=0.1)
-        z, x, y = advance_filters(spec, s0, s1, np.zeros(1))
+        z, x, y = advance_filters(*filter_coefficients(spec), s0, s1, np.zeros(1))
         assert z == pytest.approx([0.0]) and x == pytest.approx([0.0])
 
     def test_half_gives_closed_forms(self):
@@ -136,7 +136,7 @@ class TestUpdateFilters:
         s1 = make_state(model, [0.5], [4.0], t=0.1)
         s0.z, s0.x, s0.y = (np.array([9.0]),) * 3       # history must drop out
         df = model.force(0.1) - model.force(0.0)
-        z, x, y = advance_filters(spec, s0, s1, df)
+        z, x, y = advance_filters(*filter_coefficients(spec), s0, s1, df)
         assert 2 * z == pytest.approx(s1.q - s0.q)
         assert 2 * x == pytest.approx(s1.v - s0.v)
         assert 2 * y == pytest.approx(df)
@@ -148,7 +148,7 @@ class TestUpdateFilters:
         s0 = make_state(model, [1.0], [0.0])
         s0.z = np.array([1.0])
         s1 = make_state(model, [1.0], [0.0], t=0.1)
-        z, _, _ = advance_filters(spec, s0, s1, np.zeros(1))
+        z, _, _ = advance_filters(*filter_coefficients(spec), s0, s1, np.zeros(1))
         assert z == pytest.approx([-0.25])
 
 

@@ -43,11 +43,17 @@ def oscillator(m=2.0, c=0.3, k=40.0, wall=-50.0, e=0.5, force_amp=1.5):
                        ForcingTerm.sinusoidal([force_amp], omega=2.0))
 
 
+# random_model options by id suffix: damped, stiff and loaded; C = K = 0;
+# and stiff with C = 0 and no load, like the elastic bar
+MODEL_KINDS = {"": {}, "-bare": {"damped": False, "stiff": False},
+               "-unloaded": {"damped": False, "forcing": "zero"}}
+
+
 def with_bare_models(specs):
-    """(spec, loaded) params: each spec on a damped, stiff model under its
-    own id, and on a model with C = K = 0 under ``<id>-bare``."""
-    return [pytest.param(spec, loaded, id=name if loaded else f"{name}-bare")
-            for name, spec in specs.items() for loaded in (True, False)]
+    """(spec, model options) params: each spec on every model of ``MODEL_KINDS``,
+    under its own id with the kind's suffix."""
+    return [pytest.param(spec, options, id=name + suffix)
+            for name, spec in specs.items() for suffix, options in MODEL_KINDS.items()]
 
 
 class TestActiveSet:
@@ -194,14 +200,14 @@ class TestMoreauJeanVariant:
 
 
 class TestThetaFamily:
-    @pytest.mark.parametrize("spec, loaded", with_bare_models({
+    @pytest.mark.parametrize("spec, options", with_bare_models({
         "mj0.3": SchemeSpec.moreau_jean(0.3), "mj0.7": SchemeSpec.moreau_jean(0.7),
         "mjv0.8": SchemeSpec.moreau_jean_variant(0.8)}))
-    def test_step_relations_hold(self, rng, spec, loaded):
+    def test_step_relations_hold(self, rng, spec, options):
         # every defining relation of the theta step, checked per step on a
-        # run whose impulses act; the bare model has C = K = 0, which the
-        # step does not multiply
-        model = random_model(rng, n=4, m=2, damped=loaded, stiff=loaded)
+        # run whose impulses act; the bare and unloaded models have a zero
+        # C, K or load, which the step does not multiply
+        model = random_model(rng, n=4, m=2, **options)
         h = 1e-3
         col = model.contact_jacobian[:, 0]
         v0 = -2.0 * col / (col @ col)
@@ -247,14 +253,15 @@ class TestGeneralizedAlpha:
             assert s_nm.q == pytest.approx(s_mj.q, abs=1e-12)
             assert s_nm.v == pytest.approx(s_mj.v, abs=1e-12)
 
-    @pytest.mark.parametrize("spec, loaded", with_bare_models({
+    @pytest.mark.parametrize("spec, options", with_bare_models({
         "newmark": SchemeSpec.newmark(0.6, 0.35), "hht": SchemeSpec.hht(0.2, gamma=0.8, beta=0.5),
         "ga": SchemeSpec.from_rho_infinity(0.8),
         "kh": SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)}))
-    def test_step_relations_hold(self, rng, spec, loaded):
+    def test_step_relations_hold(self, rng, spec, options):
         # every defining relation of the averaging step, checked per step;
-        # the bare model has C = K = 0, which the step does not multiply
-        model = random_model(rng, n=4, m=2, damped=loaded, stiff=loaded)
+        # the bare and unloaded models have a zero C, K or load, which the
+        # step does not multiply
+        model = random_model(rng, n=4, m=2, **options)
         h = 1e-3
         # drive the first contact so the run actually produces impacts
         col = model.contact_jacobian[:, 0]
@@ -281,6 +288,13 @@ class TestGeneralizedAlpha:
                       + h * h * ((0.5 - b) * state.a + b * new.a))
             assert new.v == pytest.approx(v_pred + w, abs=1e-11 * scale)
             assert new.q == pytest.approx(q_pred + 0.5 * h * w, abs=1e-11 * scale)
+            # the midpoint filter rule on displacement, velocity and load increments
+            nu = spec.nu
+            for f1, f0, inc in ((new.z, state.z, new.q - state.q),
+                                (new.x, state.x, new.v - state.v),
+                                (new.y, state.y, model.force(new.t) - model.force(state.t))):
+                r = (0.5 + nu) * f1 + (0.5 - nu) * f0 - nu * inc
+                assert np.abs(r).max() < 1e-11 * scale
             # local velocities and complementarity on the active set
             assert rec.U_next == pytest.approx(local_velocity(model, new.v), abs=1e-12 * scale)
             for a in range(model.m):
@@ -608,24 +622,47 @@ class TestIterationMatrixCache:
             assert not any(cache.matches(other, spec, 1e-3) for other in others)
             assert cache.matches(cache.model, spec, 1e-3)
 
-    @pytest.mark.parametrize("spec", [
-        pytest.param(SchemeSpec.moreau_jean(0.5), id="mj"),
-        pytest.param(SchemeSpec.from_rho_infinity(0.8), id="ga"),
+    @pytest.mark.parametrize("spec, bar", [
+        pytest.param(SchemeSpec.moreau_jean(0.5), (1e3, 1e-4), id="mj"),
+        pytest.param(SchemeSpec.from_rho_infinity(0.8), (1e3, 1e-4), id="ga"),
+        pytest.param(SchemeSpec.moreau_jean(0.5), (1e-3, 0.1), id="mj-ms"),
+        pytest.param(SchemeSpec.from_rho_infinity(0.8), (1e-3, 0.1), id="ga-ms"),
+        pytest.param(SchemeSpec.from_rho_infinity(0.8), None, id="ga-damped"),
     ])
-    def test_solve_matrix_is_the_scaled_inverse_without_subnormals(self, spec):
-        # the inverse of a long chain's banded iteration matrix decays into
-        # the subnormal range, which slows every product with it
-        model, _ = build_scenario(ScenarioSpec("elastic_bar_chain", {"n_masses": 200}))
-        h = 1e-4
+    def test_solve_matrix_is_the_scaled_inverse_without_subnormals(self, spec, bar):
+        # bar is the (k, h) of a 200-mass bar, None a small damped model.  The
+        # inverse of a long chain's banded iteration matrix decays into the
+        # subnormal range, which slows every product with it.  With time in
+        # ms (k / 1e6, h * 1e3) the iteration matrix is the same, but
+        # sigma A^-1 K shrinks by 1e3 (MJ) or 1e6 (GA) and reaches that
+        # range too.  The bar has C = 0, so the damping map is checked on
+        # the damped model.
+        if bar:
+            k, h = bar
+            model, _ = build_scenario(ScenarioSpec("elastic_bar_chain",
+                                                   {"n_masses": 200, "k": k}))
+        else:
+            model, h = random_model(np.random.default_rng(3), n=4, m=2), 1e-4
         cache = build_cache(model, spec, h)
         sigma, ac, af = ((h, 1 - spec.theta, 1 - spec.theta) if spec.variant in THETA_FAMILY
                          else (1.0, spec.load_weight, spec.alpha_f))
         matrix = (model.mass + sigma * (1 - ac) * cache.g * model.damping
                   + sigma * (1 - af) * cache.b * model.stiffness)
         assert cache.solve @ matrix == pytest.approx(sigma * np.eye(model.n), abs=1e-12 * sigma)
+        tiny = np.finfo(float).tiny
+        for mat, folded in ((model.stiffness, cache.stiffness_map),
+                            (model.damping, cache.damping_map)):
+            if not mat.any():
+                assert folded is None
+                continue
+            expected = cache.solve @ mat
+            assert np.abs(folded - expected).max() <= 1e-12 * np.abs(expected).max()
+            magnitudes = np.abs(folded)
+            assert not ((magnitudes > 0.0) & (magnitudes < tiny)).any()
+        assert (cache.damping_map is None) == (bar is not None)
         magnitudes = np.abs(cache.solve)
-        assert not ((magnitudes > 0.0) & (magnitudes < np.finfo(float).tiny)).any()
-        assert (magnitudes == 0.0).any()
+        assert not ((magnitudes > 0.0) & (magnitudes < tiny)).any()
+        assert (magnitudes == 0.0).any() == (bar is not None)
 
     def test_block_memo_holds_the_last_active_set(self):
         # one entry: kept while the active set holds, replaced when it changes

@@ -1,8 +1,9 @@
 """Per-step energy audit: works, algorithmic energies, one exact identity.
 
 Both scheme families satisfy one exact algebraic energy identity per
-step, with a row of per-run coefficients (:class:`AuditConstants`) that
-:func:`audit_constants` sets from the family.  Its residual on a
+step, with a row of per-run coefficients that
+:func:`nscontact.integrators.build_cache` sets from the family and
+keeps on the run's iteration-matrix cache.  Its residual on a
 correctly implemented step is pure roundoff, so the audit doubles as
 the primary correctness oracle for the integrators.  Notation:
 |x|_A^2 = x^T A x, dx = x_{k+1} - x_k, x_c = (1 - c) x_k + c x_{k+1},
@@ -37,8 +38,9 @@ y_gamma) and W_damping = -dq.C(v_gamma - (eta/nu) x_gamma).
 
 For w = 1/2 the contact term is provably nonpositive, as is the damping
 work for positive semi-definite damping.  The dissipation flag asserts
-gain = dH - W_ext - W_damping <= 0; the condition flag reports whether
-the scheme parameters lie in the region that guarantees it.
+gain = dH - W_ext - W_damping <= 0; the condition flag, which
+``build_cache`` sets with the row, reports whether the scheme
+parameters lie in the region that guarantees it.
 
 All functions are pure over immutable inputs and safe to call
 concurrently across steps and runs.
@@ -48,18 +50,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import (
-    THETA_FAMILY,
-    LagrangianModel,
-    SchemeSpec,
-    SchemeVariant,
-    StepRecord,
-    SystemState,
-)
+from .model import StepRecord, SystemState
+
+if TYPE_CHECKING:
+    from .integrators import IterationMatrixCache
 
 DEFAULT_AUDIT_TOL = 1e-10
 
@@ -96,52 +94,6 @@ class EnergyReport:
         return math.isfinite(r) and abs(r) <= tol * self.residual_scale
 
 
-class AuditConstants(NamedTuple):
-    """The identity's coefficient row, fixed by (model, spec, h) and computed once per run.
-
-    Names follow the module docstring: ``accel_coeff`` and
-    ``filter_coeff`` are c_a and c_z, ``work_weight`` is c, the ``d*``
-    fields are k_v, k_a, k_q and k_z, ``filter_left`` is phi, and
-    ``filter_works`` is the filter-work weight HHT's works absorb.
-    Unset weights are zero.  ``damped`` and ``stiff`` say whether C and
-    K have a nonzero entry; the audit never multiplies a zero one.
-    """
-
-    condition: bool
-    damped: bool
-    stiff: bool
-    work_weight: float
-    accel_coeff: float = 0.0
-    filter_coeff: float = 0.0
-    dv_coeff: float = 0.0
-    da_coeff: float = 0.0
-    dq_coeff: float = 0.0
-    dz_coeff: float = 0.0
-    filter_left: float = 0.0
-    filter_works: float = 0.0
-
-
-def audit_constants(model: LagrangianModel, spec: SchemeSpec, h: float) -> AuditConstants:
-    """The parameter condition and coefficient row shared by every step of a run."""
-    cond = _parameter_conditions(model, spec)
-    damped, stiff = bool(model.damping.any()), bool(model.stiffness.any())
-    if spec.variant in THETA_FAMILY:
-        th = spec.theta
-        return AuditConstants(cond, damped, stiff, work_weight=th,
-                              dv_coeff=0.5 - spec.displacement_weight, dq_coeff=0.5 - th)
-    nu, eta, gamma, r = spec.nu, spec.eta, spec.gamma, spec.eta_over_nu
-    accel = 2.0 * spec.beta - gamma
-    return AuditConstants(
-        cond, damped, stiff, work_weight=gamma, accel_coeff=0.25 * h**2 * accel,
-        # the filter state is identically zero for nu = 0, so nothing is lost
-        filter_coeff=(0.0 if eta == 0.0 or nu == 0.0
-                      else eta / (2.0 * nu**2) * (nu - (gamma - 0.5))),
-        da_coeff=-(0.5 * h**2 * (gamma - 0.5) * accel), dq_coeff=eta + 0.5 - gamma,
-        dz_coeff=0.0 if eta == 0.0 else r * (gamma - nu - 0.5),
-        filter_left=r if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA else 0.0,
-        filter_works=r if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0)
-
-
 def _forms(mat: np.ndarray, weights, vectors) -> list[float]:
     """weight |vector|_mat^2 for each pair, from one product of the stacked rows with mat.
 
@@ -158,16 +110,6 @@ def _forms(mat: np.ndarray, weights, vectors) -> list[float]:
     return out
 
 
-def filter_coefficients(spec: SchemeSpec) -> tuple[float, float]:
-    """The gain nu/(1/2 + nu) and lag (1/2 - nu)/(1/2 + nu) of the midpoint filter rule.
-
-    1/2 + nu = 1 - alpha_m is positive for every valid averaging scheme.
-    """
-    nu = spec.nu
-    denom = 0.5 + nu
-    return nu / denom, (0.5 - nu) / denom
-
-
 def advance_filters(gain: float, lag: float, state_prev: SystemState,
                     state_next: SystemState, df: np.ndarray):
     """Advance the three first-order filter states by one midpoint step.
@@ -177,10 +119,11 @@ def advance_filters(gain: float, lag: float, state_prev: SystemState,
 
         (1/2 + nu) s_next + (1/2 - nu) s_prev = nu * (signal increment)
 
-    solved as s_next = gain * increment - lag * s_prev with the
-    coefficients of :func:`filter_coefficients`, which a run computes
-    once.  For nu = 1/2 the lag is zero and s_next = increment / 2, and
-    for nu = 0 the gain is zero and a zero-started filter stays at zero.
+    solved as s_next = gain * increment - lag * s_prev with
+    gain = nu/(1/2 + nu) and lag = (1/2 - nu)/(1/2 + nu), which
+    ``build_cache`` computes once per run.  For nu = 1/2 the lag is zero
+    and s_next = increment / 2, and for nu = 0 the gain is zero and a
+    zero-started filter stays at zero.
     """
     z = state_next.q - state_prev.q
     x = state_next.v - state_prev.v
@@ -197,65 +140,35 @@ def _mix(prev: np.ndarray, next_: np.ndarray, weight: float) -> np.ndarray:
     return weight * next_ + (1.0 - weight) * prev
 
 
-def _parameter_conditions(model: LagrangianModel, spec: SchemeSpec) -> bool:
-    """Whether the parameters meet the dissipation condition for every contact.
-
-    Comparisons carry a small slack because the standard parameter
-    constructions sit exactly on the boundary of their conditions
-    (e.g. the second-order weight balance gives gamma - 1/2 equal to the
-    averaging shift up to roundoff).
-    """
-    slack = 1e-12
-    if spec.variant in THETA_FAMILY:
-        # theta >= 1/2 and w <= 1/(1 + e) for every e; the bound is
-        # monotone in e, so the largest coefficient decides.  The
-        # midpoint weight w = 1/2 meets it for every e in [0, 1]
-        return bool(spec.theta >= 0.5 - slack and spec.displacement_weight
-                    <= 1.0 / (1.0 + model.restitution.max()) + slack)
-    gamma, beta = spec.gamma, spec.beta
-    base = bool(2 * beta >= gamma - slack and gamma >= 0.5 - slack)
-    if spec.variant is SchemeVariant.NONSMOOTH_NEWMARK:
-        return base
-    region = bool(base and -slack <= spec.eta <= gamma - 0.5 + slack
-                  and gamma - 0.5 <= spec.nu + slack)
-    if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA:
-        # The full averaging scheme only inherits the guarantee when the
-        # load/velocity filter terms vanish: no damping, constant loading.
-        region = (region and not model.damping.any()
-                  and model.forcing.omega == 0.0)
-    return region
-
-
-def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
-               record: StepRecord, tol: float = DEFAULT_AUDIT_TOL, *,
-               constants: AuditConstants | None = None,
+def audit_step(cache: IterationMatrixCache, record: StepRecord,
+               tol: float = DEFAULT_AUDIT_TOL, *,
                prev_energies: tuple[float, float] | None = None) -> EnergyReport:
     """Audit one step against the exact energy identity of the module docstring.
 
-    The identity is evaluated with the run's coefficient row, and every
-    term is computed once and shared by the identity residual, the
-    energy gain dH - W_ext - W_damping, its audit scale
-    1 + max(|dE|, |dH|, |W_ext|) and the dissipation flag.  The residual
-    is zero up to roundoff for a correct step; this is the primary
-    correctness oracle of the package.  Every quadratic form comes from
-    one product per matrix: the rows [v_{k+1}, a_{k+1}, dv, da] against M
-    and [q_{k+1}, z_{k+1}, dq, dz] against K, each keeping only the rows
-    with a nonzero weight.  A zero K, and a zero C in the damping work,
-    are not multiplied.
+    The identity is evaluated with the coefficient row of ``cache``, the
+    run's :class:`~nscontact.integrators.IterationMatrixCache` for the
+    record's (model, spec, h).  Every term is computed once and shared by
+    the identity residual, the energy gain dH - W_ext - W_damping, its
+    audit scale 1 + max(|dE|, |dH|, |W_ext|) and the dissipation flag.
+    The residual is zero up to roundoff for a correct step; this is the
+    primary correctness oracle of the package.  Every quadratic form
+    comes from one product per matrix: the rows [v_{k+1}, a_{k+1}, dv, da]
+    against M and [q_{k+1}, z_{k+1}, dq, dz] against K, each keeping
+    only the rows with a nonzero weight.  K, and C in the damping work, are multiplied
+    only when the cache holds their map, that is when they are nonzero.
 
-    A run passes ``constants`` from :func:`audit_constants` and
-    ``prev_energies``, the (E, H) of ``record.state_prev``, which the
-    previous step's report holds as ``E``/``H_alg``.  Without them both
-    are computed here, from products of the same shape as the end
-    state's, so carried and fresh energies are bitwise equal.  The
-    record is not modified; the caller attaches the returned report.
+    A run passes ``prev_energies``, the (E, H) of ``record.state_prev``,
+    which the previous step's report holds as ``E``/``H_alg``.  Without
+    it both are computed here, from products of the same shape as the
+    end state's, so carried and fresh energies are bitwise equal.  An
+    offline re-audit is ``audit_step(build_cache(model, spec, h), record)``.
+    The record is not modified; the caller attaches the returned report.
     """
-    row = audit_constants(model, spec, h) if constants is None else constants
+    model, c = cache.model, cache.c
     sp, sn = record.state_prev, record.state_next
-    c = row.work_weight
     dq, dv, da, dz = sn.q - sp.q, sn.v - sp.v, sn.a - sp.a, sn.z - sp.z
-    m_weights = (0.5, row.accel_coeff, row.dv_coeff, row.da_coeff)
-    k_weights = ((0.5, row.filter_coeff, row.dq_coeff, row.dz_coeff) if row.stiff
+    m_weights = (0.5, cache.c_a, cache.k_v, cache.k_a)
+    k_weights = ((0.5, cache.c_z, cache.k_q, cache.k_z) if cache.stiffness_map is not None
                  else (0.0,) * 4)
 
     def forms(state):
@@ -272,26 +185,26 @@ def audit_step(model: LagrangianModel, spec: SchemeSpec, h: float,
     else:
         e_prev, h_prev = prev_energies
 
-    filters = bool(row.filter_left or row.filter_works)
+    filters = bool(cache.phi or cache.filter_works)
     filter_y = float(dq @ _mix(sp.y, sn.y, c)) if filters else 0.0
     filter_x = w_damp = 0.0
-    if row.damped:
+    if cache.damping_map is not None:
         dq_c = dq @ model.damping
         if filters:
             filter_x = float(dq_c @ _mix(sp.x, sn.x, c))
-        w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + row.filter_works * filter_x
+        w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + cache.filter_works * filter_x
     f_c = _mix(model.force(sp.t), model.force(sn.t), c)
-    w_ext = float(dq @ f_c) - row.filter_works * filter_y
+    w_ext = float(dq @ f_c) - cache.filter_works * filter_y
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
-    w_contact = _mix(up, un, spec.displacement_weight)
+    w_contact = _mix(up, un, cache.spec.displacement_weight)
     dH = h_next - h_prev
     gain = dH - w_ext - w_damp
-    residual = gain + row.filter_left * (filter_y - filter_x) - (w_contact + dissipated)
+    residual = gain + cache.phi * (filter_y - filter_x) - (w_contact + dissipated)
     scale = 1.0 + max(abs(e_next - e_prev), abs(dH), abs(w_ext))
     return EnergyReport(E_prev=e_prev, H_prev=h_prev, E=e_next, H_alg=h_next,
                         W_ext=w_ext, W_damping=w_damp,
                         W_contact_step=w_contact,
                         identity_residual=residual, residual_scale=scale,
                         energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),
-                        condition_satisfied=row.condition)
+                        condition_satisfied=cache.condition)

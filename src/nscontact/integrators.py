@@ -27,16 +27,18 @@ non-finite.  The cache built per (model, scheme, h), and rebuilt
 whenever any of them changes, holds every product and coefficient that
 is fixed for the run: sigma A^-1 and its products with C and K, so the
 free step is one product per nonzero term (load, damping, stiffness);
-the filter gain and lag of the averaging family; and the contact law's
-opening coefficient.  An all-zero load, C or K is never multiplied in a
-step; ``build_cache`` decides that once per run.  The contact stage
-works in contact space, on the rows of G^T the cache keeps: it
-forecasts the gaps as g(q_k) + h U_k from U_k = G^T v_k.  The cache
-also keeps one entry for the contact stage: the last active set's
-Delassus block and its inverse, replaced when the set changes; Lemke
-takes the inverse as a hint and verifies its answer like any other.  A
-step never mutates its input state; trajectories are bitwise
-reproducible for identical inputs.
+the filter gain and lag of the averaging family; the contact law's
+opening coefficient; and the energy audit's coefficient row, so a run
+branches on the scheme family once.  An all-zero load, C or K is never
+multiplied in a step, nor a zero C or K in its audit; ``build_cache``
+decides that once per run.  The contact stage works in contact space,
+on the rows of G^T the cache keeps: it forecasts the gaps as
+g(q_k) + h U_k from U_k = G^T v_k.  The cache also keeps one entry for
+the contact stage: the last active set's Delassus block and its
+inverse, replaced when the set changes; Lemke takes the inverse as a
+hint and verifies its answer like any other.  A step never mutates its
+input state; trajectories are bitwise reproducible for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .model import (
     THETA_FAMILY,
     LagrangianModel,
     SchemeSpec,
+    SchemeVariant,
     StepRecord,
     SystemState,
 )
@@ -61,6 +64,11 @@ from .model import (
 # Newton law (resting contacts sit at numerical zero); above it, it is
 # opening and takes the weighted law of ``_solve_contact``.
 ACTIVATION_TOL = 1e-12
+
+# The dissipation conditions are compared with this slack, because the
+# standard parameter constructions sit exactly on their boundary (the
+# second-order weight balance gives gamma - 1/2 equal to nu up to roundoff).
+CONDITION_SLACK = 1e-12
 
 
 @dataclass
@@ -107,6 +115,15 @@ class IterationMatrixCache:
     the contact law of an opening contact, and ``opening_enters``,
     whether opening contacts join the active set at all (w > 0).
 
+    The energy audit's coefficient row (see :mod:`nscontact.energy`):
+    the work weight ``c``, the energy coefficients ``c_a`` and ``c_z``,
+    the right side's ``k_v``, ``k_a``, ``k_q`` and ``k_z``, the filter
+    work ``phi`` on the left (generalized-alpha) and ``filter_works``,
+    the filter-work weight HHT's works absorb; unset weights are zero.
+    ``condition`` says whether the scheme parameters meet the
+    dissipation condition for every contact's restitution.  The audit
+    multiplies C or K only when its map is not None.
+
     ``block`` is the contact stage's one memo entry: (active set, its
     Delassus block W, W^-1 or None when W is singular), replaced when
     the set changes.  The inverse is only a hint to Lemke's full-support
@@ -137,6 +154,16 @@ class IterationMatrixCache:
     filter_lag: float
     opening_coeff: float
     opening_enters: bool
+    condition: bool
+    c: float
+    c_a: float = 0.0
+    c_z: float = 0.0
+    k_v: float = 0.0
+    k_a: float = 0.0
+    k_q: float = 0.0
+    k_z: float = 0.0
+    phi: float = 0.0
+    filter_works: float = 0.0
     block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def matches(self, model: LagrangianModel, spec: SchemeSpec, h: float) -> bool:
@@ -172,27 +199,55 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
     minv_g = model.solve_mass(G)
     w = spec.displacement_weight
+    damped = bool(C.any())
     if spec.variant in THETA_FAMILY:
-        sigma, ac = h, 1.0 - spec.theta
+        th = spec.theta
+        sigma, ac = h, 1.0 - th
         af, g, b = ac, 1.0, h * w
         pred_v_a = pred_q_a = 0.0
         # the impulse enters the balance and moves v and q only through s
         enters, direct_v, direct_q = 1.0, 0.0, 0.0
         gain = lag = 0.0
+        # theta >= 1/2 and w <= 1/(1 + e) for every e; the bound is monotone
+        # in e, so the largest coefficient decides.  The midpoint weight
+        # w = 1/2 meets it for every e in [0, 1]
+        condition = (th >= 0.5 - CONDITION_SLACK
+                     and w <= 1.0 / (1.0 + model.restitution.max()) + CONDITION_SLACK)
+        row = dict(c=th, k_v=0.5 - w, k_q=0.5 - th)
     else:
         am, gamma, beta = spec.alpha_m, spec.gamma, spec.beta
+        nu, eta, ratio = spec.nu, spec.eta, spec.eta_over_nu
         sigma, ac, af = 1.0, spec.load_weight, spec.alpha_f
         # h * h, not h**2: a float ** raises OverflowError where * gives inf
         g, b = h * gamma / (1 - am), h * h * beta / (1 - am)
         pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h * h * (0.5 - beta) - b * am
         enters, direct_v, direct_q = 0.0, 1.0, 0.5 * h
-        gain, lag = energy_audit.filter_coefficients(spec)
+        # the midpoint filter rule; 1/2 + nu = 1 - alpha_m is positive
+        gain, lag = nu / (0.5 + nu), (0.5 - nu) / (0.5 + nu)
+        ga = spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA
+        condition = 2 * beta >= gamma - CONDITION_SLACK and gamma >= 0.5 - CONDITION_SLACK
+        if spec.variant is not SchemeVariant.NONSMOOTH_NEWMARK:
+            condition = (condition and -CONDITION_SLACK <= eta <= gamma - 0.5 + CONDITION_SLACK
+                         and gamma - 0.5 <= nu + CONDITION_SLACK)
+        if ga:
+            # the full averaging scheme only inherits the guarantee when the
+            # load and velocity filter terms vanish: no damping, constant loading
+            condition = condition and not damped and model.forcing.omega == 0.0
+        accel = 2.0 * beta - gamma
+        row = dict(c=gamma, c_a=0.25 * (h * h) * accel, k_q=eta + 0.5 - gamma,
+                   # the filter state is identically zero for nu = 0
+                   c_z=(0.0 if eta == 0.0 or nu == 0.0
+                        else eta / (2.0 * nu**2) * (nu - (gamma - 0.5))),
+                   k_a=-(0.5 * (h * h) * (gamma - 0.5) * accel),
+                   k_z=0.0 if eta == 0.0 else ratio * (gamma - nu - 0.5),
+                   phi=ratio if ga else 0.0,
+                   filter_works=ratio if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0)
     # an overflowing h leaves weights or entries non-finite (inf * 0 = nan),
     # which _scaled_inverse rejects; the warnings on the way would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = M + sigma * (1 - ac) * g * C + sigma * (1 - af) * b * K
         solve = _scaled_inverse(matrix, sigma)
-    damping_map = _flush_subnormals(solve @ C) if C.any() else None
+    damping_map = _flush_subnormals(solve @ C) if damped else None
     stiffness_map = _flush_subnormals(solve @ K) if K.any() else None
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
@@ -206,10 +261,10 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     return IterationMatrixCache(model, spec, h, solve, damping_map, stiffness_map,
                                 bool(model.forcing.amplitude.any()), minv_g, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
-                                gain, lag, opening, w > 0.0)
+                                gain, lag, opening, w > 0.0, bool(condition), **row)
 
 
-def _solve_contact(model, state, h, cache, v_free):
+def _solve_contact(cache, state, v_free):
     """The contact stage: forecast the active set, then solve the impact LCP on it.
 
     It works on contact-space (m-length) vectors, from products with
@@ -230,10 +285,10 @@ def _solve_contact(model, state, h, cache, v_free):
     call time; it returns a verified solution or raises ``LcpFailure``.
     Returns the impulse P, the active set and U_k.
     """
-    rows = cache.contact_rows
+    model, rows = cache.model, cache.contact_rows
     u_prev = rows @ state.v
     closing = u_prev <= ACTIVATION_TOL
-    forecast = rows @ state.q + model.gap_offset + h * u_prev <= 0.0
+    forecast = rows @ state.q + model.gap_offset + cache.h * u_prev <= 0.0
     idx = (forecast if cache.opening_enters else forecast & closing).nonzero()[0]
     act = tuple(idx.tolist())
     P = np.zeros(model.m)
@@ -288,7 +343,7 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 
-    P, act, u_prev = _solve_contact(model, state, h, cache, v1)
+    P, act, u_prev = _solve_contact(cache, state, v1)
     if act:
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
@@ -318,10 +373,14 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
 
     Each record carries the step dynamics; with ``audit=True`` its
     ``report`` holds the energy audit (works, energies, identity
-    residual, dissipation flags).  Identical inputs produce
-    bitwise-identical trajectories.
+    residual, dissipation flags).  One cache from ``build_cache``,
+    built before the first step, serves every step and every audit.
+    Identical inputs produce bitwise-identical trajectories.
 
     Raises:
+        SingularIterationMatrix: unwrapped, before the first step, from
+            ``build_cache``, when the iteration matrix is not positive
+            definite or an overflowing h leaves it non-finite.
         SimulationError: ``step_index = -1`` when h is not positive and
             finite, too small to tell t_end - h from t_end or t0 + h
             from t0, or the step count (t_end - t0) / h is not finite;
@@ -342,7 +401,6 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
     records: list[StepRecord] = []
     state = initial_state
     cache = build_cache(model, spec, h)
-    constants = energy_audit.audit_constants(model, spec, h) if audit else None
     prev_energies = None
     # an overflowing step is reported by the finiteness check below (and a
     # NaN residual fails the audit gate), so numpy's warnings would only
@@ -354,9 +412,9 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
                 if not (np.isfinite(state.q).all() and np.isfinite(state.v).all()):
                     raise FloatingPointError("the new displacement or velocity is not finite")
                 if audit:
+                    # tol by keyword: perfbench's audit hook reads it from there
                     record.report = report = energy_audit.audit_step(
-                        model, spec, h, record, tol=audit_tol, constants=constants,
-                        prev_energies=prev_energies)
+                        cache, record, tol=audit_tol, prev_energies=prev_energies)
                     prev_energies = (report.E, report.H_alg)
             except SimulationError:
                 raise

@@ -1,10 +1,10 @@
 """The energy audit catches known wrong steps.
 
 Each case runs one scheme twice: once as it is, and once with a small
-defect injected into the step or into the audit's coefficient row.  The
-clean run must pass the identity gate on every step and the mutant must
-fail it on at least one.  The table runs in SI units and again in three
-rescaled unit systems:
+defect injected into the run's cache, in the step's impulse map or in
+the audit's coefficient row.  The clean run must pass the identity gate
+on every step and the mutant must fail it on at least one.  The table
+runs in SI units and again in three rescaled unit systems:
 
 - ``impulse tail``: the impulse's velocity correction scaled by 1.01;
 - ``filter work``: the generalized-alpha and HHT filter works dropped;
@@ -29,7 +29,6 @@ import functools
 import numpy as np
 import pytest
 
-import nscontact.energy as energy
 import nscontact.integrators as integrators
 from nscontact import (
     ForcingTerm,
@@ -64,27 +63,28 @@ def oscillator():
     return model, initial_state(model, [1.0], [0.0])
 
 
-def impulse_tail(monkeypatch):
+def patch_cache(monkeypatch, change):
+    """Build every run's cache with the fields ``change(cache)`` returns replaced."""
     build_cache = integrators.build_cache
 
     def mutant(*args):
         cache = build_cache(*args)
-        return dataclasses.replace(cache, impulse_to_velocity=1.01 * cache.impulse_to_velocity)
+        return dataclasses.replace(cache, **change(cache))
 
     monkeypatch.setattr(integrators, "build_cache", mutant)
 
 
-def patch_row(monkeypatch, change):
-    constants = energy.audit_constants
-    monkeypatch.setattr(energy, "audit_constants", lambda *args: change(constants(*args)))
+def impulse_tail(monkeypatch):
+    patch_cache(monkeypatch,
+                lambda cache: {"impulse_to_velocity": 1.01 * cache.impulse_to_velocity})
 
 
 def filter_work(monkeypatch):
-    patch_row(monkeypatch, lambda row: row._replace(filter_left=0.0, filter_works=0.0))
+    patch_cache(monkeypatch, lambda cache: {"phi": 0.0, "filter_works": 0.0})
 
 
 def accel_coeff(monkeypatch):
-    patch_row(monkeypatch, lambda row: row._replace(accel_coeff=1.01 * row.accel_coeff))
+    patch_cache(monkeypatch, lambda cache: {"c_a": 1.01 * cache.c_a})
 
 
 def rescaled(build, length, mass):

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import nscontact.integrators as integrators
+from nscontact import ScenarioSpec, SchemeSpec, build_scenario
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
@@ -37,3 +40,19 @@ def test_counted_command_passes_the_benchmark_checks(tmp_path, name):
     _cpu, _wall, digest, noaudit_steps = workloads.noaudit(command)
     assert noaudit_steps == steps
     assert digest == workloads.final_state_digest(counts.final_states)
+
+
+def test_simulate_passes_its_gate_tolerance_to_the_audit_hook_by_keyword():
+    # the hook reads the gate tolerance from the keyword ``tol`` and falls
+    # back to its own default; at tol = 0 every nonzero residual is a violation
+    model, state = build_scenario(ScenarioSpec("bouncing_ball", {"q0": 0.3}))
+    instrument = tracing.Instrument(timed=False)
+    instrument.install()
+    try:
+        records = integrators.simulate(model, state, 1e-3, SchemeSpec.moreau_jean(0.5), 0.5,
+                                       audit_tol=0.0)
+    finally:
+        instrument.uninstall()
+    missed = sum(not rec.report.identity_ok(0.0) for rec in records)
+    assert missed > 0
+    assert instrument.counts.gate_violations == missed

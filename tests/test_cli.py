@@ -216,8 +216,8 @@ class TestSimulateCommand:
     def test_nan_residual_fails_the_gate(self, tmp_path, monkeypatch):
         real_audit = energy.audit_step
 
-        def poisoned_audit(model, spec, h, record, **kwargs):
-            report = real_audit(model, spec, h, record, **kwargs)
+        def poisoned_audit(cache, record, **kwargs):
+            report = real_audit(cache, record, **kwargs)
             if record.step_index == 3:
                 report = replace(report, identity_residual=math.nan)
             return report

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from nscontact import (
     SchemeVariant,
     StepRecord,
     audit_step,
+    build_cache,
     build_model,
     build_scenario,
     initial_state,
     simulate,
 )
-from nscontact.energy import advance_filters, audit_constants, filter_coefficients
+from nscontact.energy import advance_filters
 from nscontact.model import THETA_FAMILY
 from conftest import random_model
 
@@ -43,7 +45,7 @@ def audit_states(model, spec, h, s0, s1, U_prev=(0.0,), U_next=(0.0,), P=(0.0,))
     rec = StepRecord(step_index=0, state_prev=s0, state_next=s1, P=np.asarray(P),
                      U_prev=np.asarray(U_prev), U_next=np.asarray(U_next),
                      w_corr=np.zeros(model.n), active_set=())
-    return audit_step(model, spec, h, rec)
+    return audit_step(build_cache(model, spec, h), rec)
 
 
 def end_energy(model, q, v, spec=SchemeSpec.moreau_jean()):
@@ -119,13 +121,19 @@ class TestAlgorithmicEnergy:
             assert self.h_alg(model, state, spec, 0.05) >= 0.0
 
 
+def filter_step(model, spec, s0, s1, df):
+    """One filter update with the gain and lag of ``spec``'s cache."""
+    cache = build_cache(model, spec, 0.1)
+    return advance_filters(cache.filter_gain, cache.filter_lag, s0, s1, df)
+
+
 class TestUpdateFilters:
     def test_zero_time_scale_keeps_zero(self):
         model = plain_model()
         spec = SchemeSpec.generalized_alpha(0.5, 0.5)   # nu = 0
         s0 = make_state(model, [0.0], [0.0])
         s1 = make_state(model, [3.0], [1.0], t=0.1)
-        z, x, y = advance_filters(*filter_coefficients(spec), s0, s1, np.zeros(1))
+        z, x, y = filter_step(model, spec, s0, s1, np.zeros(1))
         assert z == pytest.approx([0.0]) and x == pytest.approx([0.0])
 
     def test_half_gives_closed_forms(self):
@@ -136,7 +144,7 @@ class TestUpdateFilters:
         s1 = make_state(model, [0.5], [4.0], t=0.1)
         s0.z, s0.x, s0.y = (np.array([9.0]),) * 3       # history must drop out
         df = model.force(0.1) - model.force(0.0)
-        z, x, y = advance_filters(*filter_coefficients(spec), s0, s1, df)
+        z, x, y = filter_step(model, spec, s0, s1, df)
         assert 2 * z == pytest.approx(s1.q - s0.q)
         assert 2 * x == pytest.approx(s1.v - s0.v)
         assert 2 * y == pytest.approx(df)
@@ -148,7 +156,7 @@ class TestUpdateFilters:
         s0 = make_state(model, [1.0], [0.0])
         s0.z = np.array([1.0])
         s1 = make_state(model, [1.0], [0.0], t=0.1)
-        z, _, _ = advance_filters(*filter_coefficients(spec), s0, s1, np.zeros(1))
+        z, _, _ = filter_step(model, spec, s0, s1, np.zeros(1))
         assert z == pytest.approx([-0.25])
 
 
@@ -278,6 +286,34 @@ SIX_VARIANTS = [
 ]
 
 
+def closed_form_row(spec, h):
+    """The audit's coefficient row and filter coefficients, from README's table."""
+    w = spec.displacement_weight
+    if spec.variant in THETA_FAMILY:
+        return SimpleNamespace(c=spec.theta, c_a=0.0, c_z=0.0, k_v=0.5 - w, k_a=0.0,
+                               k_q=0.5 - spec.theta, k_z=0.0, phi=0.0, filter_works=0.0,
+                               filter_gain=0.0, filter_lag=0.0)
+    nu, eta, gamma, beta = spec.nu, spec.eta, spec.gamma, spec.beta
+    return SimpleNamespace(
+        c=gamma, c_a=h * h / 4 * (2 * beta - gamma),
+        c_z=0.0 if eta == 0.0 or nu == 0.0 else eta / (2 * nu * nu) * (nu - (gamma - 0.5)),
+        k_v=0.0, k_a=-(h * h / 2) * (gamma - 0.5) * (2 * beta - gamma),
+        k_q=eta + 0.5 - gamma, k_z=0.0 if eta == 0.0 else eta / nu * (gamma - nu - 0.5),
+        phi=eta / nu if spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA else 0.0,
+        filter_works=eta / nu if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0,
+        filter_gain=nu / (0.5 + nu), filter_lag=(0.5 - nu) / (0.5 + nu))
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05])
+@pytest.mark.parametrize("spec", SIX_VARIANTS, ids=lambda spec: spec.variant.value)
+def test_cache_holds_the_closed_form_row(rng, spec, h):
+    # pinned directly, not through residuals: generalized-alpha's c_a is
+    # ~1e-9 at h = 1e-3, so a 1 % error in it stays below the audit gate
+    cache = build_cache(random_model(rng, n=3, m=2, damped=True), spec, h)
+    for key, value in vars(closed_form_row(spec, h)).items():
+        assert getattr(cache, key) == pytest.approx(value, rel=1e-14, abs=0.0), key
+
+
 class TestAuditStep:
     """The one-pass audit on a damped, sinusoidally forced, multi-contact model."""
 
@@ -297,9 +333,10 @@ class TestAuditStep:
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
     def test_carried_energies_equal_fresh_evaluation(self, rng, spec):
         model, records = self.simultaneous_impact_run(rng, spec)
+        cache = build_cache(model, spec, self.H)
         for rec in records:
             # without prev_energies, audit_step evaluates the start energies afresh
-            fresh = audit_step(model, spec, self.H, rec)
+            fresh = audit_step(cache, rec)
             assert rec.report.E_prev == fresh.E_prev
             assert rec.report.H_prev == fresh.H_prev
             if spec.variant in THETA_FAMILY:
@@ -308,9 +345,10 @@ class TestAuditStep:
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
     def test_standalone_audit_matches_simulate(self, rng, spec):
         model, records = self.simultaneous_impact_run(rng, spec)
+        cache = build_cache(model, spec, self.H)
         for rec in records:
             in_run = rec.report
-            assert audit_step(model, spec, self.H, rec) == in_run
+            assert audit_step(cache, rec) == in_run
             assert abs(rec.report.identity_residual) <= 1e-10 * rec.report.residual_scale
             assert rec.report.identity_ok()
 
@@ -319,22 +357,10 @@ class TestAuditStep:
         # the identity of the module docstring, term by term, with one
         # matrix product per quadratic form
         model, records = self.simultaneous_impact_run(rng, spec)
-        M, C, K, h = model.mass, model.damping, model.stiffness, self.H
+        M, C, K = model.mass, model.damping, model.stiffness
         w = spec.displacement_weight
-        if spec.variant in THETA_FAMILY:
-            c, c_a, c_z, k_v, k_a, k_q, k_z = (spec.theta, 0.0, 0.0, 0.5 - w, 0.0,
-                                              0.5 - spec.theta, 0.0)
-            phi = filter_works = 0.0
-        else:
-            nu, eta, gamma, beta = spec.nu, spec.eta, spec.gamma, spec.beta
-            c, k_v, k_q = gamma, 0.0, eta + 0.5 - gamma
-            c_a = h * h / 4 * (2 * beta - gamma)
-            k_a = -(h * h / 2) * (gamma - 0.5) * (2 * beta - gamma)
-            c_z = 0.0 if eta == 0.0 or nu == 0.0 else eta / (2 * nu * nu) * (nu - (gamma - 0.5))
-            k_z = 0.0 if eta == 0.0 else eta / nu * (gamma - nu - 0.5)
-            ga = spec.variant is SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA
-            phi = eta / nu if ga else 0.0
-            filter_works = eta / nu if spec.variant is SchemeVariant.NONSMOOTH_HHT else 0.0
+        row = closed_form_row(spec, self.H)
+        c, works = row.c, row.filter_works
 
         def norm(mat, x):
             return float(x @ (mat @ x))
@@ -344,19 +370,20 @@ class TestAuditStep:
 
         def algorithmic(s):
             return (0.5 * norm(M, s.v) + 0.5 * norm(K, s.q)
-                    + c_a * norm(M, s.a) + c_z * norm(K, s.z))
+                    + row.c_a * norm(M, s.a) + row.c_z * norm(K, s.z))
 
         for rec in records:
             sp, sn = rec.state_prev, rec.state_next
             dq = sn.q - sp.q
             y_c, x_c = mix(sp.y, sn.y, c), mix(sp.x, sn.x, c)
-            w_ext = dq @ (mix(model.force(sp.t), model.force(sn.t), c) - filter_works * y_c)
-            w_damp = -dq @ (C @ (mix(sp.v, sn.v, c) - filter_works * x_c))
+            w_ext = dq @ (mix(model.force(sp.t), model.force(sn.t), c) - works * y_c)
+            w_damp = -dq @ (C @ (mix(sp.v, sn.v, c) - works * x_c))
             contact = mix(rec.U_prev @ rec.P, rec.U_next @ rec.P, w)
             reference = (algorithmic(sn) - algorithmic(sp) - w_ext - w_damp
-                         + phi * dq @ (y_c - C @ x_c)
-                         - (contact + k_v * norm(M, sn.v - sp.v) + k_a * norm(M, sn.a - sp.a)
-                            + k_q * norm(K, dq) + k_z * norm(K, sn.z - sp.z)))
+                         + row.phi * dq @ (y_c - C @ x_c)
+                         - (contact + row.k_v * norm(M, sn.v - sp.v)
+                            + row.k_a * norm(M, sn.a - sp.a) + row.k_q * norm(K, dq)
+                            + row.k_z * norm(K, sn.z - sp.z)))
             report = rec.report
             assert abs(report.identity_residual - reference) <= 1e-13 * report.residual_scale
 
@@ -365,8 +392,9 @@ class TestAuditStep:
         model, audited = self.simultaneous_impact_run(rng, spec)
         bare = simulate(model, audited[0].state_prev, self.H, spec, 0.3, audit=False)
         assert len(bare) == len(audited)
+        cache = build_cache(model, spec, self.H)
         for rec, in_run in zip(bare, audited):
-            assert audit_step(model, spec, self.H, rec) == in_run.report
+            assert audit_step(cache, rec) == in_run.report
             assert rec.report is None
 
 
@@ -377,7 +405,7 @@ class TestIdentityGate:
         rec = simulate(model, initial_state(model, [0.1], [-1.0]), 1e-2, spec, 0.01)[0]
         assert rec.report.identity_ok()
         rec.state_next.v = np.array([np.nan])
-        report = audit_step(model, spec, 1e-2, rec)
+        report = audit_step(build_cache(model, spec, 1e-2), rec)
         assert math.isnan(report.identity_residual)
         assert not report.identity_ok()
         assert not report.dissipation_satisfied
@@ -502,7 +530,7 @@ class TestConditionFlags:
         for model in self.models():
             for spec in specs:
                 # the per-contact and worst-restitution forms both equal the flag
-                flag = audit_constants(model, spec, 1e-3).condition
+                flag = build_cache(model, spec, 1e-3).condition
                 assert reference_conditions(model, spec) == (flag, flag), spec
                 seen.add((spec.variant, flag))
         # every variant shows both flag values somewhere on the grid

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvtext import BlockText
 from .energy import DEFAULT_AUDIT_TOL
 from .errors import ConfigError, InvalidInput, NotAvailable, NscontactError
 from .integrators import simulate
@@ -31,6 +32,7 @@ from .scenarios import ScenarioSpec, build_scenario, reference_solution
 
 _RUN_KEYS = {"h", "t_end", "tol"}
 _GRID_AXES = ("theta", "gamma", "beta", "alpha", "rho_infinity", "e")
+_BLOCK_CELLS = 8192     # fields per written block: 19 rows of a 200-mass trajectory
 
 
 def _flag(x) -> str:
@@ -212,15 +214,25 @@ def _labelled(label):
         raise
 
 
-def _write_csv(path: Path, header: list[str], row_format: str, rows) -> None:
-    """Write the header, then each row tuple through ``row_format`` as it is produced.
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header, then the rows as they are produced, in blocks of
+    about ``_BLOCK_CELLS`` fields.
 
-    Floats use ``%.17g``, which gives the same text as ``format(x, ".17g")``.
+    A row is a tuple of fields: a str, written as it is; a number; or a
+    1-D float array, one field per entry, one per header name in all.
+    Every number is written as exactly its ``"%.17g" % x`` text, the
+    same as ``format(x, ".17g")`` (an int below 2^53 reads as its ``%d``
+    text); ``csvtext`` gets it from one numpy pass and one ``%`` call of
+    ints per block.  Blocks bound the memory a wide row takes and spread
+    the pass's fixed cost over many narrow rows.
     """
+    text = BlockText()
+    rows = iter(rows)
+    block_rows = max(1, _BLOCK_CELLS // len(header))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row_format % row)
+        while block := list(itertools.islice(rows, block_rows)):
+            fh.write(text(block))
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
@@ -240,13 +252,12 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
             w_ext_cum += rep.W_ext
             w_damp_cum += rep.W_damping
             s = rec.state_next
-            yield (rec.step_index + 1, s.t, *s.q.tolist(), *s.v.tolist(),
+            yield (rec.step_index + 1, s.t, s.q, s.v,
                    rep.E, rep.H_alg, w_ext_cum, w_damp_cum, rep.W_contact_step,
                    rep.identity_residual, ";".join(str(a) for a in rec.active_set),
                    rec.penetration)
 
-    _write_csv(out / "trajectory.csv", header,
-               "%d" + ",%.17g" * (2 * n + 7) + ",%s,%.17g\n", trajectory_rows())
+    _write_csv(out / "trajectory.csv", header, trajectory_rows())
 
     ok = [rec.report.identity_ok(cfg.tol) for rec in records]
 
@@ -260,7 +271,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
     _write_csv(out / "audit.csv",
                ["step", "t", "identity_residual", "residual_scale", "energy_gain",
                 "condition_satisfied", "dissipation_satisfied", "identity_ok"],
-               "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n", audit_rows())
+               audit_rows())
     return ok
 
 
@@ -334,8 +345,7 @@ def cmd_sweep(cfg: RunConfig, grid: str, out: Path) -> list[bool]:
         ok += [rep.identity_ok(cfg.tol) for rep in reports]
         rows.append((*point.values(), _flag(condition), frac, max_gain))
     _write_csv(out / "sweep.csv",
-               [*axes, "condition_satisfied", "dissipation_fraction", "max_energy_gain"],
-               "%.17g," * len(axes) + "%s,%.17g,%.17g\n", rows)
+               [*axes, "condition_satisfied", "dissipation_fraction", "max_energy_gain"], rows)
     return ok
 
 
@@ -364,7 +374,7 @@ def cmd_convergence(cfg: RunConfig, h_list: str, out: Path) -> list[bool]:
         errors.append(err)
         ok += [rec.report.identity_ok(cfg.tol) for rec in records]
     order = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
-    _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"], "%.17g,%.17g,%.17g\n",
+    _write_csv(out / "convergence.csv", ["h", "error", "fitted_order"],
                ((h, err, order) for h, err in zip(h_values, errors)))
     return ok
 

@@ -1,5 +1,6 @@
 """Config parsing, CSV outputs, exit codes and the one residual tolerance."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import nscontact.cli as cli
 import nscontact.energy as energy
 import nscontact.integrators as integrators
-from nscontact import ConfigError
+from nscontact import ConfigError, reference_solution
 from nscontact.cli import _run, main, parse_config
 
 BALL_CONFIG = """\
@@ -46,6 +47,28 @@ scheme.variant = moreau_jean
 scheme.theta = 0.9
 run.h = 1e-3
 run.t_end = 0.05
+"""
+
+# the benchmark's bar shape: 600 rows of 409 numbers, with roundoff-sized
+# values in e-notation and exact zeros after the plastic impact
+WIDE_BAR_CONFIG = """\
+scenario.kind = elastic_bar_chain
+scenario.n_masses = 200
+scenario.standoff = 0.05
+scenario.v0 = -1.0
+scenario.restitution = 0
+scheme.variant = generalized_alpha
+scheme.rho_infinity = 0.8
+run.h = 1e-4
+run.t_end = 0.06
+"""
+
+NAN_GAIN_CONFIG = """\
+scenario.kind = forced_oscillator_contact
+scenario.q0 = 1e160
+scheme.variant = hht
+run.h = 1e-3
+run.t_end = 0.01
 """
 
 
@@ -85,6 +108,38 @@ def reference_csvs(records, tol):
                                _fmt(rep.energy_gain), _fmt(rep.condition_satisfied),
                                _fmt(rep.dissipation_satisfied), _fmt(not bad)]))
     return "\n".join(lines) + "\n", "\n".join(audit) + "\n"
+
+
+def reference_sweep(cfg_path, grid):
+    """sweep.csv text, one field at a time."""
+    cfg = parse_config(cfg_path)
+    axes = cli._parse_grid(grid)
+    lines = [",".join([*axes, "condition_satisfied", "dissipation_fraction",
+                       "max_energy_gain"])]
+    for values in itertools.product(*axes.values()):
+        _, _, records = _run(cli._grid_point(cfg, dict(zip(axes, values))))
+        reports = [rec.report for rec in records]
+        gains = [rep.energy_gain for rep in reports]
+        max_gain = math.nan if any(map(math.isnan, gains)) else max(0.0, *gains) + 0.0
+        frac = sum(rep.dissipation_satisfied for rep in reports) / len(reports)
+        lines.append(",".join([*map(_fmt, values), _fmt(reports[0].condition_satisfied),
+                               _fmt(frac), _fmt(max_gain)]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_convergence(cfg_path, h_values):
+    """convergence.csv text, one field at a time."""
+    cfg = parse_config(cfg_path)
+    errors = []
+    for h in h_values:
+        _, _, records = _run(replace(cfg, h=h))
+        final = records[-1].state_next
+        q_ref, v_ref = reference_solution(cfg.scenario_spec(), final.t)
+        errors.append(math.sqrt(float(np.sum((final.q - q_ref) ** 2))
+                                + float(np.sum((final.v - v_ref) ** 2))))
+    order = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+    return "h,error,fitted_order\n" + "".join(
+        f"{_fmt(h)},{_fmt(err)},{_fmt(order)}\n" for h, err in zip(h_values, errors))
 
 
 def read_csv(path):
@@ -202,7 +257,15 @@ class TestSimulateCommand:
         # a tolerance inside the roundoff band puts both true and false in
         # identity_ok, so the run exits 2 after writing every row;
         # theta = 0.9 with e = 1 fails both conditions
-        cfg = write_config(tmp_path, BAR_CONFIG + "run.tol = 1e-16\n")
+        self._check_rows_match_per_field_formatting(tmp_path, BAR_CONFIG)
+
+    def test_wide_rows_match_per_field_formatting(self, tmp_path):
+        # 600 rows: full blocks, then a short one
+        self._check_rows_match_per_field_formatting(tmp_path, WIDE_BAR_CONFIG)
+
+    @staticmethod
+    def _check_rows_match_per_field_formatting(tmp_path, config):
+        cfg = write_config(tmp_path, config + "run.tol = 1e-16\n")
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--out", str(out)]) == 2
         _, _, records = _run(parse_config(cfg))
@@ -229,6 +292,10 @@ class TestSimulateCommand:
         _, rows = read_csv(out / "audit.csv")
         assert rows[3][2] == "nan" and rows[3][-1] == "false"
         assert sum(row[-1] == "false" for row in rows) == 1
+        header, rows = read_csv(out / "trajectory.csv")
+        residual = header.index("residual")
+        assert rows[3][residual] == "nan"
+        assert sum(row[residual] == "nan" for row in rows) == 1
         assert main(["sweep", cfg, "--grid", "theta=0.5", "--out", str(out)]) == 2
 
     def test_exit_three_on_config_error(self, tmp_path, capsys):
@@ -316,15 +383,22 @@ class TestSweepCommand:
 
     def test_nan_energy_gain_is_written(self, tmp_path):
         # q^T K q overflows, so every step's energy gain is inf - inf = NaN
-        cfg = write_config(tmp_path, "scenario.kind = forced_oscillator_contact\n"
-                                     "scenario.q0 = 1e160\n"
-                                     "scheme.variant = hht\n"
-                                     "run.h = 1e-3\nrun.t_end = 0.01\n")
+        cfg = write_config(tmp_path, NAN_GAIN_CONFIG)
         out = tmp_path / "nan"
         assert main(["sweep", cfg, "--grid", "alpha=0,0.1", "--out", str(out)]) == 2
         _, rows = read_csv(out / "sweep.csv")
         assert [row[-1] for row in rows] == ["nan", "nan"]
         assert [row[-2] for row in rows] == ["0", "0"]
+
+    @pytest.mark.parametrize("config, grid, code", [
+        (BALL_CONFIG, "theta=0.5:1.0:3;e=0,0.5,1", 0),
+        (NAN_GAIN_CONFIG, "alpha=0,0.1", 2),
+    ], ids=["ball", "nan_gain"])
+    def test_rows_match_per_field_formatting(self, tmp_path, config, grid, code):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "sweep"
+        assert main(["sweep", cfg, "--grid", grid, "--out", str(out)]) == code
+        assert (out / "sweep.csv").read_bytes() == reference_sweep(cfg, grid).encode()
 
     def test_axis_incompatible_with_variant_exits_three(self, tmp_path, capsys):
         text = BALL_CONFIG.replace(
@@ -399,6 +473,15 @@ run.t_end = 1.0
         assert "violate the identity residual tolerance" in capsys.readouterr().err
         _, rows = read_csv(out / "convergence.csv")
         assert len(rows) == 3
+
+    def test_rows_match_per_field_formatting(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "conv"
+        h_values = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+        assert main(["convergence", cfg, "--h", ",".join(map(repr, h_values)),
+                     "--out", str(out)]) == 0
+        want = reference_convergence(cfg, h_values)
+        assert (out / "convergence.csv").read_bytes() == want.encode()
 
     def test_too_few_step_sizes_exits_three(self, tmp_path):
         cfg = write_config(tmp_path, self.OSC)

@@ -154,8 +154,12 @@ def audit_step(cache: IterationMatrixCache, record: StepRecord,
     primary correctness oracle of the package.  Every quadratic form
     comes from one product per matrix: the rows [v_{k+1}, a_{k+1}, dv, da]
     against M and [q_{k+1}, z_{k+1}, dq, dz] against K, each keeping
-    only the rows with a nonzero weight.  K, and C in the damping work, are multiplied
-    only when the cache holds their map, that is when they are nonzero.
+    only the rows with a nonzero weight, and an increment is formed only
+    when a nonzero weight reads it, so the theta family forms neither da
+    nor dz.  K, and C in the damping work, are multiplied only when the
+    cache holds their map, that is when they are nonzero.  A constant
+    load's mix F_c is the cache's ``f_c``, taken once per run; a
+    time-varying load is evaluated at both grid points.
 
     A run passes ``prev_energies``, the (E, H) of ``record.state_prev``,
     which the previous step's report holds as ``E``/``H_alg``.  Without
@@ -166,10 +170,14 @@ def audit_step(cache: IterationMatrixCache, record: StepRecord,
     """
     model, c = cache.model, cache.c
     sp, sn = record.state_prev, record.state_next
-    dq, dv, da, dz = sn.q - sp.q, sn.v - sp.v, sn.a - sp.a, sn.z - sp.z
     m_weights = (0.5, cache.c_a, cache.k_v, cache.k_a)
     k_weights = ((0.5, cache.c_z, cache.k_q, cache.k_z) if cache.stiffness_map is not None
                  else (0.0,) * 4)
+    # the works read dq; the other increments only their own weights read
+    dq = sn.q - sp.q
+    dv = sn.v - sp.v if m_weights[2] else None
+    da = sn.a - sp.a if m_weights[3] else None
+    dz = sn.z - sp.z if k_weights[3] else None
 
     def forms(state):
         # E and H - E of ``state``, and the k-weighted forms of the right side
@@ -193,7 +201,9 @@ def audit_step(cache: IterationMatrixCache, record: StepRecord,
         if filters:
             filter_x = float(dq_c @ _mix(sp.x, sn.x, c))
         w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + cache.filter_works * filter_x
-    f_c = _mix(model.force(sp.t), model.force(sn.t), c)
+    f_c = cache.f_c
+    if f_c is None:
+        f_c = _mix(model.force(sp.t), model.force(sn.t), c)
     w_ext = float(dq @ f_c) - cache.filter_works * filter_y
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)

@@ -26,19 +26,21 @@ as it does when an overflowing h leaves the matrix or its weights
 non-finite.  The cache built per (model, scheme, h), and rebuilt
 whenever any of them changes, holds every product and coefficient that
 is fixed for the run: sigma A^-1 and its products with C and K, so the
-free step is one product per nonzero term (load, damping, stiffness);
-the filter gain and lag of the averaging family; the contact law's
-opening coefficient; and the energy audit's coefficient row, so a run
-branches on the scheme family once.  An all-zero load, C or K is never
-multiplied in a step, nor a zero C or K in its audit; ``build_cache``
-decides that once per run.  The contact stage works in contact space,
-on the rows of G^T the cache keeps: it forecasts the gaps as
-g(q_k) + h U_k from U_k = G^T v_k.  The cache also keeps one entry for
-the contact stage: the last active set's Delassus block and its
-inverse, replaced when the set changes; Lemke takes the inverse as a
-hint and verifies its answer like any other.  A step never mutates its
-input state; trajectories are bitwise reproducible for identical
-inputs.
+free step is one product per nonzero damping or stiffness term; the
+load term of a constant load (zero frequency or all-zero amplitude)
+and the audit's mix of it, from one evaluation per run, so only a
+time-varying load is evaluated and multiplied in a step; the filter
+gain and lag of the averaging family; the contact law's opening
+coefficient; and the energy audit's coefficient row, so a run branches
+on the scheme family once.  A zero C or K is never multiplied in a
+step or its audit; ``build_cache`` decides all of this once per run.
+The contact stage works in contact space, on the rows of G^T the cache
+keeps: it forecasts the gaps as g(q_k) + h U_k from U_k = G^T v_k.
+The cache also keeps one entry for the contact stage: the last active
+set's Delassus block and its inverse, replaced when the set changes;
+Lemke takes the inverse as a hint and verifies its answer like any
+other.  A step never mutates its input state; trajectories are bitwise
+reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -95,9 +97,13 @@ class IterationMatrixCache:
         s = solve F_mix - damping_map v_c - stiffness_map x_c
 
     with F_mix, v_c and x_c the bracket's load, velocity and
-    displacement mixes at the predictors.  ``loaded`` says whether the
-    load has a nonzero amplitude; a step skips the product with a zero
-    load, C or K.
+    displacement mixes at the predictors; a step skips the product with
+    a zero C or K.  For a constant load (zero frequency, or an all-zero
+    amplitude) ``load_term`` is solve F_mix, exact zeros for a zero
+    load, and ``f_c`` is the audit's load mix c F + (1 - c) F, both
+    from one evaluation of F per run and the operations a step and an
+    audit would apply to it; both are None for a time-varying load,
+    which every step and audit evaluate at their two grid points.
 
     ``impulse_to_s``, ``impulse_to_velocity`` and
     ``impulse_to_displacement`` map the full impulse vector to its share
@@ -137,7 +143,8 @@ class IterationMatrixCache:
     solve: np.ndarray
     damping_map: np.ndarray | None
     stiffness_map: np.ndarray | None
-    loaded: bool
+    load_term: np.ndarray | None
+    f_c: np.ndarray | None
     minv_g: np.ndarray
     alpha_c: float
     alpha_f: float
@@ -200,6 +207,9 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     minv_g = model.solve_mass(G)
     w = spec.displacement_weight
     damped = bool(C.any())
+    forcing = model.forcing
+    loaded = bool(forcing.amplitude.any())
+    constant = forcing.omega == 0.0 or not loaded
     if spec.variant in THETA_FAMILY:
         th = spec.theta
         sigma, ac = h, 1.0 - th
@@ -232,7 +242,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         if ga:
             # the full averaging scheme only inherits the guarantee when the
             # load and velocity filter terms vanish: no damping, constant loading
-            condition = condition and not damped and model.forcing.omega == 0.0
+            condition = condition and not damped and constant
         accel = 2.0 * beta - gamma
         row = dict(c=gamma, c_a=0.25 * (h * h) * accel, k_q=eta + 0.5 - gamma,
                    # the filter state is identically zero for nu = 0
@@ -249,6 +259,13 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         solve = _scaled_inverse(matrix, sigma)
     damping_map = _flush_subnormals(solve @ C) if damped else None
     stiffness_map = _flush_subnormals(solve @ K) if K.any() else None
+    load_term = f_c = None
+    if constant:
+        # F(t) is F(0) at every t; a zero load is not multiplied, and the
+        # audit's mix is energy._mix(f, f, c)
+        f = model.force(0.0)
+        load_term = solve @ ((1 - ac) * f + ac * f) if loaded else np.zeros(model.n)
+        f_c = row["c"] * f + (1.0 - row["c"]) * f
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
     load = (1 - ac) * direct_v * C + (1 - af) * direct_q * K
@@ -259,7 +276,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
     opening = (1.0 - w) / w if w > 0.0 else 0.0
     return IterationMatrixCache(model, spec, h, solve, damping_map, stiffness_map,
-                                bool(model.forcing.amplitude.any()), minv_g, ac, af, g, b,
+                                load_term, f_c, minv_g, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
                                 gain, lag, opening, w > 0.0, bool(condition), **row)
 
@@ -317,19 +334,20 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     the impulse tail v += V P, q += Q P.  Theta schemes carry ``a`` and
     the filters over from the start state; averaging steps add the
     impulse share S P to s, recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m)
-    and advance the filters.
+    and advance the filters.  The load term of a constant load is the
+    cache's ``load_term``, taken once per run, and its increment is
+    zero; a time-varying load is evaluated at t_k and t_{k+1}.
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
     ac, af = cache.alpha_c, cache.alpha_f
     t0 = state.t
-    if cache.loaded:
+    if cache.load_term is None:
         f_k, f_k1 = model.force(t0), model.force(t0 + h)
         s = cache.solve @ ((1 - ac) * f_k1 + ac * f_k)
     else:
-        # a zero load is neither evaluated nor multiplied
-        f_k = f_k1 = np.zeros(model.n)
-        s = np.zeros(model.n)
+        # a constant load's term is taken once per run
+        s = cache.load_term.copy()
 
     # theta predictors carry no ``a`` terms: their weights are zero
     pred_v = state.v + cache.pred_v_a * state.a if cache.pred_v_a else state.v
@@ -356,8 +374,10 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
         if act:
             s += cache.impulse_to_s @ P
         new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
+        # a constant load's increment is zero
+        df = np.zeros(model.n) if cache.load_term is not None else f_k1 - f_k
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
-            cache.filter_gain, cache.filter_lag, state, new_state, f_k1 - f_k)
+            cache.filter_gain, cache.filter_lag, state, new_state, df)
 
     rows = cache.contact_rows
     pen = float(max(0.0, -(rows @ q1 + model.gap_offset).min(initial=0.0)))

@@ -1,5 +1,7 @@
 """Shared builders for randomized test models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,14 @@ def random_model(rng, n=4, m=2, damped=True, forcing="sinusoidal", stiff=True):
     else:
         term = ForcingTerm.zero(n)
     return build_model(mass, damping, stiffness, jac, offset, restitution, term)
+
+
+def record_bytes(record) -> bytes:
+    """The bits of a record's end state, impulse and energy report."""
+    state = record.state_next
+    arrays = (state.q, state.v, state.a, state.z, state.x, state.y, record.P)
+    report = np.array(dataclasses.astuple(record.report), dtype=float)
+    return b"".join(x.tobytes() for x in (*arrays, report))
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from nscontact import (
 )
 from nscontact.energy import advance_filters
 from nscontact.model import THETA_FAMILY
-from conftest import random_model
+from conftest import random_model, record_bytes
 
 
 def make_state(model, q, v, a=None, z=None, t=0.0):
@@ -476,8 +476,9 @@ def reference_conditions(model, spec):
                   and gamma - 0.5 <= spec.nu + slack)
     if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
         return region, region
+    forcing = model.forcing
     cond = bool(region and not model.damping.any()
-                and model.forcing.omega == 0.0)
+                and (forcing.omega == 0.0 or not forcing.amplitude.any()))
     return cond, cond
 
 
@@ -513,7 +514,8 @@ class TestConditionFlags:
         jac = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         for damping, forcing in ((zero, ForcingTerm.constant([0.0, -9.81])),
                                  (c, ForcingTerm.zero(2)),
-                                 (zero, ForcingTerm.sinusoidal([1.0, 0.5], omega=2.0))):
+                                 (zero, ForcingTerm.sinusoidal([1.0, 0.5], omega=2.0)),
+                                 (zero, ForcingTerm.sinusoidal([0.0, 0.0], omega=2.0))):
             for e in ([0.0, 0.5, 1.0], [0.25, 0.25, 0.25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]):
                 yield build_model(np.eye(2), damping, np.eye(2), jac, [0.1, 0.1, 0.2], e,
                                   forcing)
@@ -550,6 +552,23 @@ class TestConditionFlags:
             flags.append({rec.report.condition_satisfied for rec in records})
         assert finals[0] == finals[1]
         assert flags == [{True}, {True}]
+
+    def test_zero_amplitude_sinusoid_is_a_constant_load(self):
+        # an all-zero amplitude is constant at any frequency: the flag and
+        # every record equal those of the zero load
+        spec = SchemeSpec.from_rho_infinity(0.8)
+        stiffness = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        runs, flags = [], []
+        for forcing in (ForcingTerm.zero(2), ForcingTerm.sinusoidal(np.zeros(2), omega=3.0)):
+            model = build_model(np.eye(2), np.zeros((2, 2)), stiffness, [[1.0], [0.0]],
+                                [0.02], [0.5], forcing)
+            flags.append(build_cache(model, spec, 1e-3).condition)
+            records = simulate(model, initial_state(model, [0.0, 0.1], [-1.0, 0.5]),
+                               1e-3, spec, 0.5)
+            assert any(rec.active_set for rec in records)
+            runs.append([record_bytes(rec) for rec in records])
+        assert flags == [True, True]
+        assert runs[0] == runs[1]
 
 
 class TestSignIdentities:

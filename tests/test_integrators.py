@@ -25,7 +25,7 @@ from nscontact import (
     step,
 )
 from nscontact.model import THETA_FAMILY
-from conftest import random_model
+from conftest import random_model, record_bytes
 from oracles import solve_enumeration
 
 
@@ -421,6 +421,11 @@ def broken_step(*args, **kwargs):
     raise RuntimeError("step knocked out")
 
 
+SPECS = [SchemeSpec.moreau_jean(0.7), SchemeSpec.moreau_jean_variant(0.6),
+         SchemeSpec.newmark(0.6), SchemeSpec.hht(0.2), SchemeSpec.from_rho_infinity(0.8),
+         SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)]
+
+
 class TestSimulate:
     def test_zero_steps(self):
         model = free_particle()
@@ -486,23 +491,29 @@ class TestSimulate:
         assert f"step {info.value.step_index} " in str(info.value)
         assert reason in str(info.value)
 
-    @pytest.mark.parametrize("spec", [
-        SchemeSpec.moreau_jean(0.7), SchemeSpec.moreau_jean_variant(0.6),
-        SchemeSpec.newmark(0.6), SchemeSpec.hht(0.2), SchemeSpec.from_rho_infinity(0.8),
-        SchemeSpec.from_rho_infinity(0.8, SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA)])
-    def test_forcing_evaluated_once_per_grid_point(self, monkeypatch, spec):
-        # the step evaluates F(t_k) and F(t_k+1) once; the audit needs both again
-        model = random_model(np.random.default_rng(5), n=3, m=2)
-        state = initial_state(model, np.zeros(3), np.ones(3))
+    @pytest.mark.parametrize("spec, forcing", [
+        pytest.param(spec, forcing, id=prefix + f"spec{i}")
+        for prefix, forcing in (("", "sinusoidal"), ("constant-", "constant"))
+        for i, spec in enumerate(SPECS)])
+    def test_forcing_evaluated_once_per_grid_point(self, monkeypatch, spec, forcing):
+        # a time-varying load: the step evaluates F(t_k) and F(t_k+1) once,
+        # and the audit needs both again.  A constant load: initial_state and
+        # build_cache evaluate it once each, and no step or audit does
+        model = random_model(np.random.default_rng(5), n=3, m=2, forcing=forcing)
         times = []
         evaluate = ForcingTerm.evaluate
         monkeypatch.setattr(ForcingTerm, "evaluate",
                             lambda self, t: times.append(t) or evaluate(self, t))
-        simulate(model, state, 1e-3, spec, 1e-3, audit=False)
-        assert times == [0.0, 1e-3]
-        times.clear()
-        simulate(model, state, 1e-3, spec, 1e-3, audit=True)
-        assert sorted(times) == [0.0, 0.0, 1e-3, 1e-3]
+        state = initial_state(model, np.zeros(3), np.ones(3))
+        assert times == [0.0]
+        constant = forcing == "constant"
+        for audit in (False, True):
+            times.clear()
+            simulate(model, state, 1e-3, spec, 5e-3 if constant else 1e-3, audit=audit)
+            if constant:
+                assert times == [0.0]
+            else:
+                assert sorted(times) == ([0.0, 0.0, 1e-3, 1e-3] if audit else [0.0, 1e-3])
 
     def test_invalid_step_size(self):
         model = free_particle()
@@ -716,6 +727,33 @@ class TestIterationMatrixCache:
         assert fresh.P.min() > 0.0
         assert np.abs(poisoned.P - fresh.P).max() <= 1e-12 * np.abs(fresh.P).max()
         assert cache.block[0] == act
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("load", ["zero", "constant", "phase"])
+    def test_constant_load_terms_equal_the_per_step_path(self, monkeypatch, spec, load):
+        # the cache's load term and audit mix are taken once per run, from
+        # the operations a step and an audit apply per step: an audited run
+        # equals, bit for bit, one whose cache sends it down the per-step path
+        rng = np.random.default_rng(3)
+        base = random_model(rng, n=4, m=2)
+        col = base.contact_jacobian[:, 0]
+        # a load that presses the first contact shut keeps it active
+        amplitude = rng.normal(size=4) - 20.0 * base.mass @ col / (col @ col)
+        forcing = {"zero": ForcingTerm.zero(4), "constant": ForcingTerm.constant(amplitude),
+                   "phase": ForcingTerm(amplitude, 0.0, 0.3)}[load]
+        model = build_model(base.mass, base.damping, base.stiffness, base.contact_jacobian,
+                            base.gap_offset, base.restitution, forcing)
+        cache = build_cache(model, spec, 1e-3)
+        assert cache.load_term is not None and cache.f_c is not None
+        assert cache.load_term.any() == (load != "zero")
+        state = initial_state(model, np.zeros(4), -1.5 * col / (col @ col))
+        hoisted = simulate(model, state, 1e-3, spec, 0.3)
+        build = integrators.build_cache
+        monkeypatch.setattr(integrators, "build_cache", lambda *args: dataclasses.replace(
+            build(*args), load_term=None, f_c=None))
+        per_step = simulate(model, state, 1e-3, spec, 0.3)
+        assert any(rec.P.any() for rec in hoisted)
+        assert [record_bytes(r) for r in hoisted] == [record_bytes(r) for r in per_step]
 
     def test_tiny_mass_loses_against_the_stiffness_floor(self):
         # K's eigenvalue -1e-11 lies inside build_model's semi-definite

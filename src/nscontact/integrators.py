@@ -100,9 +100,10 @@ class IterationMatrixCache:
     displacement mixes at the predictors; a step skips the product with
     a zero C or K.  For a constant load (zero frequency, or an all-zero
     amplitude) ``load_term`` is solve F_mix, exact zeros for a zero
-    load, and ``f_c`` is the audit's load mix c F + (1 - c) F, both
-    from one evaluation of F per run and the operations a step and an
-    audit would apply to it; both are None for a time-varying load,
+    load, ``load_increment`` is the filters' zero load increment, and
+    ``f_c`` is the audit's load mix c F + (1 - c) F, all from one
+    evaluation of F per run and the operations a step and an audit
+    would apply to it; all three are None for a time-varying load,
     which every step and audit evaluate at their two grid points.
 
     ``impulse_to_s``, ``impulse_to_velocity`` and
@@ -144,6 +145,7 @@ class IterationMatrixCache:
     damping_map: np.ndarray | None
     stiffness_map: np.ndarray | None
     load_term: np.ndarray | None
+    load_increment: np.ndarray | None
     f_c: np.ndarray | None
     minv_g: np.ndarray
     alpha_c: float
@@ -259,12 +261,13 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         solve = _scaled_inverse(matrix, sigma)
     damping_map = _flush_subnormals(solve @ C) if damped else None
     stiffness_map = _flush_subnormals(solve @ K) if K.any() else None
-    load_term = f_c = None
+    load_term = load_increment = f_c = None
     if constant:
         # F(t) is F(0) at every t; a zero load is not multiplied, and the
         # audit's mix is energy._mix(f, f, c)
         f = model.force(0.0)
         load_term = solve @ ((1 - ac) * f + ac * f) if loaded else np.zeros(model.n)
+        load_increment = np.zeros(model.n)
         f_c = row["c"] * f + (1.0 - row["c"]) * f
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
@@ -276,7 +279,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
     opening = (1.0 - w) / w if w > 0.0 else 0.0
     return IterationMatrixCache(model, spec, h, solve, damping_map, stiffness_map,
-                                load_term, f_c, minv_g, ac, af, g, b,
+                                load_term, load_increment, f_c, minv_g, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
                                 gain, lag, opening, w > 0.0, bool(condition), **row)
 
@@ -345,9 +348,9 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     if cache.load_term is None:
         f_k, f_k1 = model.force(t0), model.force(t0 + h)
         s = cache.solve @ ((1 - ac) * f_k1 + ac * f_k)
+        df = f_k1 - f_k
     else:
-        # a constant load's term is taken once per run
-        s = cache.load_term.copy()
+        s, df = cache.load_term.copy(), cache.load_increment
 
     # theta predictors carry no ``a`` terms: their weights are zero
     pred_v = state.v + cache.pred_v_a * state.a if cache.pred_v_a else state.v
@@ -374,8 +377,6 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
         if act:
             s += cache.impulse_to_s @ P
         new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
-        # a constant load's increment is zero
-        df = np.zeros(model.n) if cache.load_term is not None else f_k1 - f_k
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
             cache.filter_gain, cache.filter_lag, state, new_state, df)
 

@@ -19,9 +19,7 @@ from .model import (
     StepRecord,
     SystemState,
     build_model,
-    gap,
     initial_state,
-    local_velocity,
 )
 from .lcp import (
     LcpProblem,

@@ -42,6 +42,14 @@ gain = dH - W_ext - W_damping <= 0; the condition flag, which
 ``build_cache`` sets with the row, reports whether the scheme
 parameters lie in the region that guarantees it.
 
+The audit of a step reads only that step's record.  It never forms
+H_{k+1} - H_k as a difference of two end energies, which on a stiff
+structure would leave the roundoff of eps |q|^T |K| |q| in the
+residual.  Each change is read off the Gram matrix of the end values
+and increments instead: |x_{k+1}|_A^2 - |x_k|_A^2 = (x_k + x_{k+1})^T A dx,
+whose roundoff is relative to |x| |A dx|.  That needs A = A^T, which
+``build_model`` makes exact for M, C and K.
+
 All functions are pure over immutable inputs and safe to call
 concurrently across steps and runs.
 """
@@ -66,17 +74,18 @@ DEFAULT_AUDIT_TOL = 1e-10
 class EnergyReport:
     """Audit result for one step.
 
-    ``E_prev``/``H_prev`` and ``E``/``H_alg`` are the energies at the
-    step start and end; the identity relates their change to the works
-    and the contact term.  For the theta-schemes H equals E.
+    ``E`` and ``H_alg`` are the energy and the algorithmic energy at the
+    step end; for the theta-schemes H equals E.  The identity relates
+    their changes over the step, which the audit reads off the record
+    itself and not as differences of two end energies, to the works and
+    the contact term.  ``energy_gain`` is dH - W_ext - W_damping and
+    ``residual_scale`` the gate's 1 + max(|dE|, |dH|, |W_ext|).
 
     ``condition_satisfied`` reports whether the scheme parameters meet
     the condition of the scheme's dissipation statement for every
     contact's restitution coefficient.
     """
 
-    E_prev: float
-    H_prev: float
     E: float
     H_alg: float
     W_ext: float
@@ -94,20 +103,36 @@ class EnergyReport:
         return math.isfinite(r) and abs(r) <= tol * self.residual_scale
 
 
-def _forms(mat: np.ndarray, weights, vectors) -> list[float]:
-    """weight |vector|_mat^2 for each pair, from one product of the stacked rows with mat.
+def _forms(mat: np.ndarray, x1: np.ndarray, dx: np.ndarray, aux, c_aux: float,
+           k_x: float, k_aux: float) -> tuple[float, float, float, float, float]:
+    """One matrix's share of the audit's quadratic forms, from one Gram product.
 
-    Rows with a zero weight are left out of the product and read 0.  A
-    row's form depends only on the row, its position and the row count,
-    so a vector gives bitwise the same form in every call of one shape.
+    ``x1`` and ``dx`` are the end value and increment of the energy's
+    variable (v against M, q against K) and ``aux`` the (start, end)
+    pair of its auxiliary variable (a against M, z against K), whose
+    energy weight is ``c_aux``.  Returns (1/2)|x1|^2, its change
+    (1/2)(|x1|^2 - |x0|^2), c_aux |aux1|^2, its change, and the right
+    side's k_x |dx|^2 + k_aux |d aux|^2, all against ``mat``.
+
+    G = (L mat) L^T for the stacked rows L = [x1, dx], followed by
+    [aux1, d aux] only when c_aux or k_aux is nonzero, gives every form:
+    |x1|^2 and |dx|^2 from its diagonal, and a change from
+    |x1|^2 - |x0|^2 = (x0 + x1)^T mat dx = 2 G[x1, dx] - G[dx, dx],
+    which holds because ``build_model`` makes ``mat`` exactly symmetric.
     """
-    keep = [i for i, weight in enumerate(weights) if weight]
-    out = [0.0] * len(weights)
-    if keep:
-        rows = np.array([vectors[i] for i in keep])
-        for i, form in zip(keep, (rows @ mat * rows).sum(axis=1).tolist()):
-            out[i] = weights[i] * form
-    return out
+    rows = [x1, dx]
+    if c_aux or k_aux:
+        rows += [aux[1], aux[1] - aux[0]]
+    stacked = np.array(rows)
+    g = ((stacked @ mat) @ stacked.T).tolist()
+    x_form, dx_form = g[0][0], g[1][1]
+    change = g[0][1] - 0.5 * dx_form
+    if len(g) == 2:
+        return 0.5 * x_form, change, 0.0, 0.0, k_x * dx_form
+    aux_form, d_aux_form = g[2][2], g[3][3]
+    aux_change = c_aux * (2.0 * g[2][3] - d_aux_form)
+    return (0.5 * x_form, change, c_aux * aux_form, aux_change,
+            k_x * dx_form + k_aux * d_aux_form)
 
 
 def advance_filters(gain: float, lag: float, state_prev: SystemState,
@@ -141,57 +166,41 @@ def _mix(prev: np.ndarray, next_: np.ndarray, weight: float) -> np.ndarray:
 
 
 def audit_step(cache: IterationMatrixCache, record: StepRecord,
-               tol: float = DEFAULT_AUDIT_TOL, *,
-               prev_energies: tuple[float, float] | None = None) -> EnergyReport:
+               tol: float = DEFAULT_AUDIT_TOL) -> EnergyReport:
     """Audit one step against the exact energy identity of the module docstring.
 
     The identity is evaluated with the coefficient row of ``cache``, the
     run's :class:`~nscontact.integrators.IterationMatrixCache` for the
-    record's (model, spec, h).  Every term is computed once and shared by
-    the identity residual, the energy gain dH - W_ext - W_damping, its
-    audit scale 1 + max(|dE|, |dH|, |W_ext|) and the dissipation flag.
+    record's (model, spec, h), from the record alone: the report is a
+    function of (cache, record, tol).  Every term is computed once and
+    shared by the identity residual, the energy gain dH - W_ext - W_damping,
+    its audit scale 1 + max(|dE|, |dH|, |W_ext|) and the dissipation flag.
     The residual is zero up to roundoff for a correct step; this is the
-    primary correctness oracle of the package.  Every quadratic form
-    comes from one product per matrix: the rows [v_{k+1}, a_{k+1}, dv, da]
-    against M and [q_{k+1}, z_{k+1}, dq, dz] against K, each keeping
-    only the rows with a nonzero weight, and an increment is formed only
-    when a nonzero weight reads it, so the theta family forms neither da
-    nor dz.  K, and C in the damping work, are multiplied only when the
-    cache holds their map, that is when they are nonzero.  A constant
-    load's mix F_c is the cache's ``f_c``, taken once per run; a
-    time-varying load is evaluated at both grid points.
+    primary correctness oracle of the package.
 
-    A run passes ``prev_energies``, the (E, H) of ``record.state_prev``,
-    which the previous step's report holds as ``E``/``H_alg``.  Without
-    it both are computed here, from products of the same shape as the
-    end state's, so carried and fresh energies are bitwise equal.  An
-    offline re-audit is ``audit_step(build_cache(model, spec, h), record)``.
-    The record is not modified; the caller attaches the returned report.
+    Every quadratic form, and every change of one, comes from one Gram
+    product per matrix (see ``_forms``): the rows [v_{k+1}, dv] against M
+    and [q_{k+1}, dq] against K, each followed by the auxiliary pair
+    [a_{k+1}, da] or [z_{k+1}, dz] only when c_a or k_a (c_z or k_z) is
+    nonzero, so the theta family stacks two rows per matrix.  K, and C in
+    the damping work, are multiplied only when the cache holds their
+    map, that is when they are nonzero.  A constant load's mix F_c is
+    the cache's ``f_c``, taken once per run; a time-varying load is
+    evaluated at both grid points.
+
+    An offline re-audit is ``audit_step(build_cache(model, spec, h), record)``
+    and equals the report ``simulate`` attached.  The record is not
+    modified; the caller attaches the returned report.
     """
     model, c = cache.model, cache.c
     sp, sn = record.state_prev, record.state_next
-    m_weights = (0.5, cache.c_a, cache.k_v, cache.k_a)
-    k_weights = ((0.5, cache.c_z, cache.k_q, cache.k_z) if cache.stiffness_map is not None
-                 else (0.0,) * 4)
-    # the works read dq; the other increments only their own weights read
     dq = sn.q - sp.q
-    dv = sn.v - sp.v if m_weights[2] else None
-    da = sn.a - sp.a if m_weights[3] else None
-    dz = sn.z - sp.z if k_weights[3] else None
-
-    def forms(state):
-        # E and H - E of ``state``, and the k-weighted forms of the right side
-        m = _forms(model.mass, m_weights, (state.v, state.a, dv, da))
-        k = _forms(model.stiffness, k_weights, (state.q, state.z, dq, dz))
-        return m[0] + k[0], m[1] + k[1], m[2] + m[3] + k[2] + k[3]
-
-    e_next, h_extra, dissipated = forms(sn)
-    h_next = e_next + h_extra
-    if prev_energies is None:
-        e_prev, h_extra, _ = forms(sp)
-        h_prev = e_prev + h_extra
-    else:
-        e_prev, h_prev = prev_energies
+    forms = _forms(model.mass, sn.v, sn.v - sp.v, (sp.a, sn.a),
+                   cache.c_a, cache.k_v, cache.k_a)
+    if cache.stiffness_map is not None:
+        forms = [m + k for m, k in zip(forms, _forms(model.stiffness, sn.q, dq, (sp.z, sn.z),
+                                                     cache.c_z, cache.k_q, cache.k_z))]
+    e_next, dE, h_extra, dh_extra, dissipated = forms
 
     filters = bool(cache.phi or cache.filter_works)
     filter_y = float(dq @ _mix(sp.y, sn.y, c)) if filters else 0.0
@@ -208,12 +217,11 @@ def audit_step(cache: IterationMatrixCache, record: StepRecord,
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
     w_contact = _mix(up, un, cache.spec.displacement_weight)
-    dH = h_next - h_prev
+    dH = dE + dh_extra
     gain = dH - w_ext - w_damp
     residual = gain + cache.phi * (filter_y - filter_x) - (w_contact + dissipated)
-    scale = 1.0 + max(abs(e_next - e_prev), abs(dH), abs(w_ext))
-    return EnergyReport(E_prev=e_prev, H_prev=h_prev, E=e_next, H_alg=h_next,
-                        W_ext=w_ext, W_damping=w_damp,
+    scale = 1.0 + max(abs(dE), abs(dH), abs(w_ext))
+    return EnergyReport(E=e_next, H_alg=e_next + h_extra, W_ext=w_ext, W_damping=w_damp,
                         W_contact_step=w_contact,
                         identity_residual=residual, residual_scale=scale,
                         energy_gain=gain, dissipation_satisfied=bool(gain <= tol * scale),

@@ -22,9 +22,10 @@ from .errors import InvalidInput
 if TYPE_CHECKING:
     from .energy import EnergyReport
 
-# Relative tolerances used by build_model validation.  Strict bitwise
-# symmetry would be brittle for user-assembled matrices; rank-deficient
-# stiffness (free-free chains) must pass the semi-definiteness check.
+# Relative tolerances used by build_model validation.  A user-assembled
+# matrix within SYMMETRY_RTOL of symmetric is accepted and made exactly
+# symmetric; rank-deficient stiffness (free-free chains) must pass the
+# semi-definiteness check.
 SYMMETRY_RTOL = 1e-12
 EIGENVALUE_RTOL = 1e-10
 
@@ -271,14 +272,23 @@ def _check_finite(a, name: str) -> None:
         raise InvalidInput(f"{name} contains NaN or infinity")
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
+def _symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` made exactly symmetric, or InvalidInput if its skew is beyond the tolerance.
+
+    A symmetric matrix is returned as it is, bit for bit.  Otherwise the
+    result is (a + a^T)/2 taken as a/2 + a^T/2, which stays finite for
+    every finite a.  The energy audit's increment identity needs A = A^T.
+    """
+    if np.array_equal(a, a.T):
+        return a
     skew = np.abs(a - a.T).max(initial=0.0)
     if skew > SYMMETRY_RTOL * (1.0 + np.abs(a).max(initial=0.0)):
         raise InvalidInput(f"{name} is not symmetric (max skew {skew:.3e})")
+    return 0.5 * a + 0.5 * a.T
 
 
 def _check_psd(a: np.ndarray, name: str) -> None:
-    eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
+    eigs = np.linalg.eigvalsh(a)
     floor = -EIGENVALUE_RTOL * max(np.abs(eigs).max(initial=0.0), 1e-300)
     if eigs.min(initial=0.0) < floor:
         raise InvalidInput(
@@ -291,6 +301,9 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
 
     The model owns copies of its matrices, offsets and restitution
     coefficients, all read-only: writing into one raises ``ValueError``.
+    Its mass, damping and stiffness are exactly symmetric: a symmetric
+    input is kept bit for bit, and one within the symmetry tolerance is
+    replaced by its symmetric part.
 
     Raises:
         InvalidInput: naming the field, for inconsistent array shapes;
@@ -334,9 +347,9 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     _check_finite(forcing.amplitude, "forcing amplitude")
     _check_finite([forcing.omega, forcing.phase], "forcing omega/phase")
 
-    _check_symmetric(mass, "mass")
-    _check_symmetric(damping, "damping")
-    _check_symmetric(stiffness, "stiffness")
+    mass = _symmetric(mass, "mass")
+    damping = _symmetric(damping, "damping")
+    stiffness = _symmetric(stiffness, "stiffness")
     try:
         np.linalg.cholesky(mass)
     except np.linalg.LinAlgError as exc:
@@ -358,22 +371,6 @@ def build_model(mass, damping, stiffness, contact_jacobian, gap_offset,
     return LagrangianModel(n=n, m=m, mass=mass, damping=damping, stiffness=stiffness,
                            contact_jacobian=contact_jacobian, gap_offset=gap_offset,
                            restitution=restitution, forcing=forcing)
-
-
-def gap(model: LagrangianModel, q: np.ndarray) -> np.ndarray:
-    """Contact gaps g(q) = G^T q + w; nonnegative means separated."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (model.n,):
-        raise InvalidInput(f"q must have length {model.n}, got {q.shape}")
-    return model.contact_jacobian.T @ q + model.gap_offset
-
-
-def local_velocity(model: LagrangianModel, v: np.ndarray) -> np.ndarray:
-    """Normal relative velocities at the contacts, U = G^T v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (model.n,):
-        raise InvalidInput(f"v must have length {model.n}, got {v.shape}")
-    return model.contact_jacobian.T @ v
 
 
 @dataclass
@@ -438,8 +435,10 @@ class StepRecord:
 
     The integrator fills the dynamic fields; ``report`` is the step's
     :class:`~nscontact.energy.EnergyReport` when the run was audited and
-    None otherwise.  ``state_prev`` and ``state_next`` are kept so that
-    audits can be recomputed offline.
+    None otherwise.  A record holds all the audit reads besides the
+    run's cache: ``state_prev`` and ``state_next``, the impulse ``P`` and
+    the local velocities ``U_prev`` and ``U_next``.  So an audit
+    recomputed offline equals the one the run attached.
     """
 
     step_index: int

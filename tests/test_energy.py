@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,9 +21,9 @@ from nscontact import (
     initial_state,
     simulate,
 )
-from nscontact.energy import advance_filters
+from nscontact.energy import _forms, advance_filters
 from nscontact.model import THETA_FAMILY
-from conftest import random_model, record_bytes
+from conftest import random_model, random_psd, record_bytes
 
 
 def make_state(model, q, v, a=None, z=None, t=0.0):
@@ -331,18 +332,6 @@ class TestAuditStep:
         return model, records
 
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
-    def test_carried_energies_equal_fresh_evaluation(self, rng, spec):
-        model, records = self.simultaneous_impact_run(rng, spec)
-        cache = build_cache(model, spec, self.H)
-        for rec in records:
-            # without prev_energies, audit_step evaluates the start energies afresh
-            fresh = audit_step(cache, rec)
-            assert rec.report.E_prev == fresh.E_prev
-            assert rec.report.H_prev == fresh.H_prev
-            if spec.variant in THETA_FAMILY:
-                assert rec.report.H_prev == rec.report.E_prev
-
-    @pytest.mark.parametrize("spec", SIX_VARIANTS)
     def test_standalone_audit_matches_simulate(self, rng, spec):
         model, records = self.simultaneous_impact_run(rng, spec)
         cache = build_cache(model, spec, self.H)
@@ -351,6 +340,28 @@ class TestAuditStep:
             assert audit_step(cache, rec) == in_run
             assert abs(rec.report.identity_residual) <= 1e-10 * rec.report.residual_scale
             assert rec.report.identity_ok()
+
+    @pytest.mark.parametrize("spec", SIX_VARIANTS)
+    def test_changes_chain_with_end_energies(self, rng, spec):
+        # each audit reads its change dH off its own record; across the run
+        # those changes still link the end energies of consecutive steps
+        model, records = self.simultaneous_impact_run(rng, spec)
+        cache = build_cache(model, spec, self.H)
+        # no state is shared between audits: the reverse order gives the same reports
+        for rec in reversed(records):
+            assert audit_step(cache, rec) == rec.report
+        row = closed_form_row(spec, self.H)
+        s0 = records[0].state_prev
+        start = (0.5 * float(s0.v @ model.mass @ s0.v + s0.q @ model.stiffness @ s0.q)
+                 + row.c_a * float(s0.a @ model.mass @ s0.a)
+                 + row.c_z * float(s0.z @ model.stiffness @ s0.z))
+        h_prev = [start] + [rec.report.H_alg for rec in records[:-1]]
+        for rec, h0 in zip(records, h_prev):
+            report = rec.report
+            if spec.variant in THETA_FAMILY:
+                assert report.H_alg == report.E
+            dH = report.energy_gain + report.W_ext + report.W_damping
+            assert abs(report.H_alg - h0 - dH) <= 1e-13 * report.residual_scale
 
     @pytest.mark.parametrize("spec", SIX_VARIANTS)
     def test_stacked_forms_match_separate_products(self, rng, spec):
@@ -396,6 +407,66 @@ class TestAuditStep:
         for rec, in_run in zip(bare, audited):
             assert audit_step(cache, rec) == in_run.report
             assert rec.report is None
+
+
+class TestIncrementForms:
+    """A change of |x|_A^2 is read off one Gram product, not as a difference of two forms."""
+
+    @staticmethod
+    def exact_half_change(mat, x1, dx):
+        # (1/2)(|x1|^2 - |x0|^2) for x0 = x1 - dx, in rationals
+        A = [[Fraction(a) for a in row] for row in mat.tolist()]
+        end = [Fraction(a) for a in x1.tolist()]
+        start = [a - Fraction(d) for a, d in zip(end, dx.tolist())]
+
+        def form(x):
+            return sum(xi * sum(a * xj for a, xj in zip(row, x)) for xi, row in zip(x, A))
+
+        return (form(end) - form(start)) / 2
+
+    @staticmethod
+    def stiff_chain(n, k):
+        mat = np.zeros((n, n))
+        for i in range(n - 1):
+            mat[i:i + 2, i:i + 2] += k * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return mat
+
+    @pytest.mark.parametrize("case", ["random", "stiff-chain"])
+    def test_change_matches_exact_arithmetic(self, rng, case):
+        n = 30
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            if case == "random":
+                mat = random_psd(rng, n)
+                x1, dx = rng.normal(size=n), 1e-3 * rng.normal(size=n)
+            else:
+                # near-rigid: K x is a tiny residue of entries of 3e5
+                mat = self.stiff_chain(n, 3e5)
+                x1, dx = 0.26 + 1e-6 * rng.normal(size=n), 1e-5 * rng.normal(size=n)
+            assert np.array_equal(mat, mat.T)
+            exact = self.exact_half_change(mat, x1, dx)
+            bound = Fraction(8 * eps * np.linalg.norm(x1) * np.linalg.norm(mat @ dx))
+            # x and an auxiliary pair go through the same Gram product; the
+            # auxiliary change carries its weight c_aux = 1 and no 1/2
+            start = x1 - dx
+            forms = _forms(mat, x1, dx, (start, x1), 1.0, 0.0, 0.0)
+            assert abs(Fraction(forms[1]) - exact) <= bound
+            aux_exact = 2 * self.exact_half_change(mat, x1, x1 - start)
+            assert abs(Fraction(forms[3]) - aux_exact) <= 2 * bound
+            # the difference of the end forms misses by far more
+            difference = 0.5 * float(x1 @ mat @ x1) - 0.5 * float(start @ mat @ start)
+            assert abs(Fraction(difference) - exact) > bound
+
+    def test_stiff_bar_residual_sits_at_roundoff(self):
+        # 200 masses at k = 1e3: K's entries are 2e3 against energies near 0.5,
+        # so q^T K q differenced across a step loses ~1e-13 of the energy
+        model, state = build_scenario(ScenarioSpec("elastic_bar_chain", {
+            "n_masses": 200, "standoff": 0.05, "restitution": 0.0, "v0": -1.0}))
+        records = simulate(model, state, 1e-4, SchemeSpec.from_rho_infinity(0.8), 0.1)
+        assert len(records) == 1000 and any(rec.active_set for rec in records)
+        worst = np.max([abs(rec.report.identity_residual) / rec.report.residual_scale
+                        for rec in records])
+        assert worst <= 1e-14
 
 
 class TestIdentityGate:

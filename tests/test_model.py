@@ -11,9 +11,7 @@ from nscontact import (
     SchemeSpec,
     SchemeVariant,
     build_model,
-    gap,
     initial_state,
-    local_velocity,
 )
 from conftest import random_model, random_psd
 
@@ -69,6 +67,49 @@ class TestBuildModel:
             with pytest.raises(InvalidInput, match="mass is not symmetric"):
                 build_model(sym + bump, np.zeros((n, n)), np.zeros((n, n)),
                             np.ones((n, 1)), [0.0], [0.5], ForcingTerm.zero(n))
+
+    def test_owned_matrices_are_exactly_symmetric(self, rng):
+        # the energy audit reads |x1|^2 - |x0|^2 as (x0 + x1)^T A dx, which
+        # needs A = A^T bit for bit; user-assembled input may be skewed at roundoff
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            mats = [random_psd(rng, n) * (1.0 + 1e-14 * rng.uniform(size=(n, n)))
+                    for _ in range(3)]
+            mats[0] += n * np.eye(n)
+            assert not any(np.array_equal(mat, mat.T) for mat in mats)
+            model = build_model(*mats, np.ones((n, 1)), [0.0], [0.5], ForcingTerm.zero(n))
+            for mat in (model.mass, model.damping, model.stiffness):
+                assert np.array_equal(mat, mat.T)
+
+    def test_symmetric_input_is_kept_bit_for_bit(self, rng):
+        n = 4
+        a = rng.normal(size=(n, n))
+        mass = np.triu(a) + np.triu(a, 1).T + n * np.eye(n)
+        mass[0, 1] = mass[1, 0] = -0.0
+        stiffness = np.diag([5e-324, 1.0, 2.0, 3.0])
+        model = build_model(mass, np.zeros((n, n)), stiffness, np.ones((n, 1)), [0.0],
+                            [0.5], ForcingTerm.zero(n))
+        assert model.mass.tobytes() == mass.tobytes()
+        assert model.stiffness.tobytes() == stiffness.tobytes()
+
+    def test_slightly_skewed_mass_builds_symmetric(self):
+        mass = np.array([[2.0, 0.5], [0.5 * (1 + 1e-13), 3.0]])
+        model = build_model(mass, np.zeros((2, 2)), np.zeros((2, 2)), [[1.0], [0.0]],
+                            [0.0], [0.5], ForcingTerm.zero(2))
+        assert np.array_equal(model.mass, model.mass.T)
+        assert model.mass[0, 1] == pytest.approx(0.5, rel=1e-13)
+        assert mass[1, 0] != mass[0, 1]
+
+    def test_symmetric_part_of_a_huge_matrix_stays_finite(self):
+        # (a + a^T) / 2 would overflow here; a/2 + a^T/2 does not
+        big = 1.7e308
+        mat = np.array([[big, 0.9 * big], [0.9 * big * (1 + 1e-15), big]])
+        model = build_model(mat, mat, mat, [[1.0], [0.0]], [0.0], [0.5],
+                            ForcingTerm.zero(2))
+        for owned in (model.mass, model.damping, model.stiffness):
+            assert np.isfinite(owned).all()
+            assert np.array_equal(owned, owned.T)
+            assert owned[0, 0] == big
 
     def test_rank_deficient_stiffness_accepted(self):
         # free-free chain stiffness is singular but admissible
@@ -148,56 +189,6 @@ class TestNonFiniteInput:
     def test_initial_state_rejects(self, q0, v0, name):
         with pytest.raises(InvalidInput, match=rf"^{name} contains NaN or infinity"):
             initial_state(ball_model(), q0, v0)
-
-
-class TestGapAndLocalVelocity:
-    def test_identity_jacobian(self):
-        model = ball_model()
-        assert gap(model, [0.3]) == pytest.approx([0.3])
-
-    def test_touching_configuration(self):
-        model = build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [-1.0], [1.0],
-                            ForcingTerm.zero(1))
-        assert gap(model, [1.0]) == pytest.approx([0.0])
-
-    def test_gap_matches_dense_oracle(self, rng):
-        model = random_model(rng, n=5, m=3)
-        q = rng.normal(size=5)
-        expected = np.array([
-            sum(model.contact_jacobian[i, a] * q[i] for i in range(5))
-            + model.gap_offset[a] for a in range(3)])
-        assert gap(model, q) == pytest.approx(expected, rel=1e-13)
-
-    def test_selector_row(self):
-        model = build_model(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)),
-                            [[1.0], [0.0]], [0.0], [0.5], ForcingTerm.zero(2))
-        assert local_velocity(model, [3.0, 5.0]) == pytest.approx([3.0])
-
-    def test_local_velocity_matches_transpose_oracle(self, rng):
-        model = random_model(rng, n=4, m=2)
-        v = rng.normal(size=4)
-        expected = np.array([
-            sum(model.contact_jacobian[i, a] * v[i] for i in range(4))
-            for a in range(2)])
-        assert local_velocity(model, v) == pytest.approx(expected, rel=1e-13)
-
-    def test_dimension_checks(self):
-        model = ball_model()
-        with pytest.raises(InvalidInput, match="q must have length 1"):
-            gap(model, [1.0, 2.0])
-        with pytest.raises(InvalidInput, match="v must have length 1"):
-            local_velocity(model, np.zeros(3))
-
-    def test_linearity(self, rng):
-        model = random_model(rng, n=4, m=3)
-        for _ in range(20):
-            q1, q2 = rng.normal(size=4), rng.normal(size=4)
-            lhs = gap(model, q1 + q2) - model.gap_offset
-            rhs = (gap(model, q1) - model.gap_offset) + (gap(model, q2) - model.gap_offset)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-            c = float(rng.normal())
-            assert local_velocity(model, c * q1 + q2) == pytest.approx(
-                c * local_velocity(model, q1) + local_velocity(model, q2), abs=1e-12)
 
 
 class TestForcingTerm:

@@ -136,25 +136,27 @@ def _forms(mat: np.ndarray, x1: np.ndarray, dx: np.ndarray, aux, c_aux: float,
 
 
 def advance_filters(gain: float, lag: float, state_prev: SystemState,
-                    state_next: SystemState, df: np.ndarray):
+                    state_next: SystemState, dy: np.ndarray):
     """Advance the three first-order filter states by one midpoint step.
 
     Each filter relaxes toward the increment of its driving signal
-    (displacement, velocity, load ``df``) on the time scale nu*h:
+    (displacement, velocity, load) on the time scale nu*h:
 
         (1/2 + nu) s_next + (1/2 - nu) s_prev = nu * (signal increment)
 
     solved as s_next = gain * increment - lag * s_prev with
     gain = nu/(1/2 + nu) and lag = (1/2 - nu)/(1/2 + nu), which
-    ``build_cache`` computes once per run.  For nu = 1/2 the lag is zero
-    and s_next = increment / 2, and for nu = 0 the gain is zero and a
-    zero-started filter stays at zero.
+    ``build_cache`` computes once per run.  The load's term comes in
+    already gained: ``dy`` is gain * dF, a fresh array the filter takes
+    over, which a step forms as amplitude * (gain * d signal).  For
+    nu = 1/2 the lag is zero and s_next = increment / 2, and for nu = 0
+    the gain is zero and a zero-started filter stays at zero.
     """
     z = state_next.q - state_prev.q
     x = state_next.v - state_prev.v
     z *= gain
     x *= gain
-    y = gain * df
+    y = dy
     z -= lag * state_prev.z
     x -= lag * state_prev.x
     y -= lag * state_prev.y
@@ -184,9 +186,9 @@ def audit_step(cache: IterationMatrixCache, record: StepRecord,
     [a_{k+1}, da] or [z_{k+1}, dz] only when c_a or k_a (c_z or k_z) is
     nonzero, so the theta family stacks two rows per matrix.  K, and C in
     the damping work, are multiplied only when the cache holds their
-    map, that is when they are nonzero.  A constant load's mix F_c is
-    the cache's ``f_c``, taken once per run; a time-varying load is
-    evaluated at both grid points.
+    map, that is when they are nonzero.  The load's work is
+    dq.F_c = (dq.amplitude)(c signal(t_{k+1}) + (1 - c) signal(t_k)),
+    one dot product and two scalar signal values for every load.
 
     An offline re-audit is ``audit_step(build_cache(model, spec, h), record)``
     and equals the report ``simulate`` attached.  The record is not
@@ -210,10 +212,9 @@ def audit_step(cache: IterationMatrixCache, record: StepRecord,
         if filters:
             filter_x = float(dq_c @ _mix(sp.x, sn.x, c))
         w_damp = -float(dq_c @ _mix(sp.v, sn.v, c)) + cache.filter_works * filter_x
-    f_c = cache.f_c
-    if f_c is None:
-        f_c = _mix(model.force(sp.t), model.force(sn.t), c)
-    w_ext = float(dq @ f_c) - cache.filter_works * filter_y
+    forcing = model.forcing
+    w_ext = (float(dq @ forcing.amplitude) * _mix(forcing.signal(sp.t), forcing.signal(sn.t), c)
+             - cache.filter_works * filter_y)
     # impulse work against the start and end local velocities
     up, un = float(record.U_prev @ record.P), float(record.U_next @ record.P)
     w_contact = _mix(up, un, cache.spec.displacement_weight)

@@ -27,10 +27,9 @@ non-finite.  The cache built per (model, scheme, h), and rebuilt
 whenever any of them changes, holds every product and coefficient that
 is fixed for the run: sigma A^-1 and its products with C and K, so the
 free step is one product per nonzero damping or stiffness term; the
-load term of a constant load (zero frequency or all-zero amplitude)
-and the audit's mix of it, from one evaluation per run, so only a
-time-varying load is evaluated and multiplied in a step; the filter
-gain and lag of the averaging family; the contact law's opening
+product of sigma A^-1 with the load amplitude, so a load, constant or
+not, costs a step two scalar signal values and one scaled copy; the
+filter gain and lag of the averaging family; the contact law's opening
 coefficient; and the energy audit's coefficient row, so a run branches
 on the scheme family once.  A zero C or K is never multiplied in a
 step or its audit; ``build_cache`` decides all of this once per run.
@@ -98,13 +97,12 @@ class IterationMatrixCache:
 
     with F_mix, v_c and x_c the bracket's load, velocity and
     displacement mixes at the predictors; a step skips the product with
-    a zero C or K.  For a constant load (zero frequency, or an all-zero
-    amplitude) ``load_term`` is solve F_mix, exact zeros for a zero
-    load, ``load_increment`` is the filters' zero load increment, and
-    ``f_c`` is the audit's load mix c F + (1 - c) F, all from one
-    evaluation of F per run and the operations a step and an audit
-    would apply to it; all three are None for a time-varying load,
-    which every step and audit evaluate at their two grid points.
+    a zero C or K.  The load F(t) = amplitude * signal(t) enters only
+    through its amplitude and a scalar signal, so ``load_map`` is
+    solve times the amplitude, exact zeros for a zero load, and the
+    load term is
+
+        solve F_mix = load_map * [(1 - alpha_c) signal(t_{k+1}) + alpha_c signal(t_k)]
 
     ``impulse_to_s``, ``impulse_to_velocity`` and
     ``impulse_to_displacement`` map the full impulse vector to its share
@@ -144,9 +142,7 @@ class IterationMatrixCache:
     solve: np.ndarray
     damping_map: np.ndarray | None
     stiffness_map: np.ndarray | None
-    load_term: np.ndarray | None
-    load_increment: np.ndarray | None
-    f_c: np.ndarray | None
+    load_map: np.ndarray
     minv_g: np.ndarray
     alpha_c: float
     alpha_f: float
@@ -209,9 +205,6 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     minv_g = model.solve_mass(G)
     w = spec.displacement_weight
     damped = bool(C.any())
-    forcing = model.forcing
-    loaded = bool(forcing.amplitude.any())
-    constant = forcing.omega == 0.0 or not loaded
     if spec.variant in THETA_FAMILY:
         th = spec.theta
         sigma, ac = h, 1.0 - th
@@ -244,6 +237,8 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         if ga:
             # the full averaging scheme only inherits the guarantee when the
             # load and velocity filter terms vanish: no damping, constant loading
+            forcing = model.forcing
+            constant = forcing.omega == 0.0 or not forcing.amplitude.any()
             condition = condition and not damped and constant
         accel = 2.0 * beta - gamma
         row = dict(c=gamma, c_a=0.25 * (h * h) * accel, k_q=eta + 0.5 - gamma,
@@ -261,14 +256,6 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
         solve = _scaled_inverse(matrix, sigma)
     damping_map = _flush_subnormals(solve @ C) if damped else None
     stiffness_map = _flush_subnormals(solve @ K) if K.any() else None
-    load_term = load_increment = f_c = None
-    if constant:
-        # F(t) is F(0) at every t; a zero load is not multiplied, and the
-        # audit's mix is energy._mix(f, f, c)
-        f = model.force(0.0)
-        load_term = solve @ ((1 - ac) * f + ac * f) if loaded else np.zeros(model.n)
-        load_increment = np.zeros(model.n)
-        f_c = row["c"] * f + (1.0 - row["c"]) * f
     # impulse share of s: G P where the impulse enters the balance, less the
     # balance forces of its direct velocity and displacement corrections
     load = (1 - ac) * direct_v * C + (1 - af) * direct_q * K
@@ -279,7 +266,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
     opening = (1.0 - w) / w if w > 0.0 else 0.0
     return IterationMatrixCache(model, spec, h, solve, damping_map, stiffness_map,
-                                load_term, load_increment, f_c, minv_g, ac, af, g, b,
+                                solve @ model.forcing.amplitude, minv_g, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
                                 gain, lag, opening, w > 0.0, bool(condition), **row)
 
@@ -337,20 +324,16 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     the impulse tail v += V P, q += Q P.  Theta schemes carry ``a`` and
     the filters over from the start state; averaging steps add the
     impulse share S P to s, recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m)
-    and advance the filters.  The load term of a constant load is the
-    cache's ``load_term``, taken once per run, and its increment is
-    zero; a time-varying load is evaluated at t_k and t_{k+1}.
+    and advance the filters.  Every load takes one path: its signal is
+    evaluated at t_k and t_{k+1}, and the load term is the cache's
+    ``load_map`` times their mix, so a step never forms F(t).
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
     ac, af = cache.alpha_c, cache.alpha_f
-    t0 = state.t
-    if cache.load_term is None:
-        f_k, f_k1 = model.force(t0), model.force(t0 + h)
-        s = cache.solve @ ((1 - ac) * f_k1 + ac * f_k)
-        df = f_k1 - f_k
-    else:
-        s, df = cache.load_term.copy(), cache.load_increment
+    t0, forcing = state.t, model.forcing
+    sig0, sig1 = forcing.signal(t0), forcing.signal(t0 + h)
+    s = cache.load_map * ((1 - ac) * sig1 + ac * sig0)
 
     # theta predictors carry no ``a`` terms: their weights are zero
     pred_v = state.v + cache.pred_v_a * state.a if cache.pred_v_a else state.v
@@ -377,8 +360,10 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
         if act:
             s += cache.impulse_to_s @ P
         new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
+        # the load filter's drive gain * dF, with the gain on the scalar
+        dy = forcing.amplitude * (cache.filter_gain * (sig1 - sig0))
         new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
-            cache.filter_gain, cache.filter_lag, state, new_state, df)
+            cache.filter_gain, cache.filter_lag, state, new_state, dy)
 
     rows = cache.contact_rows
     pen = float(max(0.0, -(rows @ q1 + model.gap_offset).min(initial=0.0)))

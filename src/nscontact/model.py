@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,11 +39,18 @@ EIGENVALUE_RTOL = 1e-10
 class ForcingTerm:
     """External force ``F(t) = amplitude * sin(omega t + phase)``.
 
-    A constant load is the zero-frequency case with phase pi/2, where
+    The load is its amplitude times the scalar ``signal(t)``, and a step
+    and its audit use it in that factored form: they evaluate the
+    signal at the two grid points and never form F(t).  A constant load
+    is the zero-frequency case with phase pi/2, where
     ``math.sin(math.pi / 2)`` is exactly 1.0, so it evaluates to its
     amplitude bit for bit.  Only point evaluations are ever needed (the
-    load filter of the energy audit consumes force increments between
+    load filter of the energy audit consumes load increments between
     grid points), so no derivative interface exists.
+
+    Raises:
+        InvalidInput: naming the field, when omega or phase is not a
+            real number; both are kept as Python floats.
     """
 
     amplitude: np.ndarray                      # n-vector
@@ -55,6 +63,12 @@ class ForcingTerm:
         amplitude = np.array(self.amplitude, dtype=float, ndmin=1)
         amplitude.flags.writeable = False
         object.__setattr__(self, "amplitude", amplitude)
+        # every step passes omega and phase to math.sin
+        for name in ("omega", "phase"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise InvalidInput(f"forcing {name}={value!r} is not a real number")
+            object.__setattr__(self, name, float(value))
 
     @staticmethod
     def zero(n: int) -> "ForcingTerm":
@@ -66,10 +80,13 @@ class ForcingTerm:
 
     @staticmethod
     def sinusoidal(amplitude, omega: float, phase: float = 0.0) -> "ForcingTerm":
-        return ForcingTerm(amplitude, float(omega), float(phase))
+        return ForcingTerm(amplitude, omega, phase)
+
+    def signal(self, t: float) -> float:
+        return math.sin(self.omega * t + self.phase)
 
     def evaluate(self, t: float) -> np.ndarray:
-        return self.amplitude * math.sin(self.omega * t + self.phase)
+        return self.amplitude * self.signal(t)
 
 
 # ----------------------------------------------------------------------

@@ -253,25 +253,35 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--out", str(out)]) == 2
 
-    def test_streamed_rows_match_per_field_formatting(self, tmp_path):
-        # a tolerance inside the roundoff band puts both true and false in
-        # identity_ok, so the run exits 2 after writing every row;
+    def test_streamed_rows_match_per_field_formatting(self, tmp_path, monkeypatch):
         # theta = 0.9 with e = 1 fails both conditions
-        self._check_rows_match_per_field_formatting(tmp_path, BAR_CONFIG)
+        self._check_rows_match_per_field_formatting(tmp_path, monkeypatch, BAR_CONFIG)
 
-    def test_wide_rows_match_per_field_formatting(self, tmp_path):
+    def test_wide_rows_match_per_field_formatting(self, tmp_path, monkeypatch):
         # 600 rows: full blocks, then a short one
-        self._check_rows_match_per_field_formatting(tmp_path, WIDE_BAR_CONFIG)
+        self._check_rows_match_per_field_formatting(tmp_path, monkeypatch, WIDE_BAR_CONFIG)
 
     @staticmethod
-    def _check_rows_match_per_field_formatting(tmp_path, config):
-        # a tolerance inside the residuals' roundoff band, so both flags occur
-        cfg = write_config(tmp_path, config + "run.tol = 1e-17\n")
+    def _check_rows_match_per_field_formatting(tmp_path, monkeypatch, config):
+        # every seventh step reports a residual far outside the default gate,
+        # so both identity_ok values occur whatever the roundoff of the
+        # others, and the run exits 2 after writing every row
+        real_audit = energy.audit_step
+
+        def failing_audit(cache, record, **kwargs):
+            report = real_audit(cache, record, **kwargs)
+            if record.step_index % 7 == 3:
+                report = replace(report, identity_residual=1e-6 * report.residual_scale)
+            return report
+
+        monkeypatch.setattr(energy, "audit_step", failing_audit)
+        cfg = write_config(tmp_path, config)
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--out", str(out)]) == 2
-        _, _, records = _run(parse_config(cfg))
+        run = parse_config(cfg)
+        _, _, records = _run(run)
         assert any(len(rec.active_set) > 0 for rec in records)
-        trajectory, audit = reference_csvs(records, 1e-17)
+        trajectory, audit = reference_csvs(records, run.tol)
         assert (out / "trajectory.csv").read_bytes() == trajectory.encode()
         assert (out / "audit.csv").read_bytes() == audit.encode()
         identity_ok = {line.rsplit(",", 1)[1] for line in audit.splitlines()[1:]}

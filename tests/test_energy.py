@@ -123,9 +123,9 @@ class TestAlgorithmicEnergy:
 
 
 def filter_step(model, spec, s0, s1, df):
-    """One filter update with the gain and lag of ``spec``'s cache."""
+    """One filter update with the gain and lag of ``spec``'s cache, load increment ``df``."""
     cache = build_cache(model, spec, 0.1)
-    return advance_filters(cache.filter_gain, cache.filter_lag, s0, s1, df)
+    return advance_filters(cache.filter_gain, cache.filter_lag, s0, s1, cache.filter_gain * df)
 
 
 class TestUpdateFilters:

@@ -24,7 +24,7 @@ from nscontact import (
     step,
 )
 from nscontact.model import THETA_FAMILY
-from conftest import random_model, record_bytes
+from conftest import random_model
 from oracles import solve_enumeration
 
 
@@ -494,29 +494,31 @@ class TestSimulate:
 
     @pytest.mark.parametrize("spec, forcing", [
         pytest.param(spec, forcing, id=prefix + f"spec{i}")
-        for prefix, forcing in (("", "sinusoidal"), ("constant-", "constant"))
+        for prefix, forcing in (("", "sinusoidal"), ("constant-", "constant"),
+                                ("zero-", "zero"))
         for i, spec in enumerate(SPECS)])
     def test_forcing_evaluated_once_per_grid_point(self, monkeypatch, spec, forcing):
-        # a time-varying load: the step evaluates F(t_k) and F(t_k+1) once,
-        # and the audit needs both again.  A constant load: initial_state and
-        # build_cache evaluate it once each, and no step or audit does
+        # every load takes one path: the step evaluates its signal at t_k
+        # and t_k+1 once each, in that order, and the audit needs both
+        # again; only initial_state forms F(t) itself
         model = random_model(np.random.default_rng(5), n=3, m=2, forcing=forcing)
-        times = []
-        evaluate = ForcingTerm.evaluate
+        signals, evaluations = [], []
+        signal, evaluate = ForcingTerm.signal, ForcingTerm.evaluate
+        monkeypatch.setattr(ForcingTerm, "signal",
+                            lambda self, t: signals.append(t) or signal(self, t))
         monkeypatch.setattr(ForcingTerm, "evaluate",
-                            lambda self, t: times.append(t) or evaluate(self, t))
+                            lambda self, t: evaluations.append(t) or evaluate(self, t))
         state = initial_state(model, np.zeros(3), np.ones(3))
-        assert times == [0.0]
-        constant = forcing == "constant"
+        assert evaluations == signals == [0.0]
         for audit in (False, True):
-            times.clear()
-            simulate(model, state, 1e-3, spec, 5e-3 if constant else 1e-3, audit=audit)
-            if constant:
-                assert times == [0.0]
-            elif audit:
-                assert sorted(times) == [0.0, 0.0, 1e-3, 1e-3]
+            signals.clear()
+            evaluations.clear()
+            simulate(model, state, 1e-3, spec, 1e-3, audit=audit)
+            assert evaluations == []
+            if audit:
+                assert sorted(signals) == [0.0, 0.0, 1e-3, 1e-3]
             else:
-                assert times == [0.0, 1e-3]
+                assert signals == [0.0, 1e-3]
 
     def test_invalid_step_size(self):
         model = free_particle()
@@ -732,31 +734,53 @@ class TestIterationMatrixCache:
         assert cache.block[0] == act
 
     @pytest.mark.parametrize("spec", SPECS)
-    @pytest.mark.parametrize("load", ["zero", "constant", "phase"])
-    def test_constant_load_terms_equal_the_per_step_path(self, monkeypatch, spec, load):
-        # the cache's load term and audit mix are taken once per run, from
-        # the operations a step and an audit apply per step: an audited run
-        # equals, bit for bit, one whose cache sends it down the per-step path
+    @pytest.mark.parametrize("load", ["zero", "constant", "phase", "sinusoidal"])
+    def test_load_terms_equal_the_grid_point_formula(self, spec, load):
+        # the step takes its load term as load_map times a mixed signal and
+        # the audit its work as (dq.amplitude) times one; both agree with the
+        # formulas on the two grid-point loads, solve F_mix and dq.F_c
         rng = np.random.default_rng(3)
         base = random_model(rng, n=4, m=2)
         col = base.contact_jacobian[:, 0]
         # a load that presses the first contact shut keeps it active
         amplitude = rng.normal(size=4) - 20.0 * base.mass @ col / (col @ col)
         forcing = {"zero": ForcingTerm.zero(4), "constant": ForcingTerm.constant(amplitude),
-                   "phase": ForcingTerm(amplitude, 0.0, 0.3)}[load]
+                   "phase": ForcingTerm(amplitude, 0.0, 0.3),
+                   "sinusoidal": ForcingTerm.sinusoidal(amplitude, omega=3.0, phase=0.3)}[load]
         model = build_model(base.mass, base.damping, base.stiffness, base.contact_jacobian,
                             base.gap_offset, base.restitution, forcing)
-        cache = build_cache(model, spec, 1e-3)
-        assert cache.load_term is not None and cache.f_c is not None
-        assert cache.load_term.any() == (load != "zero")
+        h = 1e-3
+        cache = build_cache(model, spec, h)
         state = initial_state(model, np.zeros(4), -1.5 * col / (col @ col))
-        hoisted = simulate(model, state, 1e-3, spec, 0.3)
-        build = integrators.build_cache
-        monkeypatch.setattr(integrators, "build_cache", lambda *args: dataclasses.replace(
-            build(*args), load_term=None, load_increment=None, f_c=None))
-        per_step = simulate(model, state, 1e-3, spec, 0.3)
-        assert any(rec.P.any() for rec in hoisted)
-        assert [record_bytes(r) for r in hoisted] == [record_bytes(r) for r in per_step]
+        records = simulate(model, state, h, spec, 0.3)
+        assert any(rec.P.any() for rec in records)
+        ac, af, c = cache.alpha_c, cache.alpha_f, cache.c
+        fields = ("q", "v") if spec.variant in THETA_FAMILY else ("q", "v", "a", "y")
+        got = {name: [] for name in (*fields, "W_ext")}
+        want = {name: [] for name in got}
+        for rec in records:
+            sp, sn = rec.state_prev, rec.state_next
+            f0, f1 = model.force(sp.t), model.force(sn.t)
+            pred_v = sp.v + cache.pred_v_a * sp.a
+            pred_q = sp.q + h * sp.v + cache.pred_q_a * sp.a
+            s = (cache.solve @ ((1 - ac) * f1 + ac * f0)
+                 - cache.damping_map @ ((1 - ac) * pred_v + ac * sp.v)
+                 - cache.stiffness_map @ ((1 - af) * pred_q + af * sp.q))
+            expected = {"q": pred_q + cache.b * s + cache.impulse_to_displacement @ rec.P,
+                        "v": pred_v + cache.g * s + cache.impulse_to_velocity @ rec.P,
+                        "a": (s + cache.impulse_to_s @ rec.P - spec.alpha_m * sp.a)
+                        / (1 - spec.alpha_m),
+                        "y": cache.filter_gain * (f1 - f0) - cache.filter_lag * sp.y}
+            for name in fields:
+                got[name].append(getattr(sn, name))
+                want[name].append(expected[name])
+            dq = sn.q - sp.q
+            y_c = c * sn.y + (1 - c) * sp.y
+            got["W_ext"].append(rec.report.W_ext)
+            want["W_ext"].append(dq @ (c * f1 + (1 - c) * f0) - cache.filter_works * (dq @ y_c))
+        for name in got:
+            actual, reference = np.array(got[name]), np.array(want[name])
+            assert np.abs(actual - reference).max() <= 1e-13 * np.abs(reference).max(), name
 
     def test_tiny_mass_loses_against_the_stiffness_floor(self):
         # K's eigenvalue -1e-11 lies inside build_model's semi-definite

@@ -205,6 +205,20 @@ class TestForcingTerm:
         amp = np.array([-0.0, 0.0, -9.81, 5e-324, 1e308])
         assert ForcingTerm.constant(amp).evaluate(t).tobytes() == amp.tobytes()
 
+    @pytest.mark.parametrize("omega, phase, name", [
+        (None, 0.0, "omega"), (2.0, "x", "phase"), (np.array([2.0, 3.0]), 0.0, "omega"),
+        (2 + 0j, 0.0, "omega")], ids=["none", "str", "array", "complex"])
+    def test_rejects_a_non_real_frequency_or_phase(self, omega, phase, name):
+        # these used to escape as a TypeError or ValueError from build_model,
+        # or (the complex one) pass it and fail in math.sin at the first step
+        with pytest.raises(InvalidInput, match=rf"^forcing {name}="):
+            ForcingTerm(np.ones(1), omega, phase)
+
+    def test_keeps_frequency_and_phase_as_floats(self):
+        term = ForcingTerm(np.ones(1), np.float64(2.0), 1)
+        assert type(term.omega) is float and type(term.phase) is float
+        assert term.signal(0.5) == math.sin(2.0 * 0.5 + 1.0)
+
 
 class TestSchemeSpec:
     def test_rho_parameterization_closed_forms(self):

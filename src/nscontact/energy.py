@@ -29,7 +29,10 @@ eta = alpha_f - alpha_m:
 In the theta family dq = h v_w, so the works are h v_w.F_theta and
 -h v_w.C v_theta, and H = E.  z, x, y filter the displacement,
 velocity and load increments by a midpoint rule on the time scale
-nu*h.  The filter work phi = eta/nu enters on the left for
+nu*h, s_{k+1} = gain * increment - lag * s_k with gain = nu/(1/2 + nu)
+and lag = (1/2 - nu)/(1/2 + nu); the averaging step advances them
+(:func:`nscontact.integrators.step`) and the audit reads them off the
+record's two states.  The filter work phi = eta/nu enters on the left for
 generalized-alpha and is zero for Newmark, KH and the theta family.
 HHT's averaged works dq.((1 - alpha) F_gamma + alpha F_gamma,prev) and
 their damping twin absorb it instead: at nu = 1/2 the filters are
@@ -62,7 +65,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import StepRecord, SystemState
+from .model import StepRecord
 
 if TYPE_CHECKING:
     from .integrators import IterationMatrixCache
@@ -133,34 +136,6 @@ def _forms(mat: np.ndarray, x1: np.ndarray, dx: np.ndarray, aux, c_aux: float,
     aux_change = c_aux * (2.0 * g[2][3] - d_aux_form)
     return (0.5 * x_form, change, c_aux * aux_form, aux_change,
             k_x * dx_form + k_aux * d_aux_form)
-
-
-def advance_filters(gain: float, lag: float, state_prev: SystemState,
-                    state_next: SystemState, dy: np.ndarray):
-    """Advance the three first-order filter states by one midpoint step.
-
-    Each filter relaxes toward the increment of its driving signal
-    (displacement, velocity, load) on the time scale nu*h:
-
-        (1/2 + nu) s_next + (1/2 - nu) s_prev = nu * (signal increment)
-
-    solved as s_next = gain * increment - lag * s_prev with
-    gain = nu/(1/2 + nu) and lag = (1/2 - nu)/(1/2 + nu), which
-    ``build_cache`` computes once per run.  The load's term comes in
-    already gained: ``dy`` is gain * dF, a fresh array the filter takes
-    over, which a step forms as amplitude * (gain * d signal).  For
-    nu = 1/2 the lag is zero and s_next = increment / 2, and for nu = 0
-    the gain is zero and a zero-started filter stays at zero.
-    """
-    z = state_next.q - state_prev.q
-    x = state_next.v - state_prev.v
-    z *= gain
-    x *= gain
-    y = dy
-    z -= lag * state_prev.z
-    x -= lag * state_prev.x
-    y -= lag * state_prev.y
-    return z, x, y
 
 
 def _mix(prev: np.ndarray, next_: np.ndarray, weight: float) -> np.ndarray:

@@ -25,7 +25,7 @@ raises ``SingularIterationMatrix`` (its Cholesky factorization fails),
 as it does when an overflowing h leaves the matrix or its weights
 non-finite.  The cache built per (model, scheme, h), and rebuilt
 whenever any of them changes, holds every product and coefficient that
-is fixed for the run: sigma A^-1 and its products with C and K, so the
+is fixed for the run: the products of sigma A^-1 with C and K, so the
 free step is one product per nonzero damping or stiffness term; the
 product of sigma A^-1 with the load amplitude, so a load, constant or
 not, costs a step two scalar signal values and one scaled copy; the
@@ -33,8 +33,10 @@ filter gain and lag of the averaging family; the contact law's opening
 coefficient; and the energy audit's coefficient row, so a run branches
 on the scheme family once.  A zero C or K is never multiplied in a
 step or its audit; ``build_cache`` decides all of this once per run.
-The contact stage works in contact space, on the rows of G^T the cache
-keeps: it forecasts the gaps as g(q_k) + h U_k from U_k = G^T v_k.
+The contact stage works in contact space: it forecasts the gaps as
+g(q_k) + h U_k from the contact image U_k = G^T v_k and g(q_k) that the
+state carries.  Each state's image is formed once, where its q and v
+are made, from the rows of G^T the cache keeps.
 The cache also keeps one entry for the contact stage: the last active
 set's Delassus block and its inverse, replaced when the set changes;
 Lemke takes the inverse as a hint and verifies its answer like any
@@ -88,21 +90,22 @@ class IterationMatrixCache:
     s = (1 - alpha_m) a_{k+1} + alpha_m a_k, sigma = 1 and the gains
     g = h gamma / (1 - alpha_m), b = h^2 beta / (1 - alpha_m).
 
-    ``solve`` is sigma A^-1 for the iteration matrix A, and
     ``damping_map`` and ``stiffness_map`` are sigma A^-1 C and
-    sigma A^-1 K, each None when its matrix is all zero; all three have
-    their subnormal entries set to zero.  The free step is
+    sigma A^-1 K for the iteration matrix A, each None when its matrix
+    is all zero, with their subnormal entries set to zero (as in
+    sigma A^-1 itself, which ``build_cache`` forms and does not keep).
+    The free step is
 
-        s = solve F_mix - damping_map v_c - stiffness_map x_c
+        s = sigma A^-1 F_mix - damping_map v_c - stiffness_map x_c
 
     with F_mix, v_c and x_c the bracket's load, velocity and
     displacement mixes at the predictors; a step skips the product with
     a zero C or K.  The load F(t) = amplitude * signal(t) enters only
     through its amplitude and a scalar signal, so ``load_map`` is
-    solve times the amplitude, exact zeros for a zero load, and the
+    sigma A^-1 times the amplitude, exact zeros for a zero load, and the
     load term is
 
-        solve F_mix = load_map * [(1 - alpha_c) signal(t_{k+1}) + alpha_c signal(t_k)]
+        sigma A^-1 F_mix = load_map * [(1 - alpha_c) signal(t_{k+1}) + alpha_c signal(t_k)]
 
     ``impulse_to_s``, ``impulse_to_velocity`` and
     ``impulse_to_displacement`` map the full impulse vector to its share
@@ -111,8 +114,8 @@ class IterationMatrixCache:
     displacement by half a step of that, and s responds through the
     balance.  ``delassus`` is G^T times the velocity map, restricted to
     the active set when the complementarity matrix is assembled.
-    ``contact_rows`` is G^T as contiguous rows, which gives the contact
-    stage its local velocities U = G^T v and gaps g(q) = G^T q + w.
+    ``contact_rows`` is G^T as contiguous rows, which gives each new
+    state its contact image U = G^T v and g(q) = G^T q + w.
 
     The per-run coefficients: ``filter_gain`` nu/(1/2 + nu) and
     ``filter_lag`` (1/2 - nu)/(1/2 + nu) of the averaging family's
@@ -139,7 +142,6 @@ class IterationMatrixCache:
     model: LagrangianModel = field(repr=False)
     spec: SchemeSpec
     h: float
-    solve: np.ndarray
     damping_map: np.ndarray | None
     stiffness_map: np.ndarray | None
     load_map: np.ndarray
@@ -265,7 +267,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     rows = np.ascontiguousarray(G.T)
     # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
     opening = (1.0 - w) / w if w > 0.0 else 0.0
-    return IterationMatrixCache(model, spec, h, solve, damping_map, stiffness_map,
+    return IterationMatrixCache(model, spec, h, damping_map, stiffness_map,
                                 solve @ model.forcing.amplitude, minv_g, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
                                 gain, lag, opening, w > 0.0, bool(condition), **row)
@@ -274,10 +276,12 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
 def _solve_contact(cache, state, v_free):
     """The contact stage: forecast the active set, then solve the impact LCP on it.
 
-    It works on contact-space (m-length) vectors, from products with
-    ``cache.contact_rows``.  A contact enters the active set when its
-    gap, forecast by one explicit step of the current velocity,
-    g(q_k) + h U_k (equal to g(q_k + h v_k)), is nonpositive.  A closing
+    It works on contact-space (m-length) vectors: the state's contact
+    image U_k = ``state.u`` and g(q_k) = ``state.g``, and the free
+    velocities' image, one product with ``cache.contact_rows``.  A
+    contact enters the active set when its gap, forecast by one explicit
+    step of the current velocity, g(q_k) + h U_k (equal to
+    g(q_k + h v_k)), is nonpositive.  A closing
     contact (U_k <= ACTIVATION_TOL) takes the Newton law
     U_{k+1} + e U_k >= 0 _|_ P.  An opening one penetrates while it
     separates, and takes the weighted law
@@ -290,12 +294,11 @@ def _solve_contact(cache, state, v_free):
     ``cache.block`` while the set is the one of the last solve, and
     replace it otherwise.  The solver is looked up in ``SOLVERS`` at
     call time; it returns a verified solution or raises ``LcpFailure``.
-    Returns the impulse P, the active set and U_k.
+    Returns the impulse P and the active set.
     """
-    model, rows = cache.model, cache.contact_rows
-    u_prev = rows @ state.v
+    model, u_prev = cache.model, state.u
     closing = u_prev <= ACTIVATION_TOL
-    forecast = rows @ state.q + model.gap_offset + cache.h * u_prev <= 0.0
+    forecast = state.g + cache.h * u_prev <= 0.0
     idx = (forecast if cache.opening_enters else forecast & closing).nonzero()[0]
     act = tuple(idx.tolist())
     P = np.zeros(model.m)
@@ -310,9 +313,9 @@ def _solve_contact(cache, state, v_free):
             memo = cache.block = (act, block, inverse)
         _, block, inverse = memo
         coeff = np.where(closing, model.restitution, cache.opening_coeff)
-        b = (rows @ v_free + coeff * u_prev)[idx]
+        b = (cache.contact_rows @ v_free + coeff * u_prev)[idx]
         P[idx] = SOLVERS["lemke"](LcpProblem(block, b, inverse)).z
-    return P, act, u_prev
+    return P, act
 
 
 def step(model, state, h, spec, *, cache=None, step_index=0):
@@ -321,12 +324,26 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     Every scheme solves the one weighted balance of
     :class:`IterationMatrixCache` with the weights ``build_cache`` set
     for its family: a free step, then, when the active set is nonempty,
-    the impulse tail v += V P, q += Q P.  Theta schemes carry ``a`` and
-    the filters over from the start state; averaging steps add the
-    impulse share S P to s, recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m)
-    and advance the filters.  Every load takes one path: its signal is
-    evaluated at t_k and t_{k+1}, and the load term is the cache's
-    ``load_map`` times their mix, so a step never forms F(t).
+    the impulse tail v += V P, q += Q P.  The new state's contact image
+    u = G^T v_{k+1} and g = G^T q_{k+1} + w is formed once, after the
+    tail; the record's ``U_prev`` and ``U_next`` are the two states'
+    ``u`` and its penetration is read off the new ``g``.  Theta schemes
+    carry ``a`` and the filters over from the start state; averaging
+    steps add the impulse share S P to s, recover
+    a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m) and advance the
+    filters.  Every load takes one path: its signal is evaluated at t_k
+    and t_{k+1}, and the load term is the cache's ``load_map`` times
+    their mix, so a step never forms F(t).
+
+    The three filters z, x, y relax toward the displacement, velocity
+    and load increments by the midpoint rule on the time scale nu*h,
+    (1/2 + nu) s_{k+1} + (1/2 - nu) s_k = nu * increment, solved as
+    s_{k+1} = gain * increment - lag * s_k with the cache's
+    ``filter_gain`` nu/(1/2 + nu) and ``filter_lag`` (1/2 - nu)/(1/2 + nu);
+    the load's increment enters as amplitude * (gain * d signal), with
+    the gain on the scalar.  For nu = 1/2 the lag is zero and
+    s_{k+1} = increment / 2; for nu = 0 the gain is zero and a
+    zero-started filter stays at zero.
     """
     if cache is None or not cache.matches(model, spec, h):
         cache = build_cache(model, spec, h)
@@ -347,29 +364,29 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     v1 = pred_v + cache.g * s
     q1 = pred_q + cache.b * s
 
-    P, act, u_prev = _solve_contact(cache, state, v1)
+    P, act = _solve_contact(cache, state, v1)
     if act:
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
+    rows = cache.contact_rows
     # a_tilde, f_prev and v_prev are never advanced; a theta step carries
     # a and the filters over as well
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, a=state.a, a_tilde=state.a_tilde,
-                            z=state.z, x=state.x, y=state.y,
+    new_state = SystemState(t=t0 + h, q=q1, v=v1, u=rows @ v1, g=rows @ q1 + model.gap_offset,
+                            a=state.a, a_tilde=state.a_tilde, z=state.z, x=state.x, y=state.y,
                             f_prev=state.f_prev, v_prev=state.v_prev)
     if spec.variant not in THETA_FAMILY:
         if act:
             s += cache.impulse_to_s @ P
+        gain, lag = cache.filter_gain, cache.filter_lag
         new_state.a = (s - spec.alpha_m * state.a) / (1 - spec.alpha_m)
-        # the load filter's drive gain * dF, with the gain on the scalar
-        dy = forcing.amplitude * (cache.filter_gain * (sig1 - sig0))
-        new_state.z, new_state.x, new_state.y = energy_audit.advance_filters(
-            cache.filter_gain, cache.filter_lag, state, new_state, dy)
+        new_state.z = gain * (q1 - state.q) - lag * state.z
+        new_state.x = gain * (v1 - state.v) - lag * state.x
+        new_state.y = forcing.amplitude * (gain * (sig1 - sig0)) - lag * state.y
 
-    rows = cache.contact_rows
-    pen = float(max(0.0, -(rows @ q1 + model.gap_offset).min(initial=0.0)))
+    pen = float(max(0.0, -new_state.g.min(initial=0.0)))
     return new_state, StepRecord(step_index=step_index, state_prev=state,
-                                 state_next=new_state, P=P, U_prev=u_prev,
-                                 U_next=rows @ v1, w_corr=cache.minv_g @ P,
+                                 state_next=new_state, P=P, U_prev=state.u,
+                                 U_next=new_state.u, w_corr=cache.minv_g @ P,
                                  active_set=act, penetration=pen)
 
 
@@ -389,8 +406,11 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
             definite or an overflowing h leaves it non-finite.
         SimulationError: ``step_index = -1`` when h is not positive and
             finite, too small to tell t_end - h from t_end or t0 + h
-            from t0, or the step count (t_end - t0) / h is not finite;
-            otherwise wraps any step failure, an ``LcpFailure`` or a
+            from t0, or the step count (t_end - t0) / h is not finite,
+            and when the initial state's contact image ``u``, ``g`` is
+            not bit for bit G^T v and G^T q + w of ``model`` (a state
+            made for another model, or one whose q or v was edited in
+            place); otherwise wraps any step failure, an ``LcpFailure`` or a
             step whose new displacement or velocity is not finite
             included, with its step index.
     """
@@ -407,6 +427,13 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
     records: list[StepRecord] = []
     state = initial_state
     cache = build_cache(model, spec, h)
+    rows = cache.contact_rows
+    if not (state.q.shape == state.v.shape == (model.n,)
+            and np.array_equal(state.u, rows @ state.v)
+            and np.array_equal(state.g, rows @ state.q + model.gap_offset)):
+        raise SimulationError("the initial state's contact image (u, g) is not G^T v and "
+                              "G^T q + w of this model; make the state with "
+                              "initial_state(model, q, v, t)", step_index=-1)
     # an overflowing step is reported by the finiteness check below (and a
     # NaN residual fails the audit gate), so numpy's warnings would only
     # repeat it

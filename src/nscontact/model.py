@@ -403,6 +403,15 @@ class SystemState:
     steps is restarted under another scheme with
     ``initial_state(model, s.q, s.v, s.t)``.
 
+    ``u`` and ``g`` are the contact-space image of (q, v): the contact
+    velocities U = G^T v and the gaps g(q) = G^T q + w, formed once
+    where q and v are made (by :func:`initial_state` and by each step)
+    and read by the next step's contact stage and by the step records.
+    They belong to the model the state was made for, so a state is
+    stepped only with that model, and its q and v are never edited in
+    place; ``simulate`` checks the image of its start state and rejects
+    a stale one.
+
     ``a_tilde``, ``f_prev`` and ``v_prev`` are set by
     :func:`initial_state` and no step advances or reads them: every step
     carries them over like a theta step carries ``a``.
@@ -411,6 +420,8 @@ class SystemState:
     t: float
     q: np.ndarray
     v: np.ndarray
+    u: np.ndarray
+    g: np.ndarray
     a: np.ndarray
     a_tilde: np.ndarray
     z: np.ndarray
@@ -421,16 +432,22 @@ class SystemState:
 
 
 def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemState:
-    """Consistent start state: a0 balances the smooth equation of motion.
+    """Consistent start state of ``model``: a0 balances the smooth equation of motion.
 
-    Filter states start at zero.
+    Filter states start at zero, and the contact image is u0 = G^T v0 and
+    g0 = G^T q0 + w from the contiguous rows of G^T that the run's cache
+    multiplies too, so ``simulate`` finds it equal to its own products
+    bit for bit.  A state for another model, or a restart from a state
+    reached under another scheme, is made here again:
+    ``initial_state(model, s.q, s.v, s.t)``.
 
     Raises:
         InvalidInput: q0 or v0 of the wrong length, or NaN or infinity
             in q0, v0 or t0.
     """
-    q0 = np.asarray(q0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    # copies: the state owns its q and v
+    q0 = np.array(q0, dtype=float)
+    v0 = np.array(v0, dtype=float)
     if q0.shape != (model.n,):
         raise InvalidInput(f"q0 must have length {model.n}, got {q0.shape}")
     if v0.shape != (model.n,):
@@ -441,7 +458,9 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
     f0 = model.force(t0)
     a0 = model.solve_mass(f0 - model.stiffness @ q0 - model.damping @ v0)
     zeros = np.zeros(model.n)
-    return SystemState(t=float(t0), q=q0.copy(), v=v0.copy(), a=a0, a_tilde=a0.copy(),
+    rows = np.ascontiguousarray(model.contact_jacobian.T)
+    return SystemState(t=float(t0), q=q0, v=v0, u=rows @ v0,
+                       g=rows @ q0 + model.gap_offset, a=a0, a_tilde=a0.copy(),
                        z=zeros.copy(), x=zeros.copy(), y=zeros.copy(),
                        f_prev=f0, v_prev=v0.copy())
 
@@ -455,7 +474,10 @@ class StepRecord:
     None otherwise.  A record holds all the audit reads besides the
     run's cache: ``state_prev`` and ``state_next``, the impulse ``P`` and
     the local velocities ``U_prev`` and ``U_next``.  So an audit
-    recomputed offline equals the one the run attached.
+    recomputed offline equals the one the run attached.  ``U_prev`` and
+    ``U_next`` are the two states' ``u`` (the same arrays), so in a run
+    a record's ``U_prev`` is the previous record's ``U_next``, and
+    ``penetration`` is read off the end state's gaps ``g``.
     """
 
     step_index: int

@@ -20,8 +20,9 @@ from nscontact import (
     build_scenario,
     initial_state,
     simulate,
+    step,
 )
-from nscontact.energy import _forms, advance_filters
+from nscontact.energy import _forms
 from nscontact.model import THETA_FAMILY
 from conftest import random_model, random_psd, record_bytes
 
@@ -122,43 +123,46 @@ class TestAlgorithmicEnergy:
             assert self.h_alg(model, state, spec, 0.05) >= 0.0
 
 
-def filter_step(model, spec, s0, s1, df):
-    """One filter update with the gain and lag of ``spec``'s cache, load increment ``df``."""
-    cache = build_cache(model, spec, 0.1)
-    return advance_filters(cache.filter_gain, cache.filter_lag, s0, s1, cache.filter_gain * df)
+def filter_step(model, spec, s0, h=0.1):
+    """One ``step`` of ``spec`` from s0: (s1, z, x, y), the end state and its filters."""
+    s1, _ = step(model, s0, h, spec)
+    return s1, s1.z, s1.x, s1.y
 
 
 class TestUpdateFilters:
     def test_zero_time_scale_keeps_zero(self):
         model = plain_model()
         spec = SchemeSpec.generalized_alpha(0.5, 0.5)   # nu = 0
-        s0 = make_state(model, [0.0], [0.0])
-        s1 = make_state(model, [3.0], [1.0], t=0.1)
-        z, x, y = filter_step(model, spec, s0, s1, np.zeros(1))
+        s0 = make_state(model, [0.0], [1.0])
+        s1, z, x, y = filter_step(model, spec, s0)
+        assert s1.q != s0.q
         assert z == pytest.approx([0.0]) and x == pytest.approx([0.0])
+        assert y == pytest.approx([0.0])
 
     def test_half_gives_closed_forms(self):
         model = build_model([[1.0]], [[0.0]], [[0.0]], [[1.0]], [10.0], [0.5],
                             ForcingTerm.sinusoidal([2.0], omega=3.0))
         spec = SchemeSpec.hht(0.2)                      # nu = 1/2
         s0 = make_state(model, [0.0], [1.0])
-        s1 = make_state(model, [0.5], [4.0], t=0.1)
         s0.z, s0.x, s0.y = (np.array([9.0]),) * 3       # history must drop out
+        s1, z, x, y = filter_step(model, spec, s0)
         df = model.force(0.1) - model.force(0.0)
-        z, x, y = filter_step(model, spec, s0, s1, df)
+        assert s1.v != s0.v
         assert 2 * z == pytest.approx(s1.q - s0.q)
         assert 2 * x == pytest.approx(s1.v - s0.v)
         assert 2 * y == pytest.approx(df)
 
     def test_midpoint_hand_value(self):
-        # constant q across the step, nu = 0.3, z = [1] -> -(0.2/0.8) = -0.25
+        # nu = 0.3: gain 0.3/0.8 = 0.375, lag 0.2/0.8 = 0.25.  At rest q
+        # stays constant and z = [1] -> -0.25; at v = 2 the step moves q by
+        # h v = 0.2 and z = 0.375 * 0.2 - 0.25 = -0.175
         model = plain_model()
         spec = SchemeSpec.generalized_alpha(0.2, 0.2)   # nu = 0.3
-        s0 = make_state(model, [1.0], [0.0])
-        s0.z = np.array([1.0])
-        s1 = make_state(model, [1.0], [0.0], t=0.1)
-        z, _, _ = filter_step(model, spec, s0, s1, np.zeros(1))
-        assert z == pytest.approx([-0.25])
+        for v0, expected in ((0.0, -0.25), (2.0, -0.175)):
+            s0 = make_state(model, [1.0], [v0], z=[1.0])
+            s1, z, _, _ = filter_step(model, spec, s0)
+            assert s1.q - s0.q == pytest.approx([0.1 * v0])
+            assert z == pytest.approx([expected])
 
 
 class TestDiscreteWorks:

@@ -560,6 +560,77 @@ class TestSimulate:
             assert abs(b.report.identity_residual) <= 1e-10 * b.report.residual_scale
 
 
+def pressed_three_contact_run(seed=1):
+    """A damped 5-dof model with three contacts under a sinusoidal load that
+    presses them all shut (sin(3t + 0.3) > 0 up to t = 0.9), from a start
+    on every gap at a closing contact velocity of -1."""
+    rng = np.random.default_rng(seed)
+    base = random_model(rng, n=5, m=3)
+    jac_t = base.contact_jacobian.T
+    q0 = -np.linalg.lstsq(jac_t, base.gap_offset, rcond=None)[0]
+    v0 = -np.linalg.lstsq(jac_t, np.ones(base.m), rcond=None)[0]
+    # G^T M^-1 (amplitude) is -20 per contact, up to the random part
+    amplitude = rng.normal(size=5) + 20.0 * base.mass @ v0
+    model = build_model(base.mass, base.damping, base.stiffness, base.contact_jacobian,
+                        base.gap_offset, base.restitution,
+                        ForcingTerm.sinusoidal(amplitude, omega=3.0, phase=0.3))
+    return model, initial_state(model, q0, v0)
+
+
+class TestContactImage:
+    """Every state carries its contact image u = G^T v, g = G^T q + w."""
+
+    @pytest.mark.parametrize("spec", SIX_VARIANTS, ids=lambda spec: spec.variant.value)
+    def test_states_and_records_share_one_image(self, spec):
+        model, state = pressed_three_contact_run()
+        h = 1e-3
+        rows = build_cache(model, spec, h).contact_rows
+        records = simulate(model, state, h, spec, 0.3)
+        assert len(records) == 300 and sum(bool(rec.active_set) for rec in records) >= 200
+        previous_u = state.u
+        for rec in records:
+            for st in (rec.state_prev, rec.state_next):
+                assert np.array_equal(st.u, rows @ st.v)
+                assert np.array_equal(st.g, rows @ st.q + model.gap_offset)
+            assert rec.U_prev is previous_u
+            assert rec.U_next is rec.state_next.u
+            assert rec.penetration == max(0.0, -rec.state_next.g.min())
+            assert rec.report.identity_ok()
+            previous_u = rec.U_next
+
+    @pytest.mark.parametrize("stale", ["other-jacobian", "other-offset", "other-size",
+                                       "edited-q", "edited-v"])
+    def test_simulate_rejects_a_stale_start_image(self, monkeypatch, stale):
+        model, state = pressed_three_contact_run()
+        jac, offset = model.contact_jacobian, model.gap_offset
+        if stale == "edited-q":
+            state.q[0] += 1e-3
+        elif stale == "edited-v":
+            state.v[0] += 1e-3
+        elif stale == "other-size":
+            other = random_model(np.random.default_rng(1), n=6, m=3)
+            state = initial_state(other, np.zeros(6), np.zeros(6))
+        else:
+            other = build_model(model.mass, model.damping, model.stiffness,
+                                1.5 * jac if stale == "other-jacobian" else jac,
+                                offset + 0.01 if stale == "other-offset" else offset,
+                                model.restitution, model.forcing)
+            state = initial_state(other, state.q, state.v)
+        monkeypatch.setattr(integrators, "step", broken_step)
+        with pytest.raises(SimulationError, match="contact image") as info:
+            simulate(model, state, 1e-3, SchemeSpec.moreau_jean(0.5), 0.3)
+        assert info.value.step_index == -1
+
+    def test_restart_through_initial_state_passes_the_check(self):
+        model, state = pressed_three_contact_run()
+        h = 1e-3
+        end = simulate(model, state, h, SchemeSpec.moreau_jean(0.5), 0.1)[-1].state_next
+        restart = initial_state(model, end.q, end.v, end.t)
+        assert np.array_equal(restart.u, end.u) and np.array_equal(restart.g, end.g)
+        records = simulate(model, restart, h, SchemeSpec.from_rho_infinity(0.8), 0.2)
+        assert len(records) == 100 and all(rec.report.identity_ok() for rec in records)
+
+
 def ball_column(n=4, spacing=0.01, e=0.5, gravity=9.81):
     """Unit masses stacked over a floor, built like the benchmark's stack
     workload: contact 0 is the floor under ball 0 and contact i >= 1 the
@@ -664,19 +735,20 @@ class TestIterationMatrixCache:
                          else (1.0, spec.load_weight, spec.alpha_f))
         matrix = (model.mass + sigma * (1 - ac) * cache.g * model.damping
                   + sigma * (1 - af) * cache.b * model.stiffness)
-        assert cache.solve @ matrix == pytest.approx(sigma * np.eye(model.n), abs=1e-12 * sigma)
+        solve = integrators._scaled_inverse(matrix, sigma)
+        assert solve @ matrix == pytest.approx(sigma * np.eye(model.n), abs=1e-12 * sigma)
         tiny = np.finfo(float).tiny
         for mat, folded in ((model.stiffness, cache.stiffness_map),
                             (model.damping, cache.damping_map)):
             if not mat.any():
                 assert folded is None
                 continue
-            expected = cache.solve @ mat
+            expected = solve @ mat
             assert np.abs(folded - expected).max() <= 1e-12 * np.abs(expected).max()
             magnitudes = np.abs(folded)
             assert not ((magnitudes > 0.0) & (magnitudes < tiny)).any()
         assert (cache.damping_map is None) == (bar is not None)
-        magnitudes = np.abs(cache.solve)
+        magnitudes = np.abs(solve)
         assert not ((magnitudes > 0.0) & (magnitudes < tiny)).any()
         assert (magnitudes == 0.0).any() == (bar is not None)
 
@@ -738,7 +810,7 @@ class TestIterationMatrixCache:
     def test_load_terms_equal_the_grid_point_formula(self, spec, load):
         # the step takes its load term as load_map times a mixed signal and
         # the audit its work as (dq.amplitude) times one; both agree with the
-        # formulas on the two grid-point loads, solve F_mix and dq.F_c
+        # formulas on the two grid-point loads, sigma A^-1 F_mix and dq.F_c
         rng = np.random.default_rng(3)
         base = random_model(rng, n=4, m=2)
         col = base.contact_jacobian[:, 0]
@@ -755,6 +827,10 @@ class TestIterationMatrixCache:
         records = simulate(model, state, h, spec, 0.3)
         assert any(rec.P.any() for rec in records)
         ac, af, c = cache.alpha_c, cache.alpha_f, cache.c
+        sigma = h if spec.variant in THETA_FAMILY else 1.0
+        solve = integrators._scaled_inverse(
+            model.mass + sigma * (1 - ac) * cache.g * model.damping
+            + sigma * (1 - af) * cache.b * model.stiffness, sigma)
         fields = ("q", "v") if spec.variant in THETA_FAMILY else ("q", "v", "a", "y")
         got = {name: [] for name in (*fields, "W_ext")}
         want = {name: [] for name in got}
@@ -763,7 +839,7 @@ class TestIterationMatrixCache:
             f0, f1 = model.force(sp.t), model.force(sn.t)
             pred_v = sp.v + cache.pred_v_a * sp.a
             pred_q = sp.q + h * sp.v + cache.pred_q_a * sp.a
-            s = (cache.solve @ ((1 - ac) * f1 + ac * f0)
+            s = (solve @ ((1 - ac) * f1 + ac * f0)
                  - cache.damping_map @ ((1 - ac) * pred_v + ac * sp.v)
                  - cache.stiffness_map @ ((1 - af) * pred_q + af * sp.q))
             expected = {"q": pred_q + cache.b * s + cache.impulse_to_displacement @ rec.P,

@@ -1,6 +1,9 @@
-"""The code-line counter of ``tools/code_lines.py`` on small sample sources."""
+"""The tools under ``tools/``: the code-line counter on small sample sources,
+and the record digest on this checkout."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,19 @@ def test_sample_module(tmp_path):
                     '    """Docstring."""\n    return os.path.join(\n        x,\n'
                     '        "y")\n\n\n"adjacent" "literals"\n')
     assert code_lines.code_lines(path) == 5
+
+
+def test_record_digest_is_reproducible_and_tells_seeds_apart(tmp_path):
+    # tools/record_digest.py on this checkout at smoke length: a second run
+    # prints the same lines, and seeds 1 and 5 (other initial conditions)
+    # print other digests for every workload
+    root = _PATH.parents[1]
+    command = [sys.executable, str(root / "tools" / "record_digest.py"), str(root),
+               "--seeds", "1,5", "--smoke"]
+    runs = [subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, check=True)
+            .stdout.splitlines() for _ in range(2)]
+    assert runs[0] == runs[1]
+    by_seed = {seed: [line.replace(f" seed={seed} ", " ") for line in runs[0]
+                      if f" seed={seed} " in line] for seed in (1, 5)}
+    assert len(by_seed[1]) == len(by_seed[5]) == 5
+    assert not set(by_seed[1]) & set(by_seed[5])

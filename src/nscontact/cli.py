@@ -198,9 +198,9 @@ def _step_size(h: float, key: str, t_end: float) -> float:
 
 def _run(cfg: RunConfig):
     model, state = build_scenario(cfg.scenario_spec())
-    spec = cfg.scheme_spec()
-    records = simulate(model, state, cfg.h, spec, cfg.t_end, audit=True, audit_tol=cfg.tol)
-    return model, spec, records
+    records = simulate(model, state, cfg.h, cfg.scheme_spec(), cfg.t_end, audit=True,
+                       audit_tol=cfg.tol)
+    return model, records
 
 
 @contextmanager
@@ -237,7 +237,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> list[bool]:
     """Run one simulation; write trajectory.csv and audit.csv."""
-    model, spec, records = _run(cfg)
+    model, records = _run(cfg)
 
     n = model.n
     header = (["step", "t"] + [f"q_{i}" for i in range(n)] + [f"v_{i}" for i in range(n)]
@@ -335,7 +335,7 @@ def cmd_sweep(cfg: RunConfig, grid: str, out: Path) -> list[bool]:
     ok = []
     for point in points:
         with _labelled(point):
-            _, _, records = _run(_grid_point(cfg, point))
+            _, records = _run(_grid_point(cfg, point))
         reports = [rec.report for rec in records]
         frac = sum(rep.dissipation_satisfied for rep in reports) / len(reports)
         # np.max keeps a NaN gain; initial=0.0 clamps at zero and + 0.0
@@ -362,7 +362,7 @@ def cmd_convergence(cfg: RunConfig, h_list: str, out: Path) -> list[bool]:
     reference_solution(scenario, 0.0)
     for h in h_values:
         with _labelled({"h": h}):
-            _, _, records = _run(replace(cfg, h=h))
+            _, records = _run(replace(cfg, h=h))
             if scenario.kind != "bouncing_ball" and any(r.active_set for r in records):
                 # only the fully elastic ball reference survives contact
                 raise NotAvailable("the contact activated; the closed-form "

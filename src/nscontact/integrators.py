@@ -36,7 +36,8 @@ step or its audit; ``build_cache`` decides all of this once per run.
 The contact stage works in contact space: it forecasts the gaps as
 g(q_k) + h U_k from the contact image U_k = G^T v_k and g(q_k) that the
 state carries.  Each state's image is formed once, where its q and v
-are made, from the rows of G^T the cache keeps.
+are made, by the model's ``contact_image`` from the rows of G^T the
+model keeps (``model.contact_rows``).
 The cache also keeps one entry for the contact stage: the last active
 set's Delassus block and its inverse, replaced when the set changes;
 Lemke takes the inverse as a hint and verifies its answer like any
@@ -113,14 +114,19 @@ class IterationMatrixCache:
     averaging impulse corrects the velocity by M^-1 G P and the
     displacement by half a step of that, and s responds through the
     balance.  ``delassus`` is G^T times the velocity map, restricted to
-    the active set when the complementarity matrix is assembled.
-    ``contact_rows`` is G^T as contiguous rows, which gives each new
-    state its contact image U = G^T v and g(q) = G^T q + w.
+    the active set when the complementarity matrix is assembled; its
+    G^T is the model's ``contact_rows``.
 
-    The per-run coefficients: ``filter_gain`` nu/(1/2 + nu) and
+    The per-run coefficients, all derived here from the spec: the load
+    weight ``alpha_c``, which is 1 - theta in the theta family, alpha_m
+    for KH generalized-alpha (load and damping weighted like the inertia
+    term) and alpha_f for Newmark, HHT and generalized-alpha (weighted
+    like the stiffness term); ``filter_gain`` nu/(1/2 + nu) and
     ``filter_lag`` (1/2 - nu)/(1/2 + nu) of the averaging family's
-    filters (zero in the theta family); ``opening_coeff`` (1 - w)/w of
-    the contact law of an opening contact, and ``opening_enters``,
+    filters (zero in the theta family), with the filter constants
+    nu = 1/2 - alpha_m and eta = alpha_f - alpha_m, which the
+    coefficient row reads too; ``opening_coeff`` (1 - w)/w of the
+    contact law of an opening contact, and ``opening_enters``,
     whether opening contacts join the active set at all (w > 0).
 
     The energy audit's coefficient row (see :mod:`nscontact.energy`):
@@ -156,7 +162,6 @@ class IterationMatrixCache:
     impulse_to_velocity: np.ndarray
     impulse_to_displacement: np.ndarray
     delassus: np.ndarray
-    contact_rows: np.ndarray
     filter_gain: float
     filter_lag: float
     opening_coeff: float
@@ -204,7 +209,7 @@ def _scaled_inverse(matrix: np.ndarray, scale: float) -> np.ndarray:
 
 def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> IterationMatrixCache:
     M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
-    minv_g = model.solve_mass(G)
+    minv_g = np.linalg.solve(M, G)
     w = spec.displacement_weight
     damped = bool(C.any())
     if spec.variant in THETA_FAMILY:
@@ -222,9 +227,15 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
                      and w <= 1.0 / (1.0 + model.restitution.max()) + CONDITION_SLACK)
         row = dict(c=th, k_v=0.5 - w, k_q=0.5 - th)
     else:
-        am, gamma, beta = spec.alpha_m, spec.gamma, spec.beta
-        nu, eta, ratio = spec.nu, spec.eta, spec.eta_over_nu
-        sigma, ac, af = 1.0, spec.load_weight, spec.alpha_f
+        am, af, gamma, beta = spec.alpha_m, spec.alpha_f, spec.gamma, spec.beta
+        nu, eta = 0.5 - am, af - am
+        # at alpha_m = alpha_f = 1/2 (spectral radius one) nu = eta = 0 and
+        # the filter states stay zero; eta/nu's limit along the
+        # spectral-radius family is 2/3
+        ratio = eta / nu if nu != 0.0 else 2.0 / 3.0
+        # KH weights load and damping like inertia, the others like stiffness
+        kh = spec.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA
+        sigma, ac = 1.0, am if kh else af
         # h * h, not h**2: a float ** raises OverflowError where * gives inf
         g, b = h * gamma / (1 - am), h * h * beta / (1 - am)
         pred_v_a, pred_q_a = h * (1 - gamma) - g * am, h * h * (0.5 - beta) - b * am
@@ -264,12 +275,12 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     to_s = solve @ (enters / sigma * G - load @ minv_g)
     to_v = direct_v * minv_g + g * to_s
     to_q = direct_q * minv_g + b * to_s
-    rows = np.ascontiguousarray(G.T)
     # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
     opening = (1.0 - w) / w if w > 0.0 else 0.0
     return IterationMatrixCache(model, spec, h, damping_map, stiffness_map,
                                 solve @ model.forcing.amplitude, minv_g, ac, af, g, b,
-                                pred_v_a, pred_q_a, to_s, to_v, to_q, rows @ to_v, rows,
+                                pred_v_a, pred_q_a, to_s, to_v, to_q,
+                                model.contact_rows @ to_v,
                                 gain, lag, opening, w > 0.0, bool(condition), **row)
 
 
@@ -278,7 +289,7 @@ def _solve_contact(cache, state, v_free):
 
     It works on contact-space (m-length) vectors: the state's contact
     image U_k = ``state.u`` and g(q_k) = ``state.g``, and the free
-    velocities' image, one product with ``cache.contact_rows``.  A
+    velocities' image, one product with ``model.contact_rows``.  A
     contact enters the active set when its gap, forecast by one explicit
     step of the current velocity, g(q_k) + h U_k (equal to
     g(q_k + h v_k)), is nonpositive.  A closing
@@ -313,7 +324,7 @@ def _solve_contact(cache, state, v_free):
             memo = cache.block = (act, block, inverse)
         _, block, inverse = memo
         coeff = np.where(closing, model.restitution, cache.opening_coeff)
-        b = (cache.contact_rows @ v_free + coeff * u_prev)[idx]
+        b = (model.contact_rows @ v_free + coeff * u_prev)[idx]
         P[idx] = SOLVERS["lemke"](LcpProblem(block, b, inverse)).z
     return P, act
 
@@ -326,8 +337,9 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     for its family: a free step, then, when the active set is nonempty,
     the impulse tail v += V P, q += Q P.  The new state's contact image
     u = G^T v_{k+1} and g = G^T q_{k+1} + w is formed once, after the
-    tail; the record's ``U_prev`` and ``U_next`` are the two states'
-    ``u`` and its penetration is read off the new ``g``.  Theta schemes
+    tail, by ``model.contact_image``; the record's ``U_prev`` and
+    ``U_next`` are the two states' ``u`` and its penetration is read off
+    the new ``g``.  Theta schemes
     carry ``a`` and the filters over from the start state; averaging
     steps add the impulse share S P to s, recover
     a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m) and advance the
@@ -368,12 +380,12 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     if act:
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
-    rows = cache.contact_rows
+    u1, g1 = model.contact_image(q1, v1)
     # a_tilde, f_prev and v_prev are never advanced; a theta step carries
     # a and the filters over as well
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, u=rows @ v1, g=rows @ q1 + model.gap_offset,
-                            a=state.a, a_tilde=state.a_tilde, z=state.z, x=state.x, y=state.y,
-                            f_prev=state.f_prev, v_prev=state.v_prev)
+    new_state = SystemState(t=t0 + h, q=q1, v=v1, u=u1, g=g1, a=state.a, a_tilde=state.a_tilde,
+                            z=state.z, x=state.x, y=state.y, f_prev=state.f_prev,
+                            v_prev=state.v_prev)
     if spec.variant not in THETA_FAMILY:
         if act:
             s += cache.impulse_to_s @ P
@@ -427,10 +439,9 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
     records: list[StepRecord] = []
     state = initial_state
     cache = build_cache(model, spec, h)
-    rows = cache.contact_rows
     if not (state.q.shape == state.v.shape == (model.n,)
-            and np.array_equal(state.u, rows @ state.v)
-            and np.array_equal(state.g, rows @ state.q + model.gap_offset)):
+            and all(map(np.array_equal, (state.u, state.g),
+                        model.contact_image(state.q, state.v)))):
         raise SimulationError("the initial state's contact image (u, g) is not G^T v and "
                               "G^T q + w of this model; make the state with "
                               "initial_state(model, q, v, t)", step_index=-1)

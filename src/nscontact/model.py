@@ -11,6 +11,7 @@ single model can back any number of concurrent simulations.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -113,8 +114,9 @@ class SchemeSpec:
 
     ``theta`` is only meaningful for the Moreau-Jean pair; the Newmark
     pair (gamma, beta) and the averaging weights (alpha_m, alpha_f)
-    parameterize the acceleration-based family.  The derived filter
-    constants ``nu`` and ``eta`` drive the energy audit.
+    parameterize the acceleration-based family.  ``build_cache`` derives
+    the load weight alpha_c and the filter constants nu and eta from
+    them.
     """
 
     variant: SchemeVariant
@@ -156,42 +158,6 @@ class SchemeSpec:
         contact work of the energy identity uses the same weight.
         """
         return self.theta if self.variant is SchemeVariant.MOREAU_JEAN else 0.5
-
-    @property
-    def load_weight(self) -> float:
-        """Weight alpha_c of the start-of-step load and damping force.
-
-        The averaging twin of ``displacement_weight``: alpha_m for KH
-        generalized-alpha, which weights load and damping like the
-        inertia term, and alpha_f for Newmark, HHT and generalized-alpha,
-        which weight them like the stiffness term.  Unused by the theta
-        family.
-        """
-        if self.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
-            return self.alpha_m
-        return self.alpha_f
-
-    # derived filter constants of the averaging family
-    @property
-    def nu(self) -> float:
-        return 0.5 - self.alpha_m
-
-    @property
-    def eta(self) -> float:
-        return self.alpha_f - self.alpha_m
-
-    @property
-    def eta_over_nu(self) -> float:
-        """Finite ratio eta/nu.
-
-        At the minimal-damping corner (alpha_m = alpha_f = 1/2, i.e.
-        spectral radius one) both constants vanish; the limit along the
-        spectral-radius parameterization is 2/3.  The filter states are
-        identically zero there, so the placeholder never contributes.
-        """
-        if self.nu != 0.0:
-            return self.eta / self.nu
-        return 2.0 / 3.0
 
     # ---- constructors ----
 
@@ -264,6 +230,10 @@ class LagrangianModel:
         gap_offset: m-vector shifting the gaps, g(q) = G^T q + w.
         restitution: m-vector of Newton coefficients in [0, 1].
         forcing: external force history F(t).
+        contact_rows: G^T as read-only C-contiguous rows, derived from
+            ``contact_jacobian`` on first use and kept, so a model and
+            every state and cache made from it multiply the same rows.
+            ``contact_image`` forms a state's contact image from them.
     """
 
     n: int
@@ -276,12 +246,15 @@ class LagrangianModel:
     restitution: np.ndarray
     forcing: ForcingTerm
 
-    def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs; a run needs it twice, for a_0 and for M^{-1} G."""
-        return np.linalg.solve(self.mass, rhs)
+    @functools.cached_property
+    def contact_rows(self) -> np.ndarray:
+        rows = np.ascontiguousarray(self.contact_jacobian.T)
+        rows.flags.writeable = False
+        return rows
 
-    def force(self, t: float) -> np.ndarray:
-        return self.forcing.evaluate(t)
+    def contact_image(self, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The contact velocities G^T v and the gaps g(q) = G^T q + w."""
+        return self.contact_rows @ v, self.contact_rows @ q + self.gap_offset
 
 
 def _check_finite(a, name: str) -> None:
@@ -404,9 +377,10 @@ class SystemState:
     ``initial_state(model, s.q, s.v, s.t)``.
 
     ``u`` and ``g`` are the contact-space image of (q, v): the contact
-    velocities U = G^T v and the gaps g(q) = G^T q + w, formed once
-    where q and v are made (by :func:`initial_state` and by each step)
-    and read by the next step's contact stage and by the step records.
+    velocities U = G^T v and the gaps g(q) = G^T q + w, formed once by
+    the model's ``contact_image`` where q and v are made (by
+    :func:`initial_state` and by each step) and read by the next step's
+    contact stage and by the step records.
     They belong to the model the state was made for, so a state is
     stepped only with that model, and its q and v are never edited in
     place; ``simulate`` checks the image of its start state and rejects
@@ -434,10 +408,9 @@ class SystemState:
 def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemState:
     """Consistent start state of ``model``: a0 balances the smooth equation of motion.
 
-    Filter states start at zero, and the contact image is u0 = G^T v0 and
-    g0 = G^T q0 + w from the contiguous rows of G^T that the run's cache
-    multiplies too, so ``simulate`` finds it equal to its own products
-    bit for bit.  A state for another model, or a restart from a state
+    Filter states start at zero, and the contact image (u0, g0) is
+    ``model.contact_image(q0, v0)``, as ``simulate``'s start check
+    forms it.  A state for another model, or a restart from a state
     reached under another scheme, is made here again:
     ``initial_state(model, s.q, s.v, s.t)``.
 
@@ -455,12 +428,11 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
     _check_finite(q0, "q0")
     _check_finite(v0, "v0")
     _check_finite(t0, "t0")
-    f0 = model.force(t0)
-    a0 = model.solve_mass(f0 - model.stiffness @ q0 - model.damping @ v0)
+    f0 = model.forcing.evaluate(t0)
+    a0 = np.linalg.solve(model.mass, f0 - model.stiffness @ q0 - model.damping @ v0)
     zeros = np.zeros(model.n)
-    rows = np.ascontiguousarray(model.contact_jacobian.T)
-    return SystemState(t=float(t0), q=q0, v=v0, u=rows @ v0,
-                       g=rows @ q0 + model.gap_offset, a=a0, a_tilde=a0.copy(),
+    u0, g0 = model.contact_image(q0, v0)
+    return SystemState(t=float(t0), q=q0, v=v0, u=u0, g=g0, a=a0, a_tilde=a0.copy(),
                        z=zeros.copy(), x=zeros.copy(), y=zeros.copy(),
                        f_prev=f0, v_prev=v0.copy())
 

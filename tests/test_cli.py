@@ -117,7 +117,7 @@ def reference_sweep(cfg_path, grid):
     lines = [",".join([*axes, "condition_satisfied", "dissipation_fraction",
                        "max_energy_gain"])]
     for values in itertools.product(*axes.values()):
-        _, _, records = _run(cli._grid_point(cfg, dict(zip(axes, values))))
+        _, records = _run(cli._grid_point(cfg, dict(zip(axes, values))))
         reports = [rec.report for rec in records]
         gains = [rep.energy_gain for rep in reports]
         max_gain = math.nan if any(map(math.isnan, gains)) else max(0.0, *gains) + 0.0
@@ -132,7 +132,7 @@ def reference_convergence(cfg_path, h_values):
     cfg = parse_config(cfg_path)
     errors = []
     for h in h_values:
-        _, _, records = _run(replace(cfg, h=h))
+        _, records = _run(replace(cfg, h=h))
         final = records[-1].state_next
         q_ref, v_ref = reference_solution(cfg.scenario_spec(), final.t)
         errors.append(math.sqrt(float(np.sum((final.q - q_ref) ** 2))
@@ -279,7 +279,7 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert main(["simulate", cfg, "--out", str(out)]) == 2
         run = parse_config(cfg)
-        _, _, records = _run(run)
+        _, records = _run(run)
         assert any(len(rec.active_set) > 0 for rec in records)
         trajectory, audit = reference_csvs(records, run.tol)
         assert (out / "trajectory.csv").read_bytes() == trajectory.encode()

@@ -116,7 +116,8 @@ class TestAlgorithmicEnergy:
         # H is a sum of seminorms when 2b >= g and eta(nu - (g - 1/2)) >= 0
         model = random_model(rng, n=3, m=1)
         spec = SchemeSpec.generalized_alpha(0.1, 0.25, gamma=0.6, beta=0.4)
-        assert spec.eta * (spec.nu - (spec.gamma - 0.5)) >= 0.0
+        nu, eta = 0.5 - spec.alpha_m, spec.alpha_f - spec.alpha_m
+        assert eta * (nu - (spec.gamma - 0.5)) >= 0.0
         for _ in range(20):
             state = make_state(model, rng.normal(size=3), rng.normal(size=3),
                                a=rng.normal(size=3), z=rng.normal(size=3))
@@ -146,7 +147,7 @@ class TestUpdateFilters:
         s0 = make_state(model, [0.0], [1.0])
         s0.z, s0.x, s0.y = (np.array([9.0]),) * 3       # history must drop out
         s1, z, x, y = filter_step(model, spec, s0)
-        df = model.force(0.1) - model.force(0.0)
+        df = model.forcing.evaluate(0.1) - model.forcing.evaluate(0.0)
         assert s1.v != s0.v
         assert 2 * z == pytest.approx(s1.q - s0.q)
         assert 2 * x == pytest.approx(s1.v - s0.v)
@@ -205,10 +206,11 @@ class TestDiscreteWorks:
         records = simulate(model, state, 1e-3, spec, 0.3)
         assert any(rec.active_set for rec in records)
         alpha, gamma, C = spec.alpha_f, spec.gamma, model.damping
-        f_prev, v_prev = model.force(0.0), state.v
+        force = model.forcing.evaluate
+        f_prev, v_prev = force(0.0), state.v
         for rec in records:
             sp, sn = rec.state_prev, rec.state_next
-            f_k, f_k1 = model.force(sp.t), model.force(sn.t)
+            f_k, f_k1 = force(sp.t), force(sn.t)
             dq = sn.q - sp.q
             f_mix = (1 - alpha) * ((1 - gamma) * f_k + gamma * f_k1) + alpha * (
                 (1 - gamma) * f_prev + gamma * f_k)
@@ -298,7 +300,8 @@ def closed_form_row(spec, h):
         return SimpleNamespace(c=spec.theta, c_a=0.0, c_z=0.0, k_v=0.5 - w, k_a=0.0,
                                k_q=0.5 - spec.theta, k_z=0.0, phi=0.0, filter_works=0.0,
                                filter_gain=0.0, filter_lag=0.0)
-    nu, eta, gamma, beta = spec.nu, spec.eta, spec.gamma, spec.beta
+    nu, eta = 0.5 - spec.alpha_m, spec.alpha_f - spec.alpha_m
+    gamma, beta = spec.gamma, spec.beta
     return SimpleNamespace(
         c=gamma, c_a=h * h / 4 * (2 * beta - gamma),
         c_z=0.0 if eta == 0.0 or nu == 0.0 else eta / (2 * nu * nu) * (nu - (gamma - 0.5)),
@@ -391,7 +394,8 @@ class TestAuditStep:
             sp, sn = rec.state_prev, rec.state_next
             dq = sn.q - sp.q
             y_c, x_c = mix(sp.y, sn.y, c), mix(sp.x, sn.x, c)
-            w_ext = dq @ (mix(model.force(sp.t), model.force(sn.t), c) - works * y_c)
+            f_c = mix(model.forcing.evaluate(sp.t), model.forcing.evaluate(sn.t), c)
+            w_ext = dq @ (f_c - works * y_c)
             w_damp = -dq @ (C @ (mix(sp.v, sn.v, c) - works * x_c))
             contact = mix(rec.U_prev @ rec.P, rec.U_next @ rec.P, w)
             reference = (algorithmic(sn) - algorithmic(sp) - w_ext - w_damp
@@ -547,8 +551,9 @@ def reference_conditions(model, spec):
         cond = bool(base and -slack <= alpha <= gamma - 0.5 + slack
                     and gamma - 0.5 <= 0.5 + slack)
         return cond, cond
-    region = bool(base and -slack <= spec.eta <= gamma - 0.5 + slack
-                  and gamma - 0.5 <= spec.nu + slack)
+    nu, eta = 0.5 - spec.alpha_m, spec.alpha_f - spec.alpha_m
+    region = bool(base and -slack <= eta <= gamma - 0.5 + slack
+                  and gamma - 0.5 <= nu + slack)
     if v is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA:
         return region, region
     forcing = model.forcing

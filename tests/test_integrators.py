@@ -136,7 +136,7 @@ class TestMoreauJean:
         new, _ = step(model, state, h, SchemeSpec.moreau_jean(0.5))
 
         jac = np.array([[0.0, 1.0], [-k / m, -c / m]])
-        f_mid = 0.5 * (model.force(0.0)[0] + model.force(h)[0])
+        f_mid = 0.5 * (model.forcing.evaluate(0.0)[0] + model.forcing.evaluate(h)[0])
         lhs = np.eye(2) - 0.5 * h * jac
         rhs = (np.eye(2) + 0.5 * h * jac) @ np.array([q0, v0]) + h * np.array([0.0, f_mid / m])
         expected = np.linalg.solve(lhs, rhs)
@@ -188,7 +188,7 @@ class TestMoreauJeanVariant:
         state = initial_state(model, [q0], [v0])
         new, _ = step(model, state, h, SchemeSpec.moreau_jean_variant(th))
 
-        f_th = model.force(h)[0]          # theta = 1 weights the endpoint
+        f_th = model.forcing.evaluate(h)[0]  # theta = 1 weights the endpoint
         A = np.array([[h * k * th, m + h * c * th],
                       [1.0, -0.5 * h]])
         b = np.array([m * v0 - h * k * (1 - th) * q0 - h * c * (1 - th) * v0 + h * f_th,
@@ -213,12 +213,13 @@ class TestThetaFamily:
         state = initial_state(model, np.zeros(4), v0)
         th, w = spec.theta, spec.displacement_weight
         M, C, K, G = model.mass, model.damping, model.stiffness, model.contact_jacobian
+        force = model.forcing.evaluate
         impacts = 0
         for _ in range(300):
             new, rec = step(model, state, h, spec)
             scale = 1.0 + np.abs(new.v).max() + np.abs(rec.P).max()
             # the impulse balance with theta-weighted load, damping and stiffness
-            f_th = (1 - th) * model.force(state.t) + th * model.force(new.t)
+            f_th = (1 - th) * force(state.t) + th * force(new.t)
             v_th = (1 - th) * state.v + th * new.v
             q_th = (1 - th) * state.q + th * new.q
             r = M @ (new.v - state.v) - h * (f_th - C @ v_th - K @ q_th) - G @ rec.P
@@ -267,17 +268,21 @@ class TestGeneralizedAlpha:
         col = model.contact_jacobian[:, 0]
         v0 = -2.0 * col / (col @ col)
         state = initial_state(model, np.zeros(4), v0)
-        am, af, ac = spec.alpha_m, spec.alpha_f, spec.load_weight
+        am, af = spec.alpha_m, spec.alpha_f
+        # alpha_c: KH weights load and damping like inertia, the others like stiffness
+        ac = am if spec.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA else af
+        nu = 0.5 - am
         g, b = spec.gamma, spec.beta
         M, C, K = model.mass, model.damping, model.stiffness
+        force = model.forcing.evaluate
         hits = 0
         for _ in range(300):
             new, rec = step(model, state, h, spec)
             scale = 1.0 + np.abs(new.v).max() + np.abs(rec.P).max()
             # the generalized-alpha balance with load weight alpha_c
             s = (1 - am) * new.a + am * state.a
-            r = (M @ s - (1 - ac) * (model.force(new.t) - C @ new.v)
-                 - ac * (model.force(state.t) - C @ state.v)
+            r = (M @ s - (1 - ac) * (force(new.t) - C @ new.v)
+                 - ac * (force(state.t) - C @ state.v)
                  + (1 - af) * K @ new.q + af * K @ state.q)
             assert np.abs(r).max() < 1e-11 * scale
             # impulse correction and kinematics
@@ -289,10 +294,9 @@ class TestGeneralizedAlpha:
             assert new.v == pytest.approx(v_pred + w, abs=1e-11 * scale)
             assert new.q == pytest.approx(q_pred + 0.5 * h * w, abs=1e-11 * scale)
             # the midpoint filter rule on displacement, velocity and load increments
-            nu = spec.nu
             for f1, f0, inc in ((new.z, state.z, new.q - state.q),
                                 (new.x, state.x, new.v - state.v),
-                                (new.y, state.y, model.force(new.t) - model.force(state.t))):
+                                (new.y, state.y, force(new.t) - force(state.t))):
                 r = (0.5 + nu) * f1 + (0.5 - nu) * f0 - nu * inc
                 assert np.abs(r).max() < 1e-11 * scale
             # local velocities and complementarity on the active set
@@ -324,7 +328,7 @@ class TestGeneralizedAlpha:
         lhs = (1 - am) * M + (1 - af) * h * g * C + (1 - af) * h * h * b * K
         for k in range(200):
             t1 = (k + 1) * h
-            f_mix = (1 - af) * model.force(t1) + af * model.force(k * h)
+            f_mix = (1 - af) * model.forcing.evaluate(t1) + af * model.forcing.evaluate(k * h)
             q_pred = q + h * v + h * h * (0.5 - b) * a
             v_pred = v + h * (1 - g) * a
             rhs = (f_mix - am * M @ a
@@ -385,7 +389,7 @@ class TestKrenkHogsberg:
         v_pred = v0 + h * (1 - g) * a0
         q_pred = q0 + h * v0 + h * h * (0.5 - b) * a0
         lhs = m + h * g * c + (1 - alpha) * h * h * b * k
-        rhs = (model.force(h)[0] - c * v_pred
+        rhs = (model.forcing.evaluate(h)[0] - c * v_pred
                - (1 - alpha) * k * q_pred - alpha * k * q0)
         a1 = rhs / lhs
         assert new.a == pytest.approx([a1], rel=1e-13)
@@ -584,7 +588,7 @@ class TestContactImage:
     def test_states_and_records_share_one_image(self, spec):
         model, state = pressed_three_contact_run()
         h = 1e-3
-        rows = build_cache(model, spec, h).contact_rows
+        rows = model.contact_rows
         records = simulate(model, state, h, spec, 0.3)
         assert len(records) == 300 and sum(bool(rec.active_set) for rec in records) >= 200
         previous_u = state.u
@@ -620,6 +624,17 @@ class TestContactImage:
         with pytest.raises(SimulationError, match="contact image") as info:
             simulate(model, state, 1e-3, SchemeSpec.moreau_jean(0.5), 0.3)
         assert info.value.step_index == -1
+
+    def test_delassus_is_the_model_rows_times_the_velocity_map(self):
+        model, _ = pressed_three_contact_run()
+        for spec in SIX_VARIANTS:
+            cache = build_cache(model, spec, 1e-3)
+            assert np.array_equal(cache.delassus,
+                                  model.contact_rows @ cache.impulse_to_velocity)
+
+    def test_the_cache_keeps_no_rows_of_its_own(self):
+        names = {f.name for f in dataclasses.fields(integrators.IterationMatrixCache)}
+        assert "contact_rows" not in names
 
     def test_restart_through_initial_state_passes_the_check(self):
         model, state = pressed_three_contact_run()
@@ -731,8 +746,9 @@ class TestIterationMatrixCache:
         else:
             model, h = random_model(np.random.default_rng(3), n=4, m=2), 1e-4
         cache = build_cache(model, spec, h)
+        kh = spec.variant is SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA
         sigma, ac, af = ((h, 1 - spec.theta, 1 - spec.theta) if spec.variant in THETA_FAMILY
-                         else (1.0, spec.load_weight, spec.alpha_f))
+                         else (1.0, spec.alpha_m if kh else spec.alpha_f, spec.alpha_f))
         matrix = (model.mass + sigma * (1 - ac) * cache.g * model.damping
                   + sigma * (1 - af) * cache.b * model.stiffness)
         solve = integrators._scaled_inverse(matrix, sigma)
@@ -836,7 +852,7 @@ class TestIterationMatrixCache:
         want = {name: [] for name in got}
         for rec in records:
             sp, sn = rec.state_prev, rec.state_next
-            f0, f1 = model.force(sp.t), model.force(sn.t)
+            f0, f1 = model.forcing.evaluate(sp.t), model.forcing.evaluate(sn.t)
             pred_v = sp.v + cache.pred_v_a * sp.a
             pred_q = sp.q + h * sp.v + cache.pred_q_a * sp.a
             s = (solve @ ((1 - ac) * f1 + ac * f0)

@@ -1,5 +1,6 @@
 """Model construction, validation, and the basic contact kinematics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from nscontact import (
     InvalidInput,
     SchemeSpec,
     SchemeVariant,
+    build_cache,
     build_model,
     initial_state,
 )
@@ -25,7 +27,7 @@ class TestBuildModel:
     def test_one_dof_ball(self):
         model = ball_model()
         assert model.n == 1 and model.m == 1
-        assert model.force(3.7) == pytest.approx([-9.81])
+        assert model.forcing.evaluate(3.7) == pytest.approx([-9.81])
 
     def test_restitution_out_of_range(self):
         with pytest.raises(InvalidInput, match=r"restitution \[1\.5\] outside \[0, 1\]"):
@@ -158,11 +160,39 @@ class TestReadOnlyModel:
         # build_model changed the load from 1.5 to 5 with no sign
         amp = np.array([1.5])
         model = build_model([[2.0]], [[0.3]], [[40.0]], [[1.0]], [50.0], [0.5], make(amp))
-        before = model.force(0.3)
+        before = model.forcing.evaluate(0.3)
         amp[0] = 5.0
-        assert np.array_equal(model.force(0.3), before)
+        assert np.array_equal(model.forcing.evaluate(0.3), before)
         with pytest.raises(ValueError, match="read-only"):
             model.forcing.amplitude[0] = 5.0
+
+
+class TestContactRows:
+    """The model derives G^T once, as the rows every contact image is formed from."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 3)])
+    def test_rows_are_the_transpose_read_only_and_kept(self, rng, n, m):
+        model = random_model(rng, n=n, m=m)
+        rows = model.contact_rows
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        assert np.array_equal(rows, model.contact_jacobian.T)
+        assert model.contact_rows is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+
+    def test_replaced_jacobian_gets_its_own_rows(self, rng):
+        model = random_model(rng, n=5, m=3)
+        assert np.array_equal(model.contact_rows, model.contact_jacobian.T)
+        jac = rng.normal(size=(5, 3))
+        other = dataclasses.replace(model, contact_jacobian=jac)
+        assert np.array_equal(other.contact_rows, jac.T)
+
+    def test_initial_state_image_is_the_model_image(self, rng):
+        model = random_model(rng, n=5, m=3)
+        q0, v0 = rng.normal(size=5), rng.normal(size=5)
+        state = initial_state(model, q0, v0)
+        u, g = model.contact_image(q0, v0)
+        assert np.array_equal(state.u, u) and np.array_equal(state.g, g)
 
 
 class TestNonFiniteInput:
@@ -237,25 +267,43 @@ class TestSchemeSpec:
         spec = SchemeSpec.from_rho_infinity(1.0)
         assert spec.alpha_m == pytest.approx(0.5)
         assert spec.alpha_f == pytest.approx(0.5)
-        assert spec.eta_over_nu == pytest.approx(2.0 / 3.0)
+        # nu = eta = 0: the cache's filter work eta/nu takes its limit 2/3
+        assert build_cache(ball_model(), spec, 1e-3).phi == pytest.approx(2.0 / 3.0)
 
     def test_eta_over_nu_constant_along_rho(self):
-        for rho in (0.0, 0.3, 0.9):
-            assert SchemeSpec.from_rho_infinity(rho).eta_over_nu == pytest.approx(2.0 / 3.0)
+        # generalized-alpha's filter work phi is eta/nu
+        for rho in (0.0, 0.3, 0.5, 0.8, 0.9, 1.0):
+            cache = build_cache(ball_model(), SchemeSpec.from_rho_infinity(rho), 1e-3)
+            assert cache.phi == pytest.approx(2.0 / 3.0)
 
     def test_derived_filter_constants(self):
         spec = SchemeSpec.generalized_alpha(0.1, 0.3)
-        assert spec.nu == pytest.approx(0.4)
-        assert spec.eta == pytest.approx(0.2)
         assert spec.gamma == pytest.approx(0.7)
+        # nu = 1/2 - alpha_m = 0.4 and eta = alpha_f - alpha_m = 0.2
+        cache = build_cache(ball_model(), spec, 1e-3)
+        assert cache.filter_gain == pytest.approx(0.4 / 0.9)
+        assert cache.filter_lag == pytest.approx(0.1 / 0.9)
+        assert cache.phi == pytest.approx(0.2 / 0.4)
 
     def test_hht_constraints(self):
         spec = SchemeSpec.hht(0.2)
         assert spec.alpha_m == 0.0
-        assert spec.nu == pytest.approx(0.5)
-        assert spec.eta == pytest.approx(0.2)
+        # nu = 1/2 and eta = alpha: gain 1/2, no lag, filter work eta/nu = 2 alpha
+        cache = build_cache(ball_model(), spec, 1e-3)
+        assert cache.filter_gain == pytest.approx(0.5)
+        assert cache.filter_lag == 0.0
+        assert cache.filter_works == pytest.approx(0.4)
         with pytest.raises(InvalidInput, match=r"HHT weight alpha=0\.4 outside \[0, 1/3\]"):
             SchemeSpec.hht(0.4)
+
+    @pytest.mark.parametrize("spec, alpha_c", [
+        pytest.param(SchemeSpec.newmark(0.6, 0.4), 0.0, id="newmark"),
+        pytest.param(SchemeSpec.hht(0.2), 0.2, id="hht"),
+        pytest.param(SchemeSpec.generalized_alpha(0.1, 0.3), 0.3, id="ga"),
+        pytest.param(SchemeSpec.kh_generalized_alpha(0.1, 0.3), 0.1, id="kh"),
+    ])
+    def test_load_weight_is_alpha_m_for_kh_and_alpha_f_otherwise(self, spec, alpha_c):
+        assert build_cache(ball_model(), spec, 1e-3).alpha_c == alpha_c
 
     def test_theta_bounds(self):
         with pytest.raises(InvalidInput, match=r"theta=1\.2 outside \[0, 1\]"):
@@ -287,8 +335,8 @@ class TestInitialState:
             q0, v0 = rng.normal(size=5), rng.normal(size=5)
             state = initial_state(model, q0, v0)
             residual = (model.mass @ state.a + model.stiffness @ q0
-                        + model.damping @ v0 - model.force(0.0))
-            scale = 1.0 + np.abs(model.force(0.0)).max()
+                        + model.damping @ v0 - model.forcing.evaluate(0.0))
+            scale = 1.0 + np.abs(model.forcing.evaluate(0.0)).max()
             assert np.abs(residual).max() <= 1e-12 * scale
             assert state.a_tilde == pytest.approx(state.a)
             assert not state.z.any() and not state.x.any() and not state.y.any()

@@ -22,7 +22,7 @@ class TestBuilders:
             "bouncing_ball", {"mass": 1.0, "gravity": 9.81, "q0": 1.0,
                               "v0": 0.0, "restitution": 1.0}))
         assert model.n == 1 and model.m == 1
-        assert model.force(2.0) == pytest.approx([-9.81])
+        assert model.forcing.evaluate(2.0) == pytest.approx([-9.81])
         assert state.q == pytest.approx([1.0])
 
     def test_chain_stiffness_matches_hand_assembly(self):

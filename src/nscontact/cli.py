@@ -68,22 +68,16 @@ _VARIANT_KEYS = {
     SchemeVariant.NONSMOOTH_GENERALIZED_ALPHA: _AVERAGING_KEYS,
     SchemeVariant.NONSMOOTH_KH_GENERALIZED_ALPHA: _AVERAGING_KEYS,
 }
-_SCHEME_KEYS = set().union(*_VARIANT_KEYS.values(), {"variant", "beta_rule"})
+# the word-valued scheme keys and their words, checked where parse_config reads them
+_WORD_VALUES = {"variant": [v.value for v in SchemeVariant],
+                "beta_rule": ["quarter_square", "half_gamma"]}
+_SCHEME_KEYS = set().union(*_VARIANT_KEYS.values(), _WORD_VALUES)
 
 
 def _build_scheme(params: dict) -> SchemeSpec:
     p = dict(params)
-    variant = p.pop("variant", None)
-    if variant is None:
-        raise ConfigError("scheme.variant is required")
-    try:
-        var = SchemeVariant(variant)
-    except ValueError:
-        raise ConfigError(f"unknown scheme.variant '{variant}' "
-                          f"(expected one of {[v.value for v in SchemeVariant]})") from None
+    var = SchemeVariant(p.pop("variant"))
     beta_rule = p.pop("beta_rule", "quarter_square")
-    if beta_rule not in ("quarter_square", "half_gamma"):
-        raise ConfigError(f"unknown scheme.beta_rule '{beta_rule}'")
     allowed = _VARIANT_KEYS[var]
     if "rho_infinity" in p:
         allowed = allowed - {"alpha_m", "alpha_f"}
@@ -110,7 +104,9 @@ def parse_config(path) -> RunConfig:
 
     Raises:
         ConfigError: unreadable file, malformed line, unknown, repeated
-            or ill-typed key (diagnostics carry the line number), or an
+            or ill-typed key, or an unknown word for ``scheme.variant``
+            or ``scheme.beta_rule`` (diagnostics carry the line number);
+            a missing ``scenario.kind`` or ``scheme.variant``; or an
             unknown scenario kind or parameter.
     """
     try:
@@ -141,7 +137,10 @@ def parse_config(path) -> RunConfig:
         elif section == "scheme":
             if name not in _SCHEME_KEYS:
                 raise ConfigError(f"unknown scheme key '{name}'", line=lineno)
-            if name in ("variant", "beta_rule"):
+            if name in _WORD_VALUES:
+                if value not in _WORD_VALUES[name]:
+                    raise ConfigError(f"unknown {key} '{value}' "
+                                      f"(expected one of {_WORD_VALUES[name]})", line=lineno)
                 cfg.scheme_params[name] = value
             else:
                 cfg.scheme_params[name] = _number(value, key, lineno)
@@ -160,8 +159,9 @@ def parse_config(path) -> RunConfig:
                               line=lineno)
         first_line[key] = lineno
 
-    if "scenario.kind" not in first_line:
-        raise ConfigError("scenario.kind is required")
+    for key in ("scenario.kind", "scheme.variant"):
+        if key not in first_line:
+            raise ConfigError(f"{key} is required")
     try:
         cfg.scenario_spec().resolved()
     except InvalidInput as exc:

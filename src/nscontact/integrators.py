@@ -113,9 +113,11 @@ class IterationMatrixCache:
     of s, v_{k+1} and q_{k+1}.  A theta impulse enters the balance; an
     averaging impulse corrects the velocity by M^-1 G P and the
     displacement by half a step of that, and s responds through the
-    balance.  ``delassus`` is G^T times the velocity map, restricted to
-    the active set when the complementarity matrix is assembled; its
-    G^T is the model's ``contact_rows``.
+    balance.  M^-1 G is a local of ``build_cache``, folded into these
+    maps and not kept, so no step forms M^-1 G P.  ``delassus`` is G^T
+    times the velocity map, restricted to the active set when the
+    complementarity matrix is assembled; its G^T is the model's
+    ``contact_rows``.
 
     The per-run coefficients, all derived here from the spec: the load
     weight ``alpha_c``, which is 1 - theta in the theta family, alpha_m
@@ -151,7 +153,6 @@ class IterationMatrixCache:
     damping_map: np.ndarray | None
     stiffness_map: np.ndarray | None
     load_map: np.ndarray
-    minv_g: np.ndarray
     alpha_c: float
     alpha_f: float
     g: float
@@ -278,7 +279,7 @@ def build_cache(model: LagrangianModel, spec: SchemeSpec, h: float) -> Iteration
     # no opening contact is in the set at w = 0, but (1 - 0) / 0 would raise
     opening = (1.0 - w) / w if w > 0.0 else 0.0
     return IterationMatrixCache(model, spec, h, damping_map, stiffness_map,
-                                solve @ model.forcing.amplitude, minv_g, ac, af, g, b,
+                                solve @ model.forcing.amplitude, ac, af, g, b,
                                 pred_v_a, pred_q_a, to_s, to_v, to_q,
                                 model.contact_rows @ to_v,
                                 gain, lag, opening, w > 0.0, bool(condition), **row)
@@ -339,11 +340,12 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     u = G^T v_{k+1} and g = G^T q_{k+1} + w is formed once, after the
     tail, by ``model.contact_image``; the record's ``U_prev`` and
     ``U_next`` are the two states' ``u`` and its penetration is read off
-    the new ``g``.  Theta schemes
-    carry ``a`` and the filters over from the start state; averaging
-    steps add the impulse share S P to s, recover
-    a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m) and advance the
-    filters.  Every load takes one path: its signal is evaluated at t_k
+    the new ``g``.  The record's ``w_corr`` and the new state's
+    ``a_tilde``, ``f_prev`` and ``v_prev`` stay None, since nothing
+    reads them.  Theta schemes carry ``a`` and the filters over from
+    the start state; averaging steps add the impulse share S P to s,
+    recover a_{k+1} = (s - alpha_m a_k) / (1 - alpha_m) and advance
+    the filters.  Every load takes one path: its signal is evaluated at t_k
     and t_{k+1}, and the load term is the cache's ``load_map`` times
     their mix, so a step never forms F(t).
 
@@ -381,11 +383,9 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
         v1 += cache.impulse_to_velocity @ P
         q1 += cache.impulse_to_displacement @ P
     u1, g1 = model.contact_image(q1, v1)
-    # a_tilde, f_prev and v_prev are never advanced; a theta step carries
-    # a and the filters over as well
-    new_state = SystemState(t=t0 + h, q=q1, v=v1, u=u1, g=g1, a=state.a, a_tilde=state.a_tilde,
-                            z=state.z, x=state.x, y=state.y, f_prev=state.f_prev,
-                            v_prev=state.v_prev)
+    # a theta step carries a and the filters over
+    new_state = SystemState(t=t0 + h, q=q1, v=v1, u=u1, g=g1, a=state.a,
+                            z=state.z, x=state.x, y=state.y)
     if spec.variant not in THETA_FAMILY:
         if act:
             s += cache.impulse_to_s @ P
@@ -398,8 +398,7 @@ def step(model, state, h, spec, *, cache=None, step_index=0):
     pen = float(max(0.0, -new_state.g.min(initial=0.0)))
     return new_state, StepRecord(step_index=step_index, state_prev=state,
                                  state_next=new_state, P=P, U_prev=state.u,
-                                 U_next=new_state.u, w_corr=cache.minv_g @ P,
-                                 active_set=act, penetration=pen)
+                                 U_next=new_state.u, active_set=act, penetration=pen)
 
 
 def simulate(model, initial_state, h, spec, t_end, *, audit=True,
@@ -457,8 +456,6 @@ def simulate(model, initial_state, h, spec, t_end, *, audit=True,
                 if audit:
                     # tol by keyword: perfbench's audit hook reads it from there
                     record.report = energy_audit.audit_step(cache, record, tol=audit_tol)
-            except SimulationError:
-                raise
             except Exception as exc:
                 raise SimulationError(f"step {k} (t={initial_state.t + k * h:g}) failed: "
                                       f"{exc}", step_index=k) from exc

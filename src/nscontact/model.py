@@ -386,9 +386,8 @@ class SystemState:
     place; ``simulate`` checks the image of its start state and rejects
     a stale one.
 
-    ``a_tilde``, ``f_prev`` and ``v_prev`` are set by
-    :func:`initial_state` and no step advances or reads them: every step
-    carries them over like a theta step carries ``a``.
+    ``a_tilde``, ``f_prev`` and ``v_prev`` are always None: nothing
+    makes, advances or reads them.
     """
 
     t: float
@@ -397,21 +396,24 @@ class SystemState:
     u: np.ndarray
     g: np.ndarray
     a: np.ndarray
-    a_tilde: np.ndarray
     z: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    f_prev: np.ndarray
-    v_prev: np.ndarray
+    # declared only because perfbench/tracing.py reads them by name,
+    # until ROADMAP item 2
+    a_tilde: None = None
+    f_prev: None = None
+    v_prev: None = None
 
 
 def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemState:
     """Consistent start state of ``model``: a0 balances the smooth equation of motion.
 
-    Filter states start at zero, and the contact image (u0, g0) is
+    Filter states start at zero, the contact image (u0, g0) is
     ``model.contact_image(q0, v0)``, as ``simulate``'s start check
-    forms it.  A state for another model, or a restart from a state
-    reached under another scheme, is made here again:
+    forms it, and ``a_tilde``, ``f_prev`` and ``v_prev`` stay None.  A
+    state for another model, or a restart from a state reached under
+    another scheme, is made here again:
     ``initial_state(model, s.q, s.v, s.t)``.
 
     Raises:
@@ -432,9 +434,8 @@ def initial_state(model: LagrangianModel, q0, v0, t0: float = 0.0) -> SystemStat
     a0 = np.linalg.solve(model.mass, f0 - model.stiffness @ q0 - model.damping @ v0)
     zeros = np.zeros(model.n)
     u0, g0 = model.contact_image(q0, v0)
-    return SystemState(t=float(t0), q=q0, v=v0, u=u0, g=g0, a=a0, a_tilde=a0.copy(),
-                       z=zeros.copy(), x=zeros.copy(), y=zeros.copy(),
-                       f_prev=f0, v_prev=v0.copy())
+    return SystemState(t=float(t0), q=q0, v=v0, u=u0, g=g0, a=a0,
+                       z=zeros.copy(), x=zeros.copy(), y=zeros.copy())
 
 
 @dataclass
@@ -449,7 +450,9 @@ class StepRecord:
     recomputed offline equals the one the run attached.  ``U_prev`` and
     ``U_next`` are the two states' ``u`` (the same arrays), so in a run
     a record's ``U_prev`` is the previous record's ``U_next``, and
-    ``penetration`` is read off the end state's gaps ``g``.
+    ``penetration`` is read off the end state's gaps ``g``.  ``w_corr``
+    is always None: the impulse moves v and q only through the cache's
+    impulse maps, so no step forms M^-1 G P.
     """
 
     step_index: int
@@ -458,7 +461,9 @@ class StepRecord:
     P: np.ndarray
     U_prev: np.ndarray
     U_next: np.ndarray
-    w_corr: np.ndarray
     active_set: tuple[int, ...]
     penetration: float = 0.0
     report: EnergyReport | None = None
+    # declared only because perfbench/tracing.py reads it by name, until
+    # ROADMAP item 2
+    w_corr: None = None

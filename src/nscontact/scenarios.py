@@ -90,7 +90,9 @@ def build_scenario(spec: ScenarioSpec) -> tuple[LagrangianModel, SystemState]:
         return model, initial_state(model, q0, [p["v0_1"], p["v0_2"]])
 
     if spec.kind == "elastic_bar_chain":
-        n = int(round(p["n_masses"]))
+        n = int(p["n_masses"])
+        if n != p["n_masses"]:
+            raise InvalidInput(f"n_masses must be a whole number, got {p['n_masses']!r}")
         if n < 1:
             raise InvalidInput("chain needs at least one mass")
         if p["m_total"] <= 0.0 or p["k"] < 0.0 or p["standoff"] < 0.0:

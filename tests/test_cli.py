@@ -527,6 +527,12 @@ CONFIG_FAILURES = [
      "line 2: scenario.n_masses"),
     ("n_masses_nan", BAR_CONFIG.replace("n_masses = 6", "n_masses = nan"),
      "line 2: scenario.n_masses"),
+    # word-valued scheme keys are checked on their line, before any run
+    ("variant_unknown", _ball_scheme("scheme.variant = nope\n"),
+     "line 7: unknown scheme.variant 'nope'"),
+    ("beta_rule_unknown", _ball_scheme("scheme.variant = newmark\nscheme.beta_rule = third\n"),
+     "line 8: unknown scheme.beta_rule 'third'"),
+    ("variant_missing", _ball_scheme(""), "scheme.variant is required"),
 ]
 
 # run.h = 0.5 > run.t_end = 0.25 leaves no step to take
@@ -579,6 +585,15 @@ EXIT_CODES = [
                  ["--grid", "theta=0.5"], 3,
                  "config error: unknown scenario kind 'bouncing_balls'",
                  id="sweep-unknown-scenario-kind"),
+    # an unknown variant used to surface only after the missing reference (exit 1)
+    pytest.param("convergence", "scenario.kind = two_ball_impact\nscheme.variant = nope\n",
+                 ["--h", "1e-2,5e-3,2.5e-3"], 3,
+                 "config error: line 2: unknown scheme.variant 'nope'",
+                 id="convergence-two-ball-variant-unknown"),
+    # a fractional mass count used to be rounded (2.5 built 2 masses, 3.5 built 4)
+    pytest.param("simulate", BAR_CONFIG.replace("n_masses = 6", "n_masses = 2.5"), [], 1,
+                 "error: n_masses must be a whole number, got 2.5",
+                 id="simulate-n_masses-fractional"),
     # h * h overflows to inf: a run failure naming the iteration matrix
     *[pytest.param("simulate", OVERFLOW_OSC.format(scheme=scheme), [], 1,
                    "error: iteration matrix is not finite", id=f"simulate-overflow-{name}")
@@ -627,6 +642,15 @@ def test_exit_code_map(tmp_path, capsys, command, config, args, code, fragment):
     if fragment.startswith("nscontact"):
         # argparse's own messages follow its usage line
         assert err.startswith("usage: nscontact")
+
+
+@pytest.mark.parametrize("command, args", COMMAND_ARGS.items(), ids=list(COMMAND_ARGS))
+@pytest.mark.parametrize("config", [c[1] for c in CONFIG_FAILURES],
+                         ids=[c[0] for c in CONFIG_FAILURES])
+def test_config_failure_makes_no_output_directory(tmp_path, capsys, command, args, config):
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, config), *args, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 # run.tol is the one tolerance: a stale NSC_TOL in the environment

@@ -31,7 +31,6 @@ def make_state(model, q, v, a=None, z=None, t=0.0):
     state = initial_state(model, q, v, t0=t)
     if a is not None:
         state.a = np.asarray(a, dtype=float)
-        state.a_tilde = state.a.copy()
     if z is not None:
         state.z = np.asarray(z, dtype=float)
     return state
@@ -45,8 +44,7 @@ def plain_model(n=1, k=0.0):
 def audit_states(model, spec, h, s0, s1, U_prev=(0.0,), U_next=(0.0,), P=(0.0,)):
     """Audit a hand-built step from s0 to s1."""
     rec = StepRecord(step_index=0, state_prev=s0, state_next=s1, P=np.asarray(P),
-                     U_prev=np.asarray(U_prev), U_next=np.asarray(U_next),
-                     w_corr=np.zeros(model.n), active_set=())
+                     U_prev=np.asarray(U_prev), U_next=np.asarray(U_next), active_set=())
     return audit_step(build_cache(model, spec, h), rec)
 
 

@@ -149,16 +149,17 @@ class TestMoreauJean:
                                       SchemeSpec.from_rho_infinity(0.8),
                                       SchemeSpec.kh_generalized_alpha(0.1, 0.3)])
     def test_carries_averaging_fields_over(self, spec):
-        # no step advances a_tilde, f_prev or v_prev; a theta step does not
+        # a_tilde, f_prev and v_prev are never made; a theta step does not
         # advance a or the filters either
         model = oscillator()
         state = initial_state(model, [0.2], [0.1])
-        new, _ = step(model, state, 1e-3, spec)
-        names = ("a_tilde", "f_prev", "v_prev")
+        new, rec = step(model, state, 1e-3, spec)
+        for st in (state, new):
+            assert st.a_tilde is None and st.f_prev is None and st.v_prev is None
+        assert rec.w_corr is None
         if spec.variant in THETA_FAMILY:
-            names += ("a", "z", "x", "y")
-        for name in names:
-            assert getattr(new, name) is getattr(state, name), name
+            for name in ("a", "z", "x", "y"):
+                assert getattr(new, name) is getattr(state, name), name
 
 
 class TestMoreauJeanVariant:
@@ -285,9 +286,8 @@ class TestGeneralizedAlpha:
                  - ac * (force(state.t) - C @ state.v)
                  + (1 - af) * K @ new.q + af * K @ state.q)
             assert np.abs(r).max() < 1e-11 * scale
-            # impulse correction and kinematics
-            w = rec.w_corr
-            assert np.abs(M @ w - model.contact_jacobian @ rec.P).max() < 1e-11 * scale
+            # impulse correction M^-1 G P and kinematics
+            w = np.linalg.solve(M, model.contact_jacobian @ rec.P)
             v_pred = state.v + h * ((1 - g) * state.a + g * new.a)
             q_pred = (state.q + h * state.v
                       + h * h * ((0.5 - b) * state.a + b * new.a))
@@ -413,13 +413,47 @@ def test_step_leaves_its_input_state_unchanged(spec):
     v0 = -np.linalg.lstsq(jac_t, np.ones(model.m), rcond=None)[0]
     state = dataclasses.replace(initial_state(model, q0, v0, t0=0.5), z=rng.normal(size=4),
                                 x=rng.normal(size=4), y=rng.normal(size=4))
-    arrays = [f.name for f in dataclasses.fields(SystemState) if f.name != "t"]
+    arrays = [f.name for f in dataclasses.fields(SystemState)
+              if isinstance(getattr(state, f.name), np.ndarray)]
+    assert len(arrays) == 8
     before = {name: getattr(state, name).tobytes() for name in arrays}
     t = state.t
     _, rec = step(model, state, 1e-3, spec, step_index=1)
     assert rec.P.max() > 0.0
     assert {name: getattr(state, name).tobytes() for name in arrays} == before
     assert state.t == t
+
+
+def held_arrays(obj):
+    """The ndarrays a dataclass instance holds, through nested dataclasses."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from held_arrays(value)
+
+
+@pytest.mark.parametrize("spec", SIX_VARIANTS, ids=lambda spec: spec.variant.value)
+def test_a_step_retains_only_what_it_makes(spec):
+    # each record keeps its end state's q, v, u, g and its impulse P; an
+    # averaging state adds its a, z, x, y, and a theta state shares them
+    rng = np.random.default_rng(3)
+    n, m = 5, 3
+    model = random_model(rng, n=n, m=m)
+    v0 = -model.contact_jacobian @ np.ones(m)
+    state = initial_state(model, np.zeros(n), v0)
+    records = simulate(model, state, 1e-3, spec, 0.05)
+    assert any(rec.active_set for rec in records)
+    seen = {id(arr) for arr in held_arrays(state)}
+    per_step = 8 * (2 * n + 3 * m if spec.variant in THETA_FAMILY else 6 * n + 3 * m)
+    for rec in records:
+        new = [arr for arr in {id(arr): arr for arr in held_arrays(rec)}.values()
+               if id(arr) not in seen]
+        seen.update(id(arr) for arr in new)
+        assert sum(arr.nbytes for arr in new) == per_step
+    names = {f.name for f in dataclasses.fields(integrators.IterationMatrixCache)}
+    assert "minv_g" not in names
 
 
 def broken_step(*args, **kwargs):

@@ -62,6 +62,12 @@ class TestBuilders:
         with pytest.raises(InvalidInput, match="chain needs at least one mass"):
             build_scenario(ScenarioSpec("elastic_bar_chain", {"n_masses": 0}))
 
+    @pytest.mark.parametrize("n_masses", [2.5, 3.5])
+    def test_fractional_mass_count_rejected(self, n_masses):
+        # rounding used to build 2 masses for 2.5 and 4 for 3.5
+        with pytest.raises(InvalidInput, match=f"n_masses must be a whole number, got {n_masses}"):
+            build_scenario(ScenarioSpec("elastic_bar_chain", {"n_masses": n_masses}))
+
     @pytest.mark.parametrize("kind, name, value", [
         ("elastic_bar_chain", "n_masses", math.inf),
         ("elastic_bar_chain", "n_masses", math.nan),

@@ -3,14 +3,15 @@
 For each workload of ``<checkout>/perfbench/workloads.py`` and each
 seed, the checkout's own ``simulate`` runs the workload's
 ``library_runs`` with the audit on, and one line gives the sha256 over
-every record's end time t, end state q, v, a, z, x, y, impulse P, local
-velocities U_prev and U_next, active set, penetration and energy
-report fields.  These are the record fields every version of the
-package has, so a change that adds a field still compares with its
-parent.  For the two CLI workloads a second line gives the sha256 of
-the CLI's output files, from ``workloads.Command``.  The checkout is
-only read: no bytecode is written into it, and the CLI writes into a
-temporary directory.
+every record's end time t, end state q, v, g, a, z, x, y, impulse P,
+local velocities U_prev and U_next (the two states' u), active set,
+penetration and energy report fields.  So every array a state carries
+is covered, the gaps g that the next step's forecast reads included.
+Every version of the package since states carry g has these fields, so
+a change that adds a field still compares with its parent.  For the two
+CLI workloads a second line gives the sha256 of the CLI's output files,
+from ``workloads.Command``.  The checkout is only read: no bytecode is
+written into it, and the CLI writes into a temporary directory.
 
 Usage: python tools/record_digest.py <checkout> [--seeds 1,5] [--smoke]
 Run it on two checkouts and compare the two outputs, e.g. with diff.
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-STATE_FIELDS = ("q", "v", "a", "z", "x", "y")
+STATE_FIELDS = ("q", "v", "g", "a", "z", "x", "y")
 RECORD_FIELDS = ("P", "U_prev", "U_next")
 CLI_WORKLOADS = ("sweep_ball", "bar200_ga")
 
